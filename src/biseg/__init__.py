@@ -4,14 +4,14 @@ A shallow spatial path keeps detail while a deep context path with channel
 attention and a pooled global tail supplies semantics; the paths meet in a
 gated fusion block at one-eighth resolution. Everything needed to train,
 evaluate, benchmark, and cost-account the model lives here: NCHW tensors
-with a counter-based RNG, forward/backward layer kernels, a small DAG
-executor with momentum SGD and a poly schedule, netpbm data plumbing with
-augmentation and synthetic scenes, and static-vs-instrumented efficiency
-accounting.
+with a counter-based RNG, forward/backward layer kernels, one op table of
+layer kinds behind a small DAG executor with momentum SGD and a poly
+schedule, netpbm data plumbing with augmentation and synthetic scenes, and
+static-vs-instrumented efficiency accounting.
 """
 
 from .analysis import CostReport, count_layer, count_model, verify_counts
-from .backbone import BackboneConfig, backbone_forward, receptive_field
+from .backbone import BackboneConfig, receptive_field
 from .benchmark import BenchReport, run_bench
 from .config import (
     BenchConfig,
@@ -50,6 +50,8 @@ from .errors import (
     SizeError,
 )
 from .graph import (
+    KINDS,
+    LayerKind,
     LayerSpec,
     ParamStore,
     SgdConfig,
@@ -65,15 +67,10 @@ from .network import (
     ForwardArtifacts,
     NetConfig,
     ablation_configs,
-    attention_refine,
     build_network,
-    context_path,
-    feature_fusion,
-    joint_loss,
     network_forward,
     param_count,
     predict_full_res,
-    spatial_path,
 )
 from .tensor import Rng, Shape, Tensor
 from .train import evaluate, run_training

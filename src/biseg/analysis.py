@@ -1,22 +1,13 @@
 """Static efficiency accounting: parameters, MACs, and FLOPs per layer.
 
-Counting conventions (mirrored exactly by the runtime instrumentation in
-the graph executor, which tallies from live arrays during a forward pass):
-
-  conv     params = c_out*(c_in/groups)*kh*kw (+ c_out with bias);
-           macs = weight_params * n * h_out * w_out; flops = 2*macs
-  bn       params = 2*c (scale and shift); flops = 2*elements
-  relu     flops = elements
-  sigmoid  flops = 4*elements
-  gap      flops = in_elements + out_elements
-  upsample flops = 7*out_elements (4 multiplies + 3 adds per output)
-  add/mul  flops = out_elements
-  concat   free (memory movement only)
-
-Only conv rows carry MACs, so "flops == 2*macs" holds exactly there. A
-conv-only total reproduces the stricter convention many tools use. Both
-MAC and FLOP totals are always reported because published efficiency
-figures rarely say which one they are.
+Each kind's counting convention is the cost rule of its graph.KINDS entry,
+evaluated here on the spec's parameter shapes and graph.infer_shapes. The
+executor's OpCounter evaluates the same rule on the live arrays of a forward
+pass, so verify_counts compares two independent sets of shapes. Only conv
+rows carry MACs, so "flops == 2*macs" holds exactly there. A conv-only
+total reproduces the stricter convention many tools use. Both MAC and FLOP
+totals are always reported because published efficiency figures rarely say
+which one they are.
 """
 
 from __future__ import annotations
@@ -89,34 +80,17 @@ class CostReport:
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _row_for(spec: LayerSpec, in_shapes: list[tuple], out_shape: tuple) -> CostRow:
-    n, c, h, w = out_shape
-    out_elems = n * c * h * w
-    params = macs = flops = 0
-    if spec.kind == "conv":
-        c_in = in_shapes[0][1]
-        wparams = spec.out_channels * (c_in // spec.groups) * spec.kernel * spec.kernel
-        params = wparams + (spec.out_channels if spec.bias else 0)
-        macs = wparams * n * h * w
-        flops = 2 * macs
-    elif spec.kind == "bn":
-        params = 2 * c
-        flops = 2 * out_elems
-    elif spec.kind == "relu":
-        flops = out_elems
-    elif spec.kind == "sigmoid":
-        flops = 4 * out_elems
-    elif spec.kind == "gap":
-        ish = in_shapes[0]
-        flops = ish[0] * ish[1] * ish[2] * ish[3] + out_elems
-    elif spec.kind == "upsample":
-        flops = 7 * out_elems
-    elif spec.kind in ("add", "mul"):
-        flops = out_elems
-    elif spec.kind == "concat":
-        pass
-    else:
+def _kind(spec: LayerSpec) -> graph.LayerKind:
+    kind = graph.KINDS.get(spec.kind)
+    if kind is None:
         raise AnalysisError(f"no cost model for layer kind {spec.kind!r}")
+    return kind
+
+
+def _row_for(spec: LayerSpec, in_shapes: list[tuple], out_shape: tuple) -> CostRow:
+    kind = _kind(spec)
+    params, macs, flops = kind.cost(
+        in_shapes, out_shape, {d.suffix: d.shape for d in kind.params(spec)})
     return CostRow(
         name=spec.name, kind=spec.kind, output_shape=tuple(out_shape),
         params=int(params), macs=int(macs), flops=int(flops),
@@ -133,9 +107,8 @@ def count_layer(spec: LayerSpec, input_shape) -> CostRow:
         shapes = dict(input_shape)
     else:
         shapes = {spec.inputs[0]: tuple(input_shape)}
-    all_shapes = dict(shapes)
-    out_shape = graph._infer_one(spec, all_shapes)
-    return _row_for(spec, [shapes[i] for i in spec.inputs], out_shape)
+    in_shapes = [shapes[i] for i in spec.inputs]
+    return _row_for(spec, in_shapes, _kind(spec).shape(spec, in_shapes))
 
 
 def count_model(specs, input_shapes: dict) -> CostReport:

@@ -13,14 +13,12 @@ where they are cheap to evaluate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
-import numpy as np
-
-from . import graph, ops
+from . import graph
 from .errors import ArgumentError, ShapeError
-from .graph import LayerSpec, ParamStore
-from .tensor import Rng, Tensor
+from .graph import LayerSpec, RfState
 
 
 @dataclass(frozen=True)
@@ -45,59 +43,36 @@ class BackboneConfig:
         return 2 * self.stem_channels
 
 
-@dataclass
-class StageOutputs:
-    """Features at strides 8, 16, and 32 of the input resolution."""
-
-    feat8: Tensor
-    feat16: Tensor
-    feat32: Tensor
-
-
 class GraphBuilder:
-    """Incremental LayerSpec list with value-name plumbing."""
+    """Incremental LayerSpec list with value-name plumbing.
+
+    Each layer is named after the value it produces; emit(kind, name,
+    *inputs, **fields) adds any kind in graph.KINDS.
+    """
 
     def __init__(self):
         self.specs: list[LayerSpec] = []
 
-    def _emit(self, spec: LayerSpec) -> str:
-        self.specs.append(spec)
-        return spec.output
+    def emit(self, kind: str, name: str, *inputs: str, **fields) -> str:
+        self.specs.append(LayerSpec(kind=kind, name=name, inputs=inputs, output=name, **fields))
+        return name
 
     def conv(self, name, x, c_in, c_out, k=3, s=1, p=None, groups=1, bias=False):
-        if p is None:
-            p = k // 2
-        return self._emit(LayerSpec(
-            kind="conv", name=name, inputs=(x,), output=name,
-            in_channels=c_in, out_channels=c_out, kernel=k, stride=s,
-            padding=p, groups=groups, bias=bias,
-        ))
+        return self.emit("conv", name, x, in_channels=c_in, out_channels=c_out, kernel=k,
+                         stride=s, padding=k // 2 if p is None else p, groups=groups, bias=bias)
 
     def bn(self, name, x, c):
-        return self._emit(LayerSpec(kind="bn", name=name, inputs=(x,), output=name,
-                                    in_channels=c, out_channels=c))
-
-    def relu(self, name, x):
-        return self._emit(LayerSpec(kind="relu", name=name, inputs=(x,), output=name))
-
-    def sigmoid(self, name, x):
-        return self._emit(LayerSpec(kind="sigmoid", name=name, inputs=(x,), output=name))
-
-    def gap(self, name, x):
-        return self._emit(LayerSpec(kind="gap", name=name, inputs=(x,), output=name))
+        return self.emit("bn", name, x, in_channels=c, out_channels=c)
 
     def upsample(self, name, x, factor):
-        return self._emit(LayerSpec(kind="upsample", name=name, inputs=(x,), output=name,
-                                    factor=factor))
+        return self.emit("upsample", name, x, factor=factor)
 
-    def concat(self, name, a, b):
-        return self._emit(LayerSpec(kind="concat", name=name, inputs=(a, b), output=name))
-
-    def add(self, name, a, b):
-        return self._emit(LayerSpec(kind="add", name=name, inputs=(a, b), output=name))
-
-    def mul(self, name, a, b):
-        return self._emit(LayerSpec(kind="mul", name=name, inputs=(a, b), output=name))
+    relu = functools.partialmethod(emit, "relu")
+    sigmoid = functools.partialmethod(emit, "sigmoid")
+    gap = functools.partialmethod(emit, "gap")
+    concat = functools.partialmethod(emit, "concat")
+    add = functools.partialmethod(emit, "add")
+    mul = functools.partialmethod(emit, "mul")
 
     def conv_bn_relu(self, name, x, c_in, c_out, k=3, s=1, groups=1):
         y = self.conv(f"{name}.conv", x, c_in, c_out, k=k, s=s, groups=groups)
@@ -146,65 +121,22 @@ def check_input_extents(h: int, w: int) -> None:
         raise ShapeError(f"input width {w} is not a multiple of 32")
 
 
-def init_backbone_params(cfg: BackboneConfig, store: ParamStore, rng: Rng,
-                         prefix: str = "cp.") -> None:
-    specs, _ = backbone_specs(cfg, prefix=prefix)
-    graph.init_params(specs, store, rng)
-
-
-def backbone_forward(x: Tensor, cfg: BackboneConfig, store: ParamStore,
-                     mode: str = "infer") -> StageOutputs:
-    n, c, h, w = x.data.shape
-    if c != cfg.input_channels:
-        raise ShapeError(f"backbone expects {cfg.input_channels} input channels, got {c}")
-    check_input_extents(h, w)
-    specs, taps = backbone_specs(cfg)
-    values = graph.run_forward(specs, store, {"x": x.data}, mode=mode)
-    return StageOutputs(
-        feat8=Tensor(values[taps[8]]),
-        feat16=Tensor(values[taps[16]]),
-        feat32=Tensor(values[taps[32]]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Receptive fields
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _RfState:
-    jump: int      # distance between neighboring output centers, in input px
-    rf: int        # receptive field extent, in input px
-    start: float   # center of output index 0, in input coordinates
+def rf_walk(specs, input_names) -> dict[str, RfState]:
+    """Receptive-field recurrence over a spec list, by each kind's rf rule.
 
-
-def rf_walk(specs, input_names) -> dict[str, _RfState]:
-    """Receptive-field recurrence over a spec list.
-
-    conv: rf' = rf + (k - 1) * jump, jump' = jump * stride; pointwise ops
-    keep the state; joins take the branch maximum. Only kinds that appear in
-    tap-producing backbones are supported.
+    Kinds without one (pooling, resampling) are rejected.
     """
-    states = {name: _RfState(1, 1, 0.0) for name in input_names}
+    states = {name: RfState(1, 1, 0.0) for name in input_names}
     for spec in specs:
-        a = states[spec.inputs[0]]
-        if spec.kind == "conv":
-            k, s, p = spec.kernel, spec.stride, spec.padding
-            states[spec.output] = _RfState(
-                jump=a.jump * s,
-                rf=a.rf + (k - 1) * a.jump,
-                start=a.start + ((k - 1) / 2.0 - p) * a.jump,
-            )
-        elif spec.kind in ("bn", "relu", "sigmoid"):
-            states[spec.output] = a
-        elif spec.kind in ("add", "mul", "concat"):
-            b = states[spec.inputs[1]]
-            if a.jump != b.jump:
-                raise ShapeError(f"layer {spec.name!r} joins branches of unequal stride")
-            states[spec.output] = _RfState(a.jump, max(a.rf, b.rf), a.start)
-        else:
+        rule = graph.kind_of(spec).rf
+        if rule is None:
             raise ArgumentError(f"receptive-field walk does not support kind {spec.kind!r}")
+        states[spec.output] = rule(spec, [states[name] for name in spec.inputs])
     return states
 
 

@@ -55,7 +55,6 @@ class BenchConfig:
 @dataclass(frozen=True)
 class EngineConfig:
     seed: int = 0
-    strict_determinism: bool = True
     model: NetConfig = field(default_factory=NetConfig)
     sgd: SgdConfig = field(default_factory=SgdConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -112,7 +111,6 @@ _RES = (_parse_resolutions, lambda v: ",".join(f"{w}x{h}" for w, h in v))
 # serialization order.
 _SCHEMA: dict[str, tuple[str, str, tuple]] = {
     "seed": ("", "seed", _INT),
-    "strict_determinism": ("", "strict_determinism", _BOOL),
     "model.num_classes": ("model", "num_classes", _INT),
     "model.sp_channels": ("model", "sp_channels", _INTS),
     "model.cp_channels": ("model", "cp_channels", _INT),
@@ -184,10 +182,6 @@ def _build(flat: dict[str, object]) -> EngineConfig:
         )
     except ArgumentError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def default_config() -> EngineConfig:
-    return EngineConfig()
 
 
 # ---------------------------------------------------------------------------

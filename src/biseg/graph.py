@@ -1,4 +1,4 @@
-"""Layer graph, parameter store, optimizer protocol, and checkpoints.
+"""Layer graph, per-kind op table, parameter store, optimizer, and checkpoints.
 
 A model is a sequence of LayerSpec records forming a DAG over named values:
 each spec consumes previously produced (or externally supplied) value names
@@ -6,14 +6,21 @@ and produces one new name. Execution walks the sequence in order; the
 backward pass walks it in exact reverse, accumulating gradients by addition
 wherever a value fans out.
 
-Supported kinds: conv, bn, relu, sigmoid, gap, upsample, concat, add, mul.
+Everything the engine knows about a layer kind sits in its LayerKind record
+in KINDS: arity, parameters, shape rule, forward and backward kernels,
+static cost and receptive-field rule. Graph validation, shape inference,
+parameter initialization, execution, cost analysis and the receptive-field
+walk all look the kind up there, so a new kind is one table entry. The
+table holds conv, bn, relu, sigmoid, gap, upsample, concat, add and mul.
 conv and bn own parameters in the ParamStore under "<layer name>." prefixes.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,8 +33,6 @@ from .errors import (
     ShapeError,
 )
 from .tensor import Rng, Shape, init_kaiming
-
-KINDS = ("conv", "bn", "relu", "sigmoid", "gap", "upsample", "concat", "add", "mul")
 
 
 @dataclass(frozen=True)
@@ -53,9 +58,219 @@ class LayerSpec:
     factor: int = 1
 
 
-_ARITY = {
-    "conv": 1, "bn": 1, "relu": 1, "sigmoid": 1, "gap": 1, "upsample": 1,
-    "concat": 2, "add": 2, "mul": 2,
+class ParamDef(NamedTuple):
+    """One parameter tensor of a layer, stored as "<layer name>.<suffix>"."""
+
+    suffix: str
+    shape: tuple[int, ...]
+    init: Callable  # (shape, rng) -> float32 array
+    trainable: bool = True
+    decay: bool = True
+
+
+@dataclass(frozen=True)
+class RfState:
+    jump: int      # distance between neighboring output centers, in input px
+    rf: int        # receptive field extent, in input px
+    start: float   # center of output index 0, in input coordinates
+
+
+@dataclass(frozen=True)
+class LayerKind:
+    """The rules of one layer kind; ins/xs hold a layer's inputs in order.
+
+    shape(spec, ins) -> output shape, or ShapeError
+    forward(spec, xs, p, mode) -> output; p maps suffix -> stored array
+    backward(spec, xs, y, gy, p, mode) -> (input grads, {suffix: grad})
+    cost(ins, out, param_shapes) -> (params, macs, flops) from shapes alone,
+        so the static table (spec shapes) and the executor's counter (live
+        array shapes) evaluate it on independent inputs
+    rf(spec, states) -> RfState; None where the receptive-field walk stops
+    params(spec) -> ParamDefs in store order; none by default
+    """
+
+    arity: int
+    shape: Callable
+    forward: Callable
+    backward: Callable
+    cost: Callable
+    rf: Callable | None
+    params: Callable = lambda spec: ()
+
+
+def kind_of(spec: LayerSpec) -> LayerKind:
+    try:
+        return KINDS[spec.kind]
+    except KeyError:
+        raise GraphError(f"layer {spec.name!r} has unknown kind {spec.kind!r}") from None
+
+
+# ---------------------------------------------------------------------------
+# Op table
+# ---------------------------------------------------------------------------
+
+
+def _kaiming(shape, rng):  # He-normal, fan_in = (c_in / groups) * kh * kw
+    return init_kaiming(Shape(*shape), math.prod(shape[1:]), rng).data
+
+
+def _zeros(shape, rng):
+    return np.zeros(shape, np.float32)
+
+
+def _ones(shape, rng):
+    return np.ones(shape, np.float32)
+
+
+def _first(spec, seq):  # shape or receptive field passed through unchanged
+    return seq[0]
+
+
+def _conv_defs(spec):  # bias and BN affine terms are exempt from weight decay
+    weight = ParamDef("weight", (spec.out_channels, spec.in_channels // spec.groups,
+                                 spec.kernel, spec.kernel), _kaiming)
+    bias = ParamDef("bias", (spec.out_channels,), _zeros, decay=False)
+    return (weight, bias) if spec.bias else (weight,)
+
+
+def _bn_defs(spec):  # running statistics are stored, not trained
+    c = (spec.in_channels,)
+    return (ParamDef("gamma", c, _ones, decay=False),
+            ParamDef("beta", c, _zeros, decay=False),
+            ParamDef("running_mean", c, _zeros, trainable=False, decay=False),
+            ParamDef("running_var", c, _ones, trainable=False, decay=False))
+
+
+def _conv(spec, p):
+    return ops.Conv2dParams(p["weight"], p.get("bias"), spec.stride, spec.padding, spec.groups)
+
+
+def _bn(p, mode):
+    return ops.BatchNormParams(p["gamma"], p["beta"], p["running_mean"], p["running_var"],
+                               mode=mode)
+
+
+def _conv_shape(spec, ins):
+    n, c, h, w = ins[0]
+    if c != spec.in_channels:
+        raise ShapeError(f"layer {spec.name!r} expects {spec.in_channels} channels, got {c}")
+    return (n, spec.out_channels, ops.conv_out_extent(h, spec.kernel, spec.stride, spec.padding),
+            ops.conv_out_extent(w, spec.kernel, spec.stride, spec.padding))
+
+
+def _bn_shape(spec, ins):
+    if ins[0][1] != spec.in_channels:
+        raise ShapeError(
+            f"layer {spec.name!r} normalizes {spec.in_channels} channels, got {ins[0][1]}")
+    return ins[0]
+
+
+def _concat_shape(spec, ins):
+    a, b = ins
+    if a[0] != b[0] or a[2:] != b[2:]:
+        raise ShapeError(f"layer {spec.name!r} concat operands {a} / {b} misaligned")
+    return (a[0], a[1] + b[1], a[2], a[3])
+
+
+def _pointwise_shape(spec, ins):
+    a, b = ins  # equal shapes, or the second operand broadcast as (n, c, 1, 1)
+    if a != b and b != (a[0], a[1], 1, 1):
+        raise ShapeError(f"layer {spec.name!r} operands {a} / {b} do not align")
+    return a
+
+
+def _conv_bwd(spec, xs, y, gy, p, mode):
+    gx, gw, gb = ops.conv2d_backward(xs[0], _conv(spec, p), gy)
+    return (gx,), ({"weight": gw, "bias": gb} if spec.bias else {"weight": gw})
+
+
+def _bn_bwd(spec, xs, y, gy, p, mode):
+    gx, dgamma, dbeta = ops.batchnorm_backward(xs[0], _bn(p, mode), gy)
+    return (gx,), {"gamma": dgamma, "beta": dbeta}
+
+
+def _concat_bwd(spec, xs, y, gy, p, mode):
+    ca = xs[0].shape[1]
+    return (np.ascontiguousarray(gy[:, :ca]), np.ascontiguousarray(gy[:, ca:])), {}
+
+
+def _unbroadcast(g, operand):  # sum over the axes a (n, c, 1, 1) operand spans
+    return g if operand.shape == g.shape else g.sum(axis=(2, 3), keepdims=True)
+
+
+def _flops(per_output):
+    return lambda ins, out, ps: (0, 0, per_output * math.prod(out))
+
+
+def _conv_cost(ins, out, ps):
+    macs = math.prod(ps["weight"]) * out[0] * out[2] * out[3]
+    return (sum(map(math.prod, ps.values())), macs, 2 * macs)
+
+
+def _rf_conv(spec, states):  # rf' = rf + (k - 1) * jump, jump' = jump * stride
+    a, k = states[0], spec.kernel
+    return RfState(a.jump * spec.stride, a.rf + (k - 1) * a.jump,
+                   a.start + ((k - 1) / 2.0 - spec.padding) * a.jump)
+
+
+def _rf_join(spec, states):  # joins take the branch maximum
+    a, b = states
+    if a.jump != b.jump:
+        raise ShapeError(f"layer {spec.name!r} joins branches of unequal stride")
+    return RfState(a.jump, max(a.rf, b.rf), a.start)
+
+
+# Kernels are looked up on the ops module at call time, so wrappers installed
+# there (profilers, tracers) see every call. Cost conventions: conv counts
+# weight_params * n * h_out * w_out MACs at 2 FLOPs each; bn 2 FLOPs per
+# element; sigmoid 4; upsample 7 (4 multiplies + 3 adds per output); gap one
+# per input and output element; relu, add and mul one; concat moves memory.
+KINDS: dict[str, LayerKind] = {
+    "conv": LayerKind(
+        arity=1, params=_conv_defs, shape=_conv_shape,
+        forward=lambda spec, xs, p, mode: ops.conv2d_forward(xs[0], _conv(spec, p)),
+        backward=_conv_bwd, cost=_conv_cost, rf=_rf_conv),
+    "bn": LayerKind(
+        arity=1, params=_bn_defs, shape=_bn_shape,
+        forward=lambda spec, xs, p, mode: ops.batchnorm_forward(xs[0], _bn(p, mode)),
+        backward=_bn_bwd, rf=_first,
+        cost=lambda ins, out, ps: (math.prod(ps["gamma"]) + math.prod(ps["beta"]), 0,
+                                   2 * math.prod(out))),
+    "relu": LayerKind(
+        arity=1, shape=_first, forward=lambda spec, xs, p, mode: ops.relu(xs[0]),
+        backward=lambda spec, xs, y, gy, p, mode: ((ops.relu_backward(xs[0], gy),), {}),
+        cost=_flops(1), rf=_first),
+    "sigmoid": LayerKind(
+        arity=1, shape=_first, forward=lambda spec, xs, p, mode: ops.sigmoid(xs[0]),
+        backward=lambda spec, xs, y, gy, p, mode: ((ops.sigmoid_backward(y, gy),), {}),
+        cost=_flops(4), rf=_first),
+    "gap": LayerKind(
+        arity=1, shape=lambda spec, ins: (*ins[0][:2], 1, 1),
+        forward=lambda spec, xs, p, mode: ops.global_avg_pool(xs[0]),
+        backward=lambda spec, xs, y, gy, p, mode: (
+            (ops.global_avg_pool_backward(xs[0].shape, gy),), {}),
+        cost=lambda ins, out, ps: (0, 0, math.prod(ins[0]) + math.prod(out)), rf=None),
+    "upsample": LayerKind(
+        arity=1,
+        shape=lambda spec, ins: (*ins[0][:2], ins[0][2] * spec.factor, ins[0][3] * spec.factor),
+        forward=lambda spec, xs, p, mode: ops.bilinear_upsample(xs[0], spec.factor),
+        backward=lambda spec, xs, y, gy, p, mode: (
+            (ops.bilinear_upsample_backward(xs[0].shape, spec.factor, gy),), {}),
+        cost=_flops(7), rf=None),
+    "concat": LayerKind(
+        arity=2, shape=_concat_shape,
+        forward=lambda spec, xs, p, mode: np.concatenate(xs, axis=1),
+        backward=_concat_bwd, cost=_flops(0), rf=_rf_join),
+    "add": LayerKind(
+        arity=2, shape=_pointwise_shape, forward=lambda spec, xs, p, mode: xs[0] + xs[1],
+        backward=lambda spec, xs, y, gy, p, mode: (
+            (gy.copy(), _unbroadcast(gy.copy(), xs[1])), {}),
+        cost=_flops(1), rf=_rf_join),
+    "mul": LayerKind(
+        arity=2, shape=_pointwise_shape, forward=lambda spec, xs, p, mode: xs[0] * xs[1],
+        backward=lambda spec, xs, y, gy, p, mode: (
+            (gy * xs[1], _unbroadcast(gy * xs[0], xs[1])), {}),
+        cost=_flops(1), rf=_rf_join),
 }
 
 
@@ -66,12 +281,11 @@ def validate_graph(specs, input_names) -> None:
     bound = set(input_names)
     names = set()
     for spec in specs:
-        if spec.kind not in KINDS:
-            raise GraphError(f"layer {spec.name!r} has unknown kind {spec.kind!r}")
-        if len(spec.inputs) != _ARITY[spec.kind]:
+        arity = kind_of(spec).arity
+        if len(spec.inputs) != arity:
             raise GraphError(
                 f"layer {spec.name!r} kind {spec.kind} expects "
-                f"{_ARITY[spec.kind]} inputs, got {len(spec.inputs)}"
+                f"{arity} inputs, got {len(spec.inputs)}"
             )
         if spec.name in names:
             raise GraphError(f"duplicate layer name {spec.name!r}")
@@ -84,44 +298,12 @@ def validate_graph(specs, input_names) -> None:
         bound.add(spec.output)
 
 
-def _infer_one(spec: LayerSpec, shapes: dict) -> tuple[int, int, int, int]:
-    a = shapes[spec.inputs[0]]
-    if spec.kind == "conv":
-        n, c, h, w = a
-        if c != spec.in_channels:
-            raise ShapeError(
-                f"layer {spec.name!r} expects {spec.in_channels} channels, got {c}"
-            )
-        oh = ops.conv_out_extent(h, spec.kernel, spec.stride, spec.padding)
-        ow = ops.conv_out_extent(w, spec.kernel, spec.stride, spec.padding)
-        return (n, spec.out_channels, oh, ow)
-    if spec.kind == "bn":
-        if a[1] != spec.in_channels:
-            raise ShapeError(f"layer {spec.name!r} normalizes {spec.in_channels} channels, got {a[1]}")
-        return a
-    if spec.kind in ("relu", "sigmoid"):
-        return a
-    if spec.kind == "gap":
-        return (a[0], a[1], 1, 1)
-    if spec.kind == "upsample":
-        return (a[0], a[1], a[2] * spec.factor, a[3] * spec.factor)
-    b = shapes[spec.inputs[1]]
-    if spec.kind == "concat":
-        if a[0] != b[0] or a[2:] != b[2:]:
-            raise ShapeError(f"layer {spec.name!r} concat operands {a} / {b} misaligned")
-        return (a[0], a[1] + b[1], a[2], a[3])
-    # add / mul: equal shapes, or second operand broadcast as (n, c, 1, 1)
-    if a == b or b == (a[0], a[1], 1, 1):
-        return a
-    raise ShapeError(f"layer {spec.name!r} operands {a} / {b} do not align")
-
-
 def infer_shapes(specs, input_shapes: dict) -> dict:
     """Static NCHW shape for every value name; raises ShapeError on misfit."""
     validate_graph(specs, input_shapes.keys())
     shapes = dict(input_shapes)
     for spec in specs:
-        shapes[spec.output] = _infer_one(spec, shapes)
+        shapes[spec.output] = KINDS[spec.kind].shape(spec, [shapes[i] for i in spec.inputs])
     return shapes
 
 
@@ -183,30 +365,16 @@ class ParamStore:
 
 
 def init_params(specs, store: ParamStore, rng: Rng) -> None:
-    """Allocate parameters for every conv/bn spec, in graph order.
+    """Allocate every spec's parameters, in graph order, as its kind lists them.
 
-    Conv weights are He-normal with fan_in = (c_in / groups) * k * k; biases
-    start at zero and are exempt from weight decay, as are BN gamma/beta.
-    Running statistics are stored as non-trainable entries so checkpoints
-    carry them.
+    Conv weights are He-normal; biases start at zero and are exempt from
+    weight decay, as are BN gamma/beta. Running statistics are stored as
+    non-trainable entries so checkpoints carry them.
     """
     for spec in specs:
-        if spec.kind == "conv":
-            fan_in = (spec.in_channels // spec.groups) * spec.kernel * spec.kernel
-            w_shape = Shape(spec.out_channels, spec.in_channels // spec.groups,
-                            spec.kernel, spec.kernel)
-            store.add(f"{spec.name}.weight", init_kaiming(w_shape, fan_in, rng).data)
-            if spec.bias:
-                store.add(f"{spec.name}.bias", np.zeros(spec.out_channels, np.float32),
-                          decay=False)
-        elif spec.kind == "bn":
-            c = spec.in_channels
-            store.add(f"{spec.name}.gamma", np.ones(c, np.float32), decay=False)
-            store.add(f"{spec.name}.beta", np.zeros(c, np.float32), decay=False)
-            store.add(f"{spec.name}.running_mean", np.zeros(c, np.float32),
-                      trainable=False, decay=False)
-            store.add(f"{spec.name}.running_var", np.ones(c, np.float32),
-                      trainable=False, decay=False)
+        for d in kind_of(spec).params(spec):
+            store.add(f"{spec.name}.{d.suffix}", d.init(d.shape, rng),
+                      trainable=d.trainable, decay=d.decay)
 
 
 # ---------------------------------------------------------------------------
@@ -225,30 +393,6 @@ class OpCounter:
         self.rows[name] = (prev[0] + macs, prev[1] + flops)
 
 
-def _count_runtime(counter: OpCounter | None, spec: LayerSpec, store, x, out):
-    """Cost of one executed layer, measured from the arrays involved."""
-    if counter is None:
-        return
-    if spec.kind == "conv":
-        w = store.get(f"{spec.name}.weight").value
-        macs = w.size * out.shape[0] * out.shape[2] * out.shape[3]
-        counter.record(spec.name, int(macs), int(2 * macs))
-    elif spec.kind == "bn":
-        counter.record(spec.name, 0, int(2 * out.size))
-    elif spec.kind == "relu":
-        counter.record(spec.name, 0, int(out.size))
-    elif spec.kind == "sigmoid":
-        counter.record(spec.name, 0, int(4 * out.size))
-    elif spec.kind == "gap":
-        counter.record(spec.name, 0, int(x.size + out.size))
-    elif spec.kind == "upsample":
-        counter.record(spec.name, 0, int(7 * out.size))
-    elif spec.kind in ("add", "mul"):
-        counter.record(spec.name, 0, int(out.size))
-    else:  # concat moves memory only
-        counter.record(spec.name, 0, 0)
-
-
 class GraphRun:
     """One forward (and optional backward) execution of a spec sequence."""
 
@@ -259,53 +403,26 @@ class GraphRun:
         self.store = store
         self.mode = mode
         self.values: dict[str, np.ndarray] = {}
+        self._params: dict[str, dict[str, np.ndarray]] = {}  # layer -> {suffix: array}
         self._input_names: tuple[str, ...] = ()
-
-    def _conv_params(self, spec: LayerSpec) -> ops.Conv2dParams:
-        bias = self.store.get(f"{spec.name}.bias").value if spec.bias else None
-        return ops.Conv2dParams(
-            weight=self.store.get(f"{spec.name}.weight").value,
-            bias=bias, stride=spec.stride, padding=spec.padding, groups=spec.groups,
-        )
-
-    def _bn_params(self, spec: LayerSpec) -> ops.BatchNormParams:
-        return ops.BatchNormParams(
-            gamma=self.store.get(f"{spec.name}.gamma").value,
-            beta=self.store.get(f"{spec.name}.beta").value,
-            running_mean=self.store.get(f"{spec.name}.running_mean").value,
-            running_var=self.store.get(f"{spec.name}.running_var").value,
-            mode=self.mode,
-        )
 
     def forward(self, inputs: dict, counter: OpCounter | None = None) -> dict:
         validate_graph(self.specs, inputs.keys())
         self._input_names = tuple(inputs.keys())
         vals = dict(inputs)
         for spec in self.specs:
-            x = vals[spec.inputs[0]]
-            if spec.kind == "conv":
-                out = ops.conv2d_forward(x, self._conv_params(spec))
-            elif spec.kind == "bn":
-                out = ops.batchnorm_forward(x, self._bn_params(spec))
-            elif spec.kind == "relu":
-                out = ops.relu(x)
-            elif spec.kind == "sigmoid":
-                out = ops.sigmoid(x)
-            elif spec.kind == "gap":
-                out = ops.global_avg_pool(x)
-            elif spec.kind == "upsample":
-                out = ops.bilinear_upsample(x, spec.factor)
-            elif spec.kind == "concat":
-                b = vals[spec.inputs[1]]
-                if x.shape[0] != b.shape[0] or x.shape[2:] != b.shape[2:]:
-                    raise ShapeError(f"layer {spec.name!r} concat operands misaligned")
-                out = np.concatenate([x, b], axis=1)
-            else:  # add / mul
-                b = vals[spec.inputs[1]]
-                if x.shape != b.shape and b.shape != (x.shape[0], x.shape[1], 1, 1):
-                    raise ShapeError(f"layer {spec.name!r} operands do not align")
-                out = x + b if spec.kind == "add" else x * b
-            _count_runtime(counter, spec, self.store, x, out)
+            kind = KINDS[spec.kind]
+            xs = [vals[name] for name in spec.inputs]
+            kind.shape(spec, [x.shape for x in xs])  # operands must fit the kind
+            p = self._params[spec.name] = {
+                d.suffix: self.store.get(f"{spec.name}.{d.suffix}").value
+                for d in kind.params(spec)}
+            out = kind.forward(spec, xs, p, self.mode)
+            if counter is not None:
+                # Measured from the arrays involved, not from the spec.
+                _, macs, flops = kind.cost(
+                    [x.shape for x in xs], out.shape, {k: v.shape for k, v in p.items()})
+                counter.record(spec.name, macs, flops)
             vals[spec.output] = out
         self.values = vals
         return vals
@@ -327,51 +444,21 @@ class GraphRun:
                 raise ShapeError(f"seed grad for {name!r} has wrong shape")
             vgrads[name] = g.copy()
         param_grads: dict[str, np.ndarray] = {}
-
-        def _accum(name: str, g: np.ndarray):
-            if name in vgrads:
-                vgrads[name] += g
-            else:
-                vgrads[name] = g
-
         for spec in reversed(self.specs):
+            y = self.values[spec.output]
             gy = vgrads.pop(spec.output, None)
-            x = self.values[spec.inputs[0]]
             if gy is None:
-                gy = np.zeros_like(self.values[spec.output])
-            if spec.kind == "conv":
-                gx, gw, gb = ops.conv2d_backward(x, self._conv_params(spec), gy)
-                param_grads[f"{spec.name}.weight"] = gw
-                if spec.bias:
-                    param_grads[f"{spec.name}.bias"] = gb
-                _accum(spec.inputs[0], gx)
-            elif spec.kind == "bn":
-                gx, dgamma, dbeta = ops.batchnorm_backward(x, self._bn_params(spec), gy)
-                param_grads[f"{spec.name}.gamma"] = dgamma
-                param_grads[f"{spec.name}.beta"] = dbeta
-                _accum(spec.inputs[0], gx)
-            elif spec.kind == "relu":
-                _accum(spec.inputs[0], ops.relu_backward(x, gy))
-            elif spec.kind == "sigmoid":
-                _accum(spec.inputs[0], ops.sigmoid_backward(self.values[spec.output], gy))
-            elif spec.kind == "gap":
-                _accum(spec.inputs[0], ops.global_avg_pool_backward(x.shape, gy))
-            elif spec.kind == "upsample":
-                _accum(spec.inputs[0], ops.bilinear_upsample_backward(x.shape, spec.factor, gy))
-            elif spec.kind == "concat":
-                ca = x.shape[1]
-                _accum(spec.inputs[0], np.ascontiguousarray(gy[:, :ca]))
-                _accum(spec.inputs[1], np.ascontiguousarray(gy[:, ca:]))
-            else:  # add / mul
-                b = self.values[spec.inputs[1]]
-                if spec.kind == "add":
-                    ga, gb_ = gy, gy.copy()
+                gy = np.zeros_like(y)
+            xs = [self.values[name] for name in spec.inputs]
+            in_grads, p_grads = KINDS[spec.kind].backward(
+                spec, xs, y, gy, self._params[spec.name], self.mode)
+            for suffix, g in p_grads.items():
+                param_grads[f"{spec.name}.{suffix}"] = g
+            for name, g in zip(spec.inputs, in_grads):
+                if name in vgrads:
+                    vgrads[name] += g
                 else:
-                    ga, gb_ = gy * b, gy * x
-                if b.shape != x.shape:  # broadcast second operand
-                    gb_ = gb_.sum(axis=(2, 3), keepdims=True)
-                _accum(spec.inputs[0], ga if spec.kind == "mul" else gy.copy())
-                _accum(spec.inputs[1], gb_)
+                    vgrads[name] = g
         input_grads = {
             name: vgrads.get(name, np.zeros_like(self.values[name]))
             for name in self._input_names
@@ -399,23 +486,13 @@ def forward_backward(specs, store: ParamStore, inputs: dict, loss_fn,
 
     loss_fn(values) must return (loss: float, seed_grads: {value: grad},
     terms: dict of reported scalars). Every trainable parameter of the graph
-    receives a gradient (zero where the loss does not reach it).
+    receives a gradient (zero where the loss does not reach it): the reverse
+    pass visits every layer, seeding unreached outputs with zeros.
     """
     run = GraphRun(specs, store, mode)
     values = run.forward(inputs)
     loss, seed_grads, terms = loss_fn(values)
     param_grads, input_grads = run.backward(seed_grads)
-    for spec in specs:
-        if spec.kind == "conv":
-            param_grads.setdefault(f"{spec.name}.weight",
-                                   np.zeros_like(store.get(f"{spec.name}.weight").value))
-            if spec.bias:
-                param_grads.setdefault(f"{spec.name}.bias",
-                                       np.zeros_like(store.get(f"{spec.name}.bias").value))
-        elif spec.kind == "bn":
-            for p in ("gamma", "beta"):
-                param_grads.setdefault(f"{spec.name}.{p}",
-                                       np.zeros_like(store.get(f"{spec.name}.{p}").value))
     return ForwardBackward(loss, terms, param_grads, input_grads, values)
 
 
@@ -521,6 +598,8 @@ def save_checkpoint(store: ParamStore, path, iteration: int = 0, config_hash: in
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Parse a save_checkpoint file. Any departure from the layout, including
+    a name that is not UTF-8 or bytes after the trailer, raises FormatError."""
     with open(path, "rb") as f:
         blob = f.read()
 
@@ -539,7 +618,11 @@ def load_checkpoint(path) -> Checkpoint:
     for _ in range(count):
         (name_len,) = struct.unpack("<H", need(pos, 2, "name length"))
         pos += 2
-        name = need(pos, name_len, "name").decode("utf-8")
+        try:
+            name = need(pos, name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"tensor name is not UTF-8: {exc.reason}",
+                              offset=pos + exc.start) from None
         pos += name_len
         dtype_tag, rank = struct.unpack("<BB", need(pos, 2, "dtype/rank"))
         pos += 2
@@ -552,6 +635,9 @@ def load_checkpoint(path) -> Checkpoint:
         pos += 4 * numel
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     iteration, config_hash = struct.unpack("<QQ", need(pos, 16, "trailer"))
+    if pos + 16 != len(blob):
+        raise FormatError(f"{len(blob) - pos - 16} unexpected bytes after the trailer",
+                          offset=pos + 16)
     return Checkpoint(tensors=tensors, iteration=iteration, config_hash=config_hash)
 
 

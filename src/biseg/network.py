@@ -11,6 +11,7 @@ is main + aux_weight * (sum of aux terms).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import graph, ops
 from .backbone import BackboneConfig, GraphBuilder, backbone_specs, check_input_extents
-from .errors import ArgumentError, DataError, ShapeError
+from .errors import ArgumentError, ShapeError
 from .graph import LayerSpec, ParamStore
 from .tensor import Rng, Tensor
 
@@ -218,8 +219,13 @@ def sum_fusion_specs(g: GraphBuilder, cfg: NetConfig, sp: str, cp: str,
     return g.relu("fuse.relu", y)
 
 
+@functools.lru_cache(maxsize=64)
 def build_network(cfg: NetConfig, train: bool = True) -> GraphDef:
-    """Assemble the full graph. Aux heads exist only in training graphs."""
+    """Assemble the full graph. Aux heads exist only in training graphs.
+
+    Memoised per (cfg, train): both are frozen and so is the GraphDef, so
+    every caller, per-frame inference included, shares one built graph.
+    """
     g = GraphBuilder()
     x = "x"
     cp_out, tap16, tap32, attention = context_path_specs(g, cfg, x)
@@ -257,27 +263,22 @@ def init_network_params(cfg: NetConfig, store: ParamStore, rng: Rng) -> None:
 
 def param_count(cfg: NetConfig, trainable_only: bool = True) -> int:
     """Trainable parameter count of the training-time topology."""
-    store = ParamStore()
-    init_network_params(cfg, store, Rng(0))
-    return store.param_count(trainable_only=trainable_only)
+    return sum(math.prod(d.shape) for spec in build_network(cfg, train=True).specs
+               for d in graph.KINDS[spec.kind].params(spec) if d.trainable or not trainable_only)
 
 
 # ---------------------------------------------------------------------------
-# Functional wrappers
+# Forward pass
 # ---------------------------------------------------------------------------
-
-
-def _check_net_input(x: Tensor, cfg: NetConfig):
-    n, c, h, w = x.data.shape
-    if c != cfg.backbone.input_channels:
-        raise ShapeError(f"network expects {cfg.backbone.input_channels} channels, got {c}")
-    check_input_extents(h, w)
 
 
 def network_forward(x: Tensor, store: ParamStore, cfg: NetConfig,
                     mode: str = "infer") -> ForwardArtifacts:
     """Run the network; aux logits are produced only in train mode."""
-    _check_net_input(x, cfg)
+    _n, c, h, w = x.data.shape
+    if c != cfg.backbone.input_channels:
+        raise ShapeError(f"network expects {cfg.backbone.input_channels} channels, got {c}")
+    check_input_extents(h, w)
     net = build_network(cfg, train=(mode == "train"))
     values = graph.run_forward(net.specs, store, {net.input: x.data}, mode=mode)
     return ForwardArtifacts(
@@ -286,51 +287,6 @@ def network_forward(x: Tensor, store: ParamStore, cfg: NetConfig,
         fused_feature=Tensor(values[net.fused]),
         attention_vectors={label: Tensor(values[name]) for label, name in net.attention},
     )
-
-
-def spatial_path(x: Tensor, store: ParamStore, cfg: NetConfig,
-                 mode: str = "infer", rng: Rng | None = None) -> Tensor:
-    _check_net_input(x, cfg)
-    g = GraphBuilder()
-    out = spatial_path_specs(g, cfg, "x")
-    if rng is not None:
-        graph.init_params(g.specs, store, rng)
-    return Tensor(graph.run_forward(g.specs, store, {"x": x.data}, mode=mode)[out])
-
-
-def attention_refine(feature: Tensor, store: ParamStore, name: str,
-                     gate: str = "sigmoid", mode: str = "infer",
-                     rng: Rng | None = None) -> tuple[Tensor, Tensor]:
-    """Standalone refinement block; returns (refined, gate vector)."""
-    c = feature.data.shape[1]
-    g = GraphBuilder()
-    refined, gate_name = arm_specs(g, name, "feat", c, gate)
-    if rng is not None:
-        graph.init_params(g.specs, store, rng)
-    values = graph.run_forward(g.specs, store, {"feat": feature.data}, mode=mode)
-    return Tensor(values[refined]), Tensor(values[gate_name])
-
-
-def context_path(x: Tensor, store: ParamStore, cfg: NetConfig,
-                 mode: str = "infer", rng: Rng | None = None):
-    """Standalone context path; returns (stride-8 feature, tap16, tap32)."""
-    _check_net_input(x, cfg)
-    g = GraphBuilder()
-    out, tap16, tap32, _ = context_path_specs(g, cfg, "x")
-    if rng is not None:
-        graph.init_params(g.specs, store, rng)
-    values = graph.run_forward(g.specs, store, {"x": x.data}, mode=mode)
-    return Tensor(values[out]), Tensor(values[tap16]), Tensor(values[tap32])
-
-
-def feature_fusion(sp: Tensor, cp: Tensor, store: ParamStore, cfg: NetConfig,
-                   mode: str = "infer", rng: Rng | None = None) -> Tensor:
-    g = GraphBuilder()
-    out = ffm_specs(g, cfg, "sp", "cp", sp.data.shape[1], cp.data.shape[1])
-    if rng is not None:
-        graph.init_params(g.specs, store, rng)
-    values = graph.run_forward(g.specs, store, {"sp": sp.data, "cp": cp.data}, mode=mode)
-    return Tensor(values[out])
 
 
 # ---------------------------------------------------------------------------
@@ -397,19 +353,6 @@ def joint_loss_on_values(values: dict, net: GraphDef, labels: np.ndarray,
         total=float(total), main=float(ce.loss), aux=tuple(aux_losses),
         seed_grads=seeds, all_ignored=all_ignored,
     )
-
-
-def joint_loss(artifacts: ForwardArtifacts, labels: np.ndarray, cfg: NetConfig) -> JointLoss:
-    """Joint loss over forward artifacts (grads keyed main/aux0/aux1)."""
-    net_like = GraphDef(
-        specs=(), input="x", main_logits="main",
-        aux_logits=tuple(f"aux{i}" for i in range(len(artifacts.aux_logits))),
-        fused="fused", attention=(),
-    )
-    values = {"main": artifacts.main_logits.data}
-    for i, t in enumerate(artifacts.aux_logits):
-        values[f"aux{i}"] = t.data
-    return joint_loss_on_values(values, net_like, labels, cfg)
 
 
 def predict_full_res(main_logits: Tensor, input_h: int, input_w: int) -> np.ndarray:

@@ -187,26 +187,6 @@ def conv2d_backward(
     return np.ascontiguousarray(gx), gw, gb
 
 
-def separable_conv_forward(
-    x: np.ndarray, depthwise: Conv2dParams, pointwise: Conv2dParams,
-    bn: "BatchNormParams | None" = None,
-) -> np.ndarray:
-    """Depthwise 3x3 then pointwise 1x1, with an optional BN+ReLU between.
-
-    Exactly equivalent to composing the two convolutions; the factored form
-    costs c*k*k + c*c_out weights instead of c*c_out*k*k.
-    """
-    c = x.shape[1]
-    if depthwise.groups != c or depthwise.weight.shape[0] != c:
-        raise ShapeError("depthwise stage must keep channels (groups == c_in == c_out)")
-    if pointwise.weight.shape[2:] != (1, 1) or pointwise.stride != 1:
-        raise ShapeError("pointwise stage must be a stride-1 1x1 convolution")
-    mid = conv2d_forward(x, depthwise)
-    if bn is not None:
-        mid = relu(batchnorm_forward(mid, bn))
-    return conv2d_forward(mid, pointwise)
-
-
 # ---------------------------------------------------------------------------
 # Batch normalization
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Rank-4 NCHW tensor substrate and the deterministic RNG.
+"""Rank-4 NCHW shapes, the image tensor wrapper, and the deterministic RNG.
 
-Tensors are thin wrappers over contiguous float32 numpy arrays laid out
-(batch, channel, height, width), with an optional gradient buffer of the
-same shape. The flat offset of element (n, c, h, w) is
+A Tensor is a thin, data-only wrapper over a contiguous float32 numpy array
+laid out (batch, channel, height, width); it carries images through the
+data, inference and benchmark code, while the graph executor works on raw
+arrays. The flat offset of element (n, c, h, w) is
 ((n * C + c) * H + h) * W + w.
 
 Randomness comes from a counter-based SplitMix64 generator so that a seed
@@ -55,29 +56,16 @@ class Shape:
 
 
 class Tensor:
-    """Contiguous float32 NCHW array plus an optional grad buffer."""
+    """Contiguous float32 NCHW array."""
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data",)
 
-    def __init__(self, data: np.ndarray, grad: np.ndarray | None = None):
+    def __init__(self, data: np.ndarray):
         if not isinstance(data, np.ndarray) or data.ndim != 4:
             raise ShapeError("tensor data must be a rank-4 numpy array")
         if data.dtype != np.float32:
             raise ShapeError(f"tensor data must be float32, got {data.dtype}")
-        if not data.flags["C_CONTIGUOUS"]:
-            data = np.ascontiguousarray(data)
-        if grad is not None:
-            if grad.shape != data.shape or grad.dtype != np.float32:
-                raise ShapeError("grad buffer must match data shape and dtype")
-            if not grad.flags["C_CONTIGUOUS"]:
-                grad = np.ascontiguousarray(grad)
-        self.data = data
-        self.grad = grad
-
-    @classmethod
-    def of(cls, array_like, grad=None) -> "Tensor":
-        """Build a tensor from any array-like, casting to float32."""
-        return cls(np.ascontiguousarray(np.asarray(array_like, dtype=np.float32)))
+        self.data = np.ascontiguousarray(data)
 
     @property
     def shape(self) -> Shape:
@@ -87,16 +75,8 @@ class Tensor:
     def numel(self) -> int:
         return int(self.data.size)
 
-    def ensure_grad(self) -> np.ndarray:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        return self.grad
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), None if self.grad is None else self.grad.copy())
-
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, grad={'yes' if self.grad is not None else 'no'})"
+        return f"Tensor(shape={self.shape})"
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +162,8 @@ class Rng:
 
 
 # ---------------------------------------------------------------------------
-# Tensor constructors and elementwise ops
+# Initialization
 # ---------------------------------------------------------------------------
-
-
-def zeros(shape: Shape) -> Tensor:
-    if not isinstance(shape, Shape):
-        raise ArgumentError("zeros expects a Shape")
-    return Tensor(np.zeros(shape.as_tuple(), dtype=np.float32))
 
 
 def init_kaiming(shape: Shape, fan_in: int, rng: Rng) -> Tensor:
@@ -199,34 +173,3 @@ def init_kaiming(shape: Shape, fan_in: int, rng: Rng) -> Tensor:
     std = float(np.sqrt(2.0 / fan_in))
     draws = rng.normal(shape.numel(), std=std)
     return Tensor(draws.astype(np.float32).reshape(shape.as_tuple()))
-
-
-def _broadcast_ok(a: np.ndarray, b: np.ndarray) -> bool:
-    """b may be (n, c, 1, 1) against a's (n, c, h, w)."""
-    return b.shape == (a.shape[0], a.shape[1], 1, 1)
-
-
-def elementwise(a: Tensor, b: Tensor, kind: str) -> Tensor:
-    """Pointwise add or mul; the second operand may be (n, c, 1, 1)."""
-    if kind not in ("add", "mul"):
-        raise ArgumentError(f"unknown elementwise kind {kind!r}")
-    x, y = a.data, b.data
-    if x.shape != y.shape and not _broadcast_ok(x, y):
-        raise ShapeError(f"elementwise operands {a.shape} and {b.shape} do not align")
-    out = x + y if kind == "add" else x * y
-    return Tensor(out)
-
-
-def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    xa, xb = a.data, b.data
-    if xa.shape[0] != xb.shape[0] or xa.shape[2:] != xb.shape[2:]:
-        raise ShapeError(f"concat operands {a.shape} and {b.shape} differ outside the channel axis")
-    return Tensor(np.concatenate([xa, xb], axis=1))
-
-
-def split_channels(t: Tensor, c_first: int) -> tuple[Tensor, Tensor]:
-    """Inverse of concat_channels: split after the first c_first channels."""
-    c = t.data.shape[1]
-    if not (1 <= c_first < c):
-        raise ShapeError(f"split point {c_first} invalid for {c} channels")
-    return Tensor(t.data[:, :c_first].copy()), Tensor(t.data[:, c_first:].copy())

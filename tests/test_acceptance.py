@@ -7,6 +7,7 @@ plus calibration bands; nothing here depends on wall-clock hardware speed
 except the stated runtime budgets, which are generous on any desktop CPU.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -422,9 +423,7 @@ class TestCriterion06Ablation:
         )
         for name, variant in rows.items():
             cfg = parse_config(train_text)
-            cfg = type(cfg)(seed=cfg.seed, strict_determinism=True,
-                            model=variant, sgd=cfg.sgd, train=cfg.train,
-                            aug=cfg.aug, bench=cfg.bench)
+            cfg = dataclasses.replace(cfg, model=variant)
             result = train_mod.run_training(cfg, tmp_path / name,
                                             dataset=dataset)
             final_loss = float(result.log_rows[-1].split(",")[2])

@@ -1,13 +1,15 @@
 """Static cost accounting and its agreement with instrumented execution."""
 
+import dataclasses
 import json
 
 import pytest
 
+from biseg import graph
 from biseg.analysis import count_layer, count_model, verify_counts
 from biseg.backbone import BackboneConfig, backbone_specs
 from biseg.errors import AnalysisError
-from biseg.graph import LayerSpec
+from biseg.graph import LayerSpec, infer_shapes
 from biseg.network import NetConfig, build_network
 from biseg.tensor import Rng
 
@@ -236,11 +238,7 @@ def _random_graph(rng):
         if spec is None:
             spec = _unary("relu", name, src, out)
         specs.append(spec)
-        from biseg.graph import _infer_one
-        known = dict(inputs)
-        for s2 in specs:
-            known[s2.output] = _infer_one(s2, known)
-        pool.append((out, known[out]))
+        pool.append((out, infer_shapes(specs, inputs)[out]))
     return specs, inputs
 
 
@@ -279,14 +277,32 @@ class TestInstrumentedAgreement:
             assert report.ok, f"trial {trial}: {report.describe()}"
 
     def test_mismatch_is_reported_by_name(self):
-        # a fabricated static row cannot occur through public APIs, so check
-        # the report plumbing directly instead
+        # the report plumbing alone; test_wrong_shape_rule_is_caught drives a
+        # real mismatch through verify_counts
         from biseg.analysis import VerifyMismatch, VerifyReport
         rep = VerifyReport(
             mismatches=[VerifyMismatch("lay", (1, 2), (3, 4))], trials=1
         )
         assert not rep.ok
         assert "lay" in rep.describe()
+
+    def test_wrong_shape_rule_is_caught(self, monkeypatch):
+        # The static side reads the kind's shape rule, the executor's counter
+        # reads live arrays only; an off-by-one shape rule must show up.
+        specs = [
+            _conv("c", "x", "a", 3, 4),
+            _unary("upsample", "up", "a", "u", factor=2),
+            _unary("relu", "r", "u", "y"),
+        ]
+        assert verify_counts(specs, {"x": (1, 3, 8, 8)}).ok
+        up = graph.KINDS["upsample"]
+        wrong = dataclasses.replace(
+            up, shape=lambda spec, ins: (*up.shape(spec, ins)[:3], up.shape(spec, ins)[3] + 1))
+        monkeypatch.setitem(graph.KINDS, "upsample", wrong)
+        report = verify_counts(specs, {"x": (1, 3, 8, 8)})
+        assert not report.ok
+        assert report.mismatches[0].name == "up"
+        assert "up" in report.describe()
 
 
 class TestBackboneCalibration:

@@ -5,16 +5,15 @@ import pytest
 
 from biseg.backbone import (
     BackboneConfig,
-    backbone_forward,
     backbone_specs,
     check_input_extents,
-    init_backbone_params,
     receptive_field,
     rf_center_of,
     rf_walk,
 )
 from biseg.errors import ArgumentError, ShapeError
-from biseg.graph import GraphRun, LayerSpec, ParamStore, infer_shapes, init_params
+from biseg.graph import GraphRun, LayerSpec, ParamStore, infer_shapes, init_params, run_forward
+from biseg.network import NetConfig, init_network_params, network_forward
 from biseg.tensor import Rng, Tensor
 
 from oracles import backbone_param_formula
@@ -23,25 +22,32 @@ TINY = BackboneConfig(stem_channels=4, stage_channels=(8, 16, 32), blocks_per_st
 SMALL = BackboneConfig(stem_channels=4, stage_channels=(8, 16, 32), blocks_per_stage=(2, 2, 2))
 
 
-def _forward(cfg, h, w, seed=0, mode="infer"):
+def _init(cfg, seed):
     store = ParamStore()
-    init_backbone_params(cfg, store, Rng(seed))
-    x = Tensor(Rng(seed + 1).normal(3 * h * w).astype(np.float32).reshape(1, 3, h, w))
-    return backbone_forward(x, cfg, store, mode=mode)
+    init_params(backbone_specs(cfg)[0], store, Rng(seed))
+    return store
+
+
+def _forward(cfg, h, w, seed=0, mode="infer"):
+    """Backbone taps {stride: array} for a seeded random input."""
+    specs, taps = backbone_specs(cfg)
+    x = Rng(seed + 1).normal(3 * h * w).astype(np.float32).reshape(1, 3, h, w)
+    values = run_forward(specs, _init(cfg, seed), {"x": x}, mode=mode)
+    return {stride: values[name] for stride, name in taps.items()}
 
 
 class TestShapes:
     def test_square_input_taps(self):
         out = _forward(TINY, 64, 64)
-        assert out.feat8.data.shape == (1, 8, 8, 8)
-        assert out.feat16.data.shape == (1, 16, 4, 4)
-        assert out.feat32.data.shape == (1, 32, 2, 2)
+        assert out[8].shape == (1, 8, 8, 8)
+        assert out[16].shape == (1, 16, 4, 4)
+        assert out[32].shape == (1, 32, 2, 2)
 
     def test_rectangular_input_taps(self):
         out = _forward(TINY, 64, 96)
-        assert out.feat8.data.shape == (1, 8, 8, 12)
-        assert out.feat16.data.shape == (1, 16, 4, 6)
-        assert out.feat32.data.shape == (1, 32, 2, 3)
+        assert out[8].shape == (1, 8, 8, 12)
+        assert out[16].shape == (1, 16, 4, 6)
+        assert out[32].shape == (1, 32, 2, 3)
 
     def test_default_config_static_shapes(self):
         cfg = BackboneConfig()
@@ -58,18 +64,18 @@ class TestShapes:
         assert axis in str(exc.value)
 
     def test_forward_rejects_bad_extent(self):
+        # the extent check guards the forward entry point, network_forward
+        cfg = NetConfig(num_classes=3, sp_channels=(4, 4, 8), cp_channels=8, ffm_channels=16,
+                        head_channels=4, backbone=TINY)
         store = ParamStore()
-        init_backbone_params(TINY, store, Rng(0))
-        x = Tensor(np.zeros((1, 3, 65, 64), dtype=np.float32))
+        init_network_params(cfg, store, Rng(0))
         with pytest.raises(ShapeError):
-            backbone_forward(x, TINY, store)
+            network_forward(Tensor(np.zeros((1, 3, 65, 64), dtype=np.float32)), store, cfg)
 
     def test_forward_rejects_bad_channels(self):
-        store = ParamStore()
-        init_backbone_params(TINY, store, Rng(0))
-        x = Tensor(np.zeros((1, 4, 64, 64), dtype=np.float32))
+        specs, _ = backbone_specs(TINY)
         with pytest.raises(ShapeError):
-            backbone_forward(x, TINY, store)
+            infer_shapes(specs, {"x": (1, 4, 64, 64)})
 
     def test_residual_blocks_preserve_shape(self):
         specs, _ = backbone_specs(SMALL)
@@ -95,24 +101,21 @@ class TestShapes:
 class TestParams:
     @pytest.mark.parametrize("cfg", [TINY, SMALL, BackboneConfig()])
     def test_count_matches_closed_form(self, cfg):
-        store = ParamStore()
-        init_backbone_params(cfg, store, Rng(0))
+        store = _init(cfg, 0)
         expect = backbone_param_formula(
             cfg.stem_channels, cfg.stage_channels, cfg.blocks_per_stage, cfg.input_channels
         )
         assert store.param_count(trainable_only=True) == expect
 
     def test_init_deterministic(self):
-        s1, s2 = ParamStore(), ParamStore()
-        init_backbone_params(TINY, s1, Rng(9))
-        init_backbone_params(TINY, s2, Rng(9))
+        s1, s2 = _init(TINY, 9), _init(TINY, 9)
         for name, entry in s1.items():
             assert (entry.value == s2.get(name).value).all()
 
     def test_forward_deterministic(self):
         a = _forward(TINY, 64, 64, seed=3)
         b = _forward(TINY, 64, 64, seed=3)
-        assert (a.feat32.data == b.feat32.data).all()
+        assert (a[32] == b[32]).all()
 
 
 class TestReceptiveField:
@@ -155,8 +158,7 @@ class TestReceptiveField:
 
     def test_gradient_footprint_matches_theory(self):
         cfg = TINY
-        store = ParamStore()
-        init_backbone_params(cfg, store, Rng(17))
+        store = _init(cfg, 17)
         h = w = 256
         x = Rng(18).normal(3 * h * w).astype(np.float32).reshape(1, 3, h, w)
         specs, taps = backbone_specs(cfg)

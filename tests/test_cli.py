@@ -362,6 +362,25 @@ class TestCliErrors:
         assert rc == 3
         assert capsys.readouterr().err.startswith("error[data]: ")
 
+    @pytest.mark.parametrize("damage", ["truncated", "appended", "bad_name"])
+    def test_corrupt_checkpoint_exit_3(self, workspace, tmp_path, capsys, damage):
+        blob = workspace["ckpt"].read_bytes()
+        if damage == "truncated":
+            # inside the magic, header, name length, name, a payload, the trailer
+            damaged = [blob[:cut] for cut in (2, 6, 11, 13, len(blob) // 2,
+                                              len(blob) - 8, len(blob) - 1)]
+        elif damage == "appended":
+            damaged = [blob + b"\x00", blob + blob[-16:]]
+        else:
+            damaged = [blob[:12] + b"\xff" + blob[13:]]  # first byte of the first name
+        for i, data in enumerate(damaged):
+            ckpt = tmp_path / f"{damage}{i}.bsnt"
+            ckpt.write_bytes(data)
+            rc = main(["infer", "--ckpt", str(ckpt), "--config", str(workspace["config"]),
+                       "--out", str(tmp_path / "o"), str(workspace["data"] / "img_0000.ppm")])
+            assert rc == 3, (damage, i)
+            assert capsys.readouterr().err.startswith("error[data]: ")
+
     def test_checkpoint_config_mismatch_exit_2(self, workspace, tmp_path, capsys):
         other = tmp_path / "other.cfg"
         other.write_text(TINY_LINES + "seed = 9\n")

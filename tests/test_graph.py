@@ -11,6 +11,7 @@ from biseg.errors import (
     ShapeError,
 )
 from biseg.graph import (
+    KINDS,
     GraphRun,
     LayerSpec,
     ParamStore,
@@ -87,6 +88,49 @@ class TestValidate:
             unary("relu", "r1", "b", "c"),
         ]
         validate_graph(specs, ["x"])
+
+
+def _sample_spec(kind):
+    """One spec of each kind over inputs "a" and "b", both (2, 2, 4, 4)."""
+    if kind == "conv":
+        return conv_spec("l", "a", "y", 2, 3, bias=True)
+    if kind == "bn":
+        return unary("bn", "l", "a", "y", in_channels=2)
+    if kind == "upsample":
+        return unary("upsample", "l", "a", "y", factor=2)
+    if KINDS[kind].arity == 2:
+        return binary(kind, "l", "a", "b", "y")
+    return unary(kind, "l", "a", "y")
+
+
+class TestOpTable:
+    def test_table_holds_the_nine_kinds(self):
+        assert set(KINDS) == {"conv", "bn", "relu", "sigmoid", "gap", "upsample",
+                              "concat", "add", "mul"}
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_every_kind_defines_every_rule(self, kind):
+        rules = KINDS[kind]
+        assert rules.arity in (1, 2)
+        for rule in ("params", "shape", "forward", "backward", "cost"):
+            assert callable(getattr(rules, rule)), rule
+        assert rules.rf is None or callable(rules.rf)
+        # The rules agree with each other on a sample layer.
+        spec = _sample_spec(kind)
+        rng = Rng(40)
+        xs = [rng.normal(64).astype(np.float32).reshape(2, 2, 4, 4) for _ in spec.inputs]
+        in_shapes = [x.shape for x in xs]
+        defs = rules.params(spec)
+        p = {d.suffix: d.init(d.shape, rng) for d in defs}
+        out_shape = rules.shape(spec, in_shapes)
+        y = rules.forward(spec, xs, p, "train")
+        assert y.shape == out_shape
+        in_grads, p_grads = rules.backward(spec, xs, y, np.ones_like(y), p, "train")
+        assert [g.shape for g in in_grads] == in_shapes
+        assert {k: g.shape for k, g in p_grads.items()} == \
+            {d.suffix: d.shape for d in defs if d.trainable}
+        cost = rules.cost(in_shapes, out_shape, {d.suffix: d.shape for d in defs})
+        assert len(cost) == 3 and all(isinstance(v, int) and v >= 0 for v in cost)
 
 
 class TestInferShapes:
@@ -430,6 +474,39 @@ class TestCheckpoint:
                 load_checkpoint(short)
             assert isinstance(exc.value.offset, int)
             assert 0 <= exc.value.offset <= cut
+
+    def test_every_truncation_point_rejected(self, tmp_path):
+        store = self._store()
+        path = tmp_path / "model.bsnt"
+        save_checkpoint(store, path)
+        blob = path.read_bytes()
+        short = tmp_path / "short.bsnt"
+        for cut in range(len(blob)):
+            short.write_bytes(blob[:cut])
+            with pytest.raises(FormatError):
+                load_checkpoint(short)
+
+    @pytest.mark.parametrize("extra", [b"\x00", b"junk" * 5], ids=["one_byte", "twenty_bytes"])
+    def test_appended_bytes_rejected(self, tmp_path, extra):
+        store = self._store()
+        path = tmp_path / "model.bsnt"
+        save_checkpoint(store, path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == size
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        store = self._store()
+        path = tmp_path / "model.bsnt"
+        save_checkpoint(store, path)
+        blob = bytearray(path.read_bytes())
+        blob[12] = 0xFF  # first byte of the first tensor name
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == 12
 
     def test_extra_tensor_strict_vs_permissive(self, tmp_path):
         store = self._store()

@@ -10,20 +10,17 @@ from biseg.network import (
     GraphDef,
     NetConfig,
     ablation_configs,
-    attention_refine,
+    arm_specs,
     build_network,
-    context_path,
     context_path_specs,
-    feature_fusion,
     ffm_specs,
     global_context_specs,
     init_network_params,
-    joint_loss,
     joint_loss_on_values,
     network_forward,
     param_count,
     predict_full_res,
-    spatial_path,
+    spatial_path_specs,
 )
 from biseg.ops import (
     BatchNormParams,
@@ -54,63 +51,80 @@ def _init_store(cfg, seed=0):
     return store
 
 
+def _run_sub(build, inputs, seed, store=None, mode="infer"):
+    """Build a sub-graph with build(GraphBuilder), initialize its parameters
+    from seed (unless a store is given) and run it; returns (values, result
+    of build, store)."""
+    g = GraphBuilder()
+    out = build(g)
+    if store is None:
+        store = ParamStore()
+        init_params(g.specs, store, Rng(seed))
+    return run_forward(g.specs, store, inputs, mode=mode), out, store
+
+
 class TestSpatialPath:
     def test_three_conv_layers(self):
         g = GraphBuilder()
-        from biseg.network import spatial_path_specs
-
         spatial_path_specs(g, TINY, "x")
         convs = [s for s in g.specs if s.kind == "conv"]
         assert len(convs) == 3
         assert all(s.name.startswith("sp.") for s in g.specs)
         assert all(s.kernel == 3 and s.stride == 2 for s in convs)
 
+    @staticmethod
+    def _spatial(h, w, seed):
+        values, out, _ = _run_sub(lambda g: spatial_path_specs(g, TINY, "x"),
+                                  {"x": _rand_input(1, h, w).data}, seed)
+        return values[out]
+
     def test_output_shape(self):
-        store = ParamStore()
-        out = spatial_path(_rand_input(1, 64, 64), store, TINY, rng=Rng(1))
-        assert out.data.shape == (1, 16, 8, 8)
+        assert self._spatial(64, 64, 1).shape == (1, 16, 8, 8)
 
     @pytest.mark.parametrize("h,w", [(32, 32), (64, 32), (96, 64), (128, 128), (160, 96)])
     def test_stride_eight(self, h, w):
-        store = ParamStore()
-        out = spatial_path(_rand_input(1, h, w), store, TINY, rng=Rng(2))
-        assert out.data.shape == (1, 16, h // 8, w // 8)
+        assert self._spatial(h, w, 2).shape == (1, 16, h // 8, w // 8)
+
+
+def _arm(feat, seed, gate="sigmoid", store=None):
+    """Refinement block "arm" over feat; returns (refined, gate vector, store)."""
+    values, (refined, gate_name), store = _run_sub(
+        lambda g: arm_specs(g, "arm", "feat", feat.shape[1], gate), {"feat": feat}, seed,
+        store=store)
+    return values[refined], values[gate_name], store
 
 
 class TestAttentionRefine:
     def test_shape_preserved_and_gate_bounded(self):
-        store = ParamStore()
-        feat = Tensor(Rng(3).normal(1 * 8 * 4 * 4).astype(np.float32).reshape(1, 8, 4, 4))
-        refined, gate = attention_refine(feat, store, "arm", rng=Rng(4))
-        assert refined.data.shape == feat.data.shape
-        assert gate.data.shape == (1, 8, 1, 1)
-        assert (gate.data > 0).all() and (gate.data < 1).all()
+        feat = Rng(3).normal(1 * 8 * 4 * 4).astype(np.float32).reshape(1, 8, 4, 4)
+        refined, gate, _ = _arm(feat, 4)
+        assert refined.shape == feat.shape
+        assert gate.shape == (1, 8, 1, 1)
+        assert (gate > 0).all() and (gate < 1).all()
 
     def test_neutral_params_halve_feature(self):
         # zero 1x1 weight and identity BN drive the sigmoid to exactly 0.5
-        store = ParamStore()
-        feat = Tensor(Rng(5).normal(1 * 4 * 3 * 3).astype(np.float32).reshape(1, 4, 3, 3))
-        attention_refine(feat, store, "arm", rng=Rng(6))  # allocate entries
+        feat = Rng(5).normal(1 * 4 * 3 * 3).astype(np.float32).reshape(1, 4, 3, 3)
+        _, _, store = _arm(feat, 6)  # allocate entries
         store.get("arm.conv.weight").value[...] = 0.0
-        refined, gate = attention_refine(feat, store, "arm", mode="infer")
-        assert (gate.data == 0.5).all()
-        assert np.allclose(refined.data, 0.5 * feat.data, rtol=0, atol=1e-7)
+        refined, gate, _ = _arm(feat, 6, store=store)
+        assert (gate == 0.5).all()
+        assert np.allclose(refined, 0.5 * feat, rtol=0, atol=1e-7)
 
     def test_relu_gate_variant(self):
-        store = ParamStore()
-        feat = Tensor(np.abs(Rng(7).normal(1 * 4 * 2 * 2)).astype(np.float32).reshape(1, 4, 2, 2))
-        refined, gate = attention_refine(feat, store, "arm", gate="relu", rng=Rng(8))
-        assert (gate.data >= 0).all()
-        assert refined.data.shape == feat.data.shape
+        feat = np.abs(Rng(7).normal(1 * 4 * 2 * 2)).astype(np.float32).reshape(1, 4, 2, 2)
+        refined, gate, _ = _arm(feat, 8, gate="relu")
+        assert (gate >= 0).all()
+        assert refined.shape == feat.shape
 
 
 class TestContextPath:
     def test_output_shapes(self):
-        store = ParamStore()
-        out, tap16, tap32 = context_path(_rand_input(1, 64, 64), store, TINY, rng=Rng(9))
-        assert out.data.shape == (1, 16, 8, 8)
-        assert tap16.data.shape == (1, 16, 4, 4)
-        assert tap32.data.shape == (1, 32, 2, 2)
+        values, (out, tap16, tap32, _), _ = _run_sub(
+            lambda g: context_path_specs(g, TINY, "x"), {"x": _rand_input(1, 64, 64).data}, 9)
+        assert values[out].shape == (1, 16, 8, 8)
+        assert values[tap16].shape == (1, 16, 4, 4)
+        assert values[tap32].shape == (1, 32, 2, 2)
 
     def test_global_context_broadcast_add(self):
         cfg = NetConfig(
@@ -140,9 +154,9 @@ class TestContextPath:
             num_classes=3, sp_channels=(8, 8, 16), cp_channels=16, ffm_channels=32,
             head_channels=8, context_fusion="ushape4s", backbone=TINY_BB,
         )
-        store = ParamStore()
-        out, _, _ = context_path(_rand_input(1, 64, 64), store, cfg, rng=Rng(12))
-        assert out.data.shape == (1, 16, 8, 8)
+        values, (out, _, _, _), _ = _run_sub(
+            lambda g: context_path_specs(g, cfg, "x"), {"x": _rand_input(1, 64, 64).data}, 12)
+        assert values[out].shape == (1, 16, 8, 8)
         names = {s.name for s in build_network(cfg).specs}
         assert "cp.align8.conv" in names and "cp.refine8.conv" in names
 
@@ -157,15 +171,15 @@ class TestContextPath:
 class TestFeatureFusion:
     def _features(self, seed=13):
         rng = Rng(seed)
-        sp = Tensor(rng.normal(1 * 16 * 8 * 8).astype(np.float32).reshape(1, 16, 8, 8))
-        cp = Tensor(rng.normal(1 * 16 * 8 * 8).astype(np.float32).reshape(1, 16, 8, 8))
+        sp = rng.normal(1 * 16 * 8 * 8).astype(np.float32).reshape(1, 16, 8, 8)
+        cp = rng.normal(1 * 16 * 8 * 8).astype(np.float32).reshape(1, 16, 8, 8)
         return sp, cp
 
     def test_output_shape(self):
         sp, cp = self._features()
-        store = ParamStore()
-        out = feature_fusion(sp, cp, store, TINY, rng=Rng(14))
-        assert out.data.shape == (1, 32, 8, 8)
+        values, out, _ = _run_sub(lambda g: ffm_specs(g, TINY, "sp", "cp", 16, 16),
+                                  {"sp": sp, "cp": cp}, 14)
+        assert values[out].shape == (1, 32, 8, 8)
 
     def test_neutral_gate_scales_by_1p5(self):
         sp, cp = self._features()
@@ -177,7 +191,7 @@ class TestFeatureFusion:
         store.get("ffm.gate1.bias").value[...] = 0.0
         store.get("ffm.gate2.weight").value[...] = 0.0
         store.get("ffm.gate2.bias").value[...] = 0.0
-        values = run_forward(g.specs, store, {"sp": sp.data, "cp": cp.data}, mode="infer")
+        values = run_forward(g.specs, store, {"sp": sp, "cp": cp}, mode="infer")
         f = values["ffm.fuse.relu"]
         assert np.allclose(values["ffm.out"], 1.5 * f, rtol=1e-6, atol=1e-7)
 
@@ -187,7 +201,7 @@ class TestFeatureFusion:
         ffm_specs(g, TINY, "sp", "cp", 16, 16)
         store = ParamStore()
         init_params(g.specs, store, Rng(17))
-        values = run_forward(g.specs, store, {"sp": sp.data, "cp": cp.data}, mode="infer")
+        values = run_forward(g.specs, store, {"sp": sp, "cp": cp}, mode="infer")
         f = values["ffm.fuse.relu"]
         out = values["ffm.out"]
         assert (f >= 0).all()
@@ -355,12 +369,13 @@ class TestJointLoss:
 
     def test_artifact_wrapper_matches_values_path(self):
         store = _init_store(TINY, 26)
+        net = build_network(TINY, train=True)
         x = _rand_input(1, 64, 64, seed=27)
-        art = network_forward(x, store, TINY, mode="train")
+        values = run_forward(net.specs, store, {net.input: x.data}, mode="train")
         labels = (Rng(28).uniform(64 * 64) * 3).astype(np.int64).reshape(1, 64, 64)
-        jl = joint_loss(art, labels, TINY)
+        jl = joint_loss_on_values(values, net, labels, TINY)
         assert jl.total == pytest.approx(jl.main + jl.aux[0] + jl.aux[1], rel=1e-7)
-        assert set(jl.seed_grads) == {"main", "aux0", "aux1"}
+        assert set(jl.seed_grads) == {net.main_logits, *net.aux_logits}
 
 
 class TestPredict:

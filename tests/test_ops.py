@@ -19,10 +19,10 @@ from biseg.ops import (
     nearest_downsample_labels,
     relu,
     relu_backward,
-    separable_conv_forward,
     sigmoid,
     sigmoid_backward,
 )
+from biseg.graph import LayerSpec, ParamStore, init_params, run_forward
 from biseg.tensor import Rng
 
 from oracles import check_grad, naive_batchnorm_infer, naive_batchnorm_train, naive_bilinear_upsample, naive_conv2d, naive_gap
@@ -179,39 +179,45 @@ class TestConvBackward:
 
 
 class TestSeparable:
+    """A separable block is a depthwise conv spec followed by a pointwise one."""
+
+    @staticmethod
+    def _run(specs, x, mode):
+        store = ParamStore()
+        init_params(specs, store, Rng(33))
+        return store, run_forward(specs, store, {"x": x}, mode=mode)
+
     @pytest.mark.parametrize("stride", [1, 2])
     def test_equals_composition(self, stride):
-        rng = Rng(31)
-        x = _randn(rng, 1, 4, 8, 8)
-        dw = Conv2dParams(_randn(rng, 4, 1, 3, 3), stride=stride, padding=1, groups=4)
-        pw = Conv2dParams(_randn(rng, 6, 4, 1, 1))
-        fused = separable_conv_forward(x, dw, pw)
-        manual = conv2d_forward(conv2d_forward(x, dw), pw)
-        assert (fused == manual).all()
+        x = _randn(Rng(31), 1, 4, 8, 8)
+        specs = [
+            LayerSpec("conv", "dw", ("x",), "d", in_channels=4, out_channels=4,
+                      kernel=3, stride=stride, padding=1, groups=4),
+            LayerSpec("conv", "pw", ("d",), "y", in_channels=4, out_channels=6, kernel=1),
+        ]
+        store, values = self._run(specs, x, "infer")
+        dw = Conv2dParams(store.get("dw.weight").value, stride=stride, padding=1, groups=4)
+        pw = Conv2dParams(store.get("pw.weight").value)
+        assert (values["y"] == conv2d_forward(conv2d_forward(x, dw), pw)).all()
 
     def test_with_norm_stage(self):
-        rng = Rng(32)
-        x = _randn(rng, 2, 3, 6, 6)
-        dw = Conv2dParams(_randn(rng, 3, 1, 3, 3), stride=1, padding=1, groups=3)
-        pw = Conv2dParams(_randn(rng, 5, 3, 1, 1))
+        x = _randn(Rng(32), 2, 3, 6, 6)
+        specs = [
+            LayerSpec("conv", "dw", ("x",), "d", in_channels=3, out_channels=3,
+                      kernel=3, padding=1, groups=3),
+            LayerSpec("bn", "bn", ("d",), "n", in_channels=3),
+            LayerSpec("relu", "act", ("n",), "a"),
+            LayerSpec("conv", "pw", ("a",), "y", in_channels=3, out_channels=5, kernel=1),
+        ]
+        store, values = self._run(specs, x, "train")
+        dw = Conv2dParams(store.get("dw.weight").value, padding=1, groups=3)
+        pw = Conv2dParams(store.get("pw.weight").value)
         bn = BatchNormParams(
             gamma=np.ones(3, dtype=np.float32), beta=np.zeros(3, dtype=np.float32),
             running_mean=np.zeros(3, dtype=np.float32), running_var=np.ones(3, dtype=np.float32),
         )
-        fused = separable_conv_forward(x, dw, pw, bn)
-        bn2 = BatchNormParams(
-            gamma=bn.gamma.copy(), beta=bn.beta.copy(),
-            running_mean=np.zeros(3, dtype=np.float32), running_var=np.ones(3, dtype=np.float32),
-        )
-        manual = conv2d_forward(relu(batchnorm_forward(conv2d_forward(x, dw), bn2)), pw)
-        assert (fused == manual).all()
-
-    def test_rejects_channel_change_in_depthwise(self):
-        x = np.zeros((1, 4, 8, 8), dtype=np.float32)
-        dw = Conv2dParams(np.zeros((8, 1, 3, 3), dtype=np.float32), padding=1, groups=4)
-        pw = Conv2dParams(np.zeros((6, 8, 1, 1), dtype=np.float32))
-        with pytest.raises(ShapeError):
-            separable_conv_forward(x, dw, pw)
+        manual = conv2d_forward(relu(batchnorm_forward(conv2d_forward(x, dw), bn)), pw)
+        assert (values["y"] == manual).all()
 
 
 def _bn_params(c, mode="train", dtype=np.float32):

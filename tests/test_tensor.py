@@ -1,30 +1,27 @@
-"""Substrate tests: shapes, layout, RNG determinism, elementwise algebra."""
+"""Substrate tests: shapes, layout, RNG determinism, and the elementwise and
+concat layers as the graph executor runs them."""
 
 import numpy as np
 import pytest
 
 from biseg.errors import ArgumentError, ShapeError, SizeError
-from biseg.tensor import (
-    Rng,
-    Shape,
-    Tensor,
-    concat_channels,
-    elementwise,
-    init_kaiming,
-    split_channels,
-    zeros,
-)
+from biseg.graph import GraphRun, LayerSpec, ParamStore
+from biseg.tensor import Rng, Shape, Tensor, init_kaiming
+
+
+def _f32(values):
+    return np.ascontiguousarray(np.asarray(values, dtype=np.float32))
+
+
+def _binary(kind, a, b):
+    """Run one two-input layer over arrays a and b; returns (output, run)."""
+    run = GraphRun([LayerSpec(kind, "l", ("a", "b"), "y")], ParamStore())
+    return run.forward({"a": _f32(a), "b": _f32(b)})["y"], run
 
 
 class TestShape:
-    def test_zeros_small(self):
-        t = zeros(Shape(1, 1, 2, 2))
-        assert t.data.shape == (1, 1, 2, 2)
-        assert not t.data.any()
-        assert t.grad is None
-
     def test_zeros_count(self):
-        assert zeros(Shape(2, 3, 1, 1)).numel() == 6
+        assert Tensor(np.zeros((2, 3, 1, 1), dtype=np.float32)).numel() == 6
 
     @pytest.mark.parametrize("bad", [(0, 1, 1, 1), (1, -1, 1, 1), (1, 1, 0, 5)])
     def test_nonpositive_extent_rejected(self, bad):
@@ -56,20 +53,6 @@ class TestTensor:
             Tensor(np.zeros((2, 3), dtype=np.float32))
         with pytest.raises(ShapeError):
             Tensor(np.zeros((1, 1, 2, 2), dtype=np.float64))
-
-    def test_of_casts(self):
-        t = Tensor.of([[[[1, 2], [3, 4]]]])
-        assert t.data.dtype == np.float32
-        assert t.shape == Shape(1, 1, 2, 2)
-
-    def test_grad_roundtrip(self):
-        t = zeros(Shape(1, 2, 2, 2))
-        g = t.ensure_grad()
-        g[0, 0, 0, 0] = 5.0
-        assert t.grad[0, 0, 0, 0] == 5.0
-        c = t.copy()
-        c.grad[0, 0, 0, 0] = 7.0
-        assert t.grad[0, 0, 0, 0] == 5.0
 
 
 class TestRng:
@@ -135,57 +118,50 @@ class TestInit:
 
 class TestElementwise:
     def test_add(self):
-        a = Tensor.of(np.array([1.0, 2.0]).reshape(1, 1, 1, 2))
-        b = Tensor.of(np.array([3.0, 4.0]).reshape(1, 1, 1, 2))
-        out = elementwise(a, b, "add")
-        assert out.data.reshape(-1).tolist() == [4.0, 6.0]
+        out, _ = _binary("add", np.array([1.0, 2.0]).reshape(1, 1, 1, 2),
+                         np.array([3.0, 4.0]).reshape(1, 1, 1, 2))
+        assert out.reshape(-1).tolist() == [4.0, 6.0]
 
     def test_broadcast_mul(self):
-        a = Tensor.of(np.ones((1, 2, 2, 2)))
-        b = Tensor.of(np.array([2.0, 3.0]).reshape(1, 2, 1, 1))
-        out = elementwise(a, b, "mul").data
+        out, _ = _binary("mul", np.ones((1, 2, 2, 2)), np.array([2.0, 3.0]).reshape(1, 2, 1, 1))
         assert (out[0, 0] == 2.0).all() and (out[0, 1] == 3.0).all()
 
     def test_broadcast_matches_repeat(self):
         rng = Rng(3)
-        a = Tensor.of(rng.normal(2 * 3 * 4 * 4).reshape(2, 3, 4, 4))
-        b = Tensor.of(rng.normal(2 * 3).reshape(2, 3, 1, 1))
-        fast = elementwise(a, b, "mul").data
-        rep = Tensor.of(np.broadcast_to(b.data, a.data.shape).copy())
-        assert (fast == elementwise(a, rep, "mul").data).all()
+        a = rng.normal(2 * 3 * 4 * 4).reshape(2, 3, 4, 4)
+        b = rng.normal(2 * 3).reshape(2, 3, 1, 1)
+        fast, _ = _binary("mul", a, b)
+        rep, _ = _binary("mul", a, np.broadcast_to(b, a.shape))
+        assert (fast == rep).all()
 
     def test_channel_mismatch(self):
-        a = Tensor.of(np.zeros((1, 2, 2, 2)))
-        b = Tensor.of(np.zeros((1, 3, 2, 2)))
         with pytest.raises(ShapeError):
-            elementwise(a, b, "add")
+            _binary("add", np.zeros((1, 2, 2, 2)), np.zeros((1, 3, 2, 2)))
 
     def test_add_commutes(self):
         rng = Rng(21)
-        a = Tensor.of(rng.normal(16).reshape(1, 1, 4, 4))
-        b = Tensor.of(rng.normal(16).reshape(1, 1, 4, 4))
-        assert (elementwise(a, b, "add").data == elementwise(b, a, "add").data).all()
+        a = rng.normal(16).reshape(1, 1, 4, 4)
+        b = rng.normal(16).reshape(1, 1, 4, 4)
+        assert (_binary("add", a, b)[0] == _binary("add", b, a)[0]).all()
 
 
 class TestConcat:
     def test_shapes_and_order(self):
-        a = Tensor.of(np.full((1, 2, 4, 4), 1.0))
-        b = Tensor.of(np.full((1, 3, 4, 4), 2.0))
-        out = concat_channels(a, b)
-        assert out.shape == Shape(1, 5, 4, 4)
-        assert (out.data[:, 0] == a.data[:, 0]).all()
-        assert (out.data[:, 2] == 2.0).all()
+        a = np.full((1, 2, 4, 4), 1.0)
+        out, _ = _binary("concat", a, np.full((1, 3, 4, 4), 2.0))
+        assert out.shape == (1, 5, 4, 4)
+        assert (out[:, 0] == a[:, 0]).all()
+        assert (out[:, 2] == 2.0).all()
 
     def test_split_recovers(self):
+        # The backward pass splits the joined gradient back per operand.
         rng = Rng(5)
-        a = Tensor.of(rng.normal(2 * 2 * 3 * 3).reshape(2, 2, 3, 3))
-        b = Tensor.of(rng.normal(2 * 4 * 3 * 3).reshape(2, 4, 3, 3))
-        joined = concat_channels(a, b)
-        ra, rb = split_channels(joined, 2)
-        assert (ra.data == a.data).all() and (rb.data == b.data).all()
+        a = rng.normal(2 * 2 * 3 * 3).reshape(2, 2, 3, 3)
+        b = rng.normal(2 * 4 * 3 * 3).reshape(2, 4, 3, 3)
+        joined, run = _binary("concat", a, b)
+        _, grads = run.backward({"y": joined})
+        assert (grads["a"] == _f32(a)).all() and (grads["b"] == _f32(b)).all()
 
     def test_spatial_mismatch(self):
         with pytest.raises(ShapeError):
-            concat_channels(
-                Tensor.of(np.zeros((1, 2, 4, 4))), Tensor.of(np.zeros((1, 2, 8, 8)))
-            )
+            _binary("concat", np.zeros((1, 2, 4, 4)), np.zeros((1, 2, 8, 8)))
