@@ -20,17 +20,18 @@ from . import graph
 from .errors import ArgumentError, ShapeError
 from .graph import LayerSpec, RfState
 
+INPUT_CHANNELS = 3  # the network reads RGB
+
 
 @dataclass(frozen=True)
 class BackboneConfig:
     stem_channels: int = 8
     stage_channels: tuple[int, int, int] = (64, 128, 728)
     blocks_per_stage: tuple[int, int, int] = (4, 8, 4)
-    input_channels: int = 3
 
     def __post_init__(self):
-        if self.stem_channels < 1 or self.input_channels < 1:
-            raise ArgumentError("channel counts must be positive")
+        if self.stem_channels < 1:
+            raise ArgumentError("stem_channels must be positive")
         if len(self.stage_channels) != 3 or len(self.blocks_per_stage) != 3:
             raise ArgumentError("backbone has exactly three stages")
         if any(c < 1 for c in self.stage_channels):
@@ -74,8 +75,8 @@ class GraphBuilder:
     add = functools.partialmethod(emit, "add")
     mul = functools.partialmethod(emit, "mul")
 
-    def conv_bn_relu(self, name, x, c_in, c_out, k=3, s=1, groups=1):
-        y = self.conv(f"{name}.conv", x, c_in, c_out, k=k, s=s, groups=groups)
+    def conv_bn_relu(self, name, x, c_in, c_out, k=3, s=1):
+        y = self.conv(f"{name}.conv", x, c_in, c_out, k=k, s=s)
         y = self.bn(f"{name}.bn", y, c_out)
         return self.relu(f"{name}.relu", y)
 
@@ -100,7 +101,7 @@ def backbone_specs(cfg: BackboneConfig, prefix: str = "cp.", input_name: str = "
     stride 8/16/32 to the producing value names."""
     g = GraphBuilder()
     stem = cfg.stem_channels
-    y = g.conv_bn_relu(f"{prefix}stem1", input_name, cfg.input_channels, stem, k=3, s=2)
+    y = g.conv_bn_relu(f"{prefix}stem1", input_name, INPUT_CHANNELS, stem, k=3, s=2)
     y = g.conv_bn_relu(f"{prefix}stem2", y, stem, cfg.stem_out, k=3, s=2)
     taps = {}
     c_in = cfg.stem_out

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph, network
+from .backbone import INPUT_CHANNELS
 from .config import EngineConfig, config_hash
 from .graph import ParamStore
 from .tensor import Rng, Tensor
@@ -104,7 +105,8 @@ def run_bench(cfg: EngineConfig, store: ParamStore | None = None,
     for res_i, (w, h) in enumerate(cfg.bench.resolutions):
         pw, ph = pad_to_tile(w, h)
         rng = Rng(cfg.seed).split(_INPUT_SALT).split(res_i)
-        x = rng.normal(3 * ph * pw, std=50.0).reshape(1, 3, ph, pw).astype(np.float32)
+        x = rng.normal(INPUT_CHANNELS * ph * pw, std=50.0)
+        x = x.reshape(1, INPUT_CHANNELS, ph, pw).astype(np.float32)
         run = graph.GraphRun(net.specs, store, mode="infer")
 
         def one_pass():

@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from . import analysis, benchmark, graph, network, train
+from .backbone import INPUT_CHANNELS
 from .config import EngineConfig, config_hash, load_config
 from .data import default_palette, read_ppm, synth_shapes, write_color_mask, write_dataset, write_pgm
 from .errors import (
@@ -112,7 +113,7 @@ def cmd_analyze(args) -> int:
     w, h = _parse_size(args.res, "--res")
     pw, ph = benchmark.pad_to_tile(w, h)
     net = network.build_network(cfg.model, train=args.train_graph)
-    report = analysis.count_model(net.specs, {net.input: (1, 3, ph, pw)})
+    report = analysis.count_model(net.specs, {net.input: (1, INPUT_CHANNELS, ph, pw)})
     if (pw, ph) != (w, h):
         report.note = f"input {w}x{h} padded to {pw}x{ph} (stride tile 32)"
     if args.conv_only:

@@ -121,16 +121,12 @@ _SCHEMA: dict[str, tuple[str, str, tuple]] = {
     "model.fusion": ("model", "fusion", _STR),
     "model.use_global_pool": ("model", "use_global_pool", _BOOL),
     "model.use_arm": ("model", "use_arm", _BOOL),
-    "model.arm_gate": ("model", "arm_gate", _STR),
     "model.context_fusion": ("model", "context_fusion", _STR),
     "model.aux_weight": ("model", "aux_weight", _FLOAT),
-    "model.aux_tap": ("model", "aux_tap", _STR),
     "model.loss_mode": ("model", "loss_mode", _STR),
     "model.bootstrap_keep": ("model", "bootstrap_keep", _FLOAT),
     "model.bootstrap_min_kept": ("model", "bootstrap_min_kept", _INT),
     "model.loss_at_full": ("model", "loss_at_full", _BOOL),
-    "model.ignore_index": ("model", "ignore_index", _INT),
-    "model.backbone.input_channels": ("model.backbone", "input_channels", _INT),
     "model.backbone.stem_channels": ("model.backbone", "stem_channels", _INT),
     "model.backbone.stage_channels": ("model.backbone", "stage_channels", _INTS),
     "model.backbone.blocks_per_stage": ("model.backbone", "blocks_per_stage", _INTS),
@@ -139,7 +135,6 @@ _SCHEMA: dict[str, tuple[str, str, tuple]] = {
     "train.weight_decay": ("sgd", "weight_decay", _FLOAT),
     "train.power": ("sgd", "power", _FLOAT),
     "train.max_iter": ("sgd", "max_iter", _INT),
-    "train.decay_all": ("sgd", "decay_all", _BOOL),
     "train.batch_size": ("train", "batch_size", _INT),
     "train.manifest": ("train", "manifest", _STR),
     "train.checkpoint_every": ("train", "checkpoint_every", _INT),

@@ -12,17 +12,16 @@ IoU, mean IoU, and pixel accuracy.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import ops
 from .errors import ArgumentError, DataError, FormatError
+from .ops import IGNORE, resize_bilinear
 from .tensor import Rng, Tensor
 
 DEFAULT_MEAN = (123.68, 116.78, 103.94)
 DEFAULT_SCALES = (0.75, 1.0, 1.5, 1.75, 2.0)
-IGNORE = 255
 
 
 @dataclass
@@ -47,7 +46,6 @@ class AugmentConfig:
     scales: tuple[float, ...] = DEFAULT_SCALES
     crop_h: int = 64
     crop_w: int = 64
-    seed: int = 0
 
     def __post_init__(self):
         if len(self.mean) != 3:
@@ -277,16 +275,6 @@ class SegDataset:
 # ---------------------------------------------------------------------------
 
 
-def resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resize (n,c,h,w) to (n,c,out_h,out_w) with half-pixel bilinear."""
-    n, c, h, w = x.shape
-    if (h, w) == (out_h, out_w):
-        return x.copy()
-    ah = ops.interp_matrix(h, out_h, x.dtype)
-    aw = ops.interp_matrix(w, out_w, x.dtype)
-    return np.matmul(np.matmul(ah, x), aw.T)
-
-
 def _nearest_index(src: int, dst: int) -> np.ndarray:
     idx = np.floor((np.arange(dst, dtype=np.float64) + 0.5) * src / dst)
     return np.clip(idx, 0, src - 1).astype(np.intp)
@@ -453,12 +441,13 @@ class ConfusionMatrix:
         self.num_classes = num_classes
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
 
-    def update(self, pred: np.ndarray, gt: np.ndarray, ignore_index: int = IGNORE):
+    def update(self, pred: np.ndarray, gt: np.ndarray):
+        """Count every pixel whose ground truth is not IGNORE."""
         pred = np.asarray(pred).reshape(-1).astype(np.int64)
         gt = np.asarray(gt).reshape(-1).astype(np.int64)
         if pred.shape != gt.shape:
             raise ArgumentError("prediction and ground truth sizes differ")
-        keep = gt != ignore_index
+        keep = gt != IGNORE
         pred, gt = pred[keep], gt[keep]
         c = self.num_classes
         bad = (gt < 0) | (gt >= c)

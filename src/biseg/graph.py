@@ -39,8 +39,9 @@ from .tensor import Rng, Shape, init_kaiming
 class LayerSpec:
     """One node of the model DAG.
 
-    conv uses in_channels/out_channels/kernel/stride/padding/groups/bias;
-    bn uses in_channels; upsample uses factor. The remaining kinds are fully
+    conv uses in_channels/out_channels/kernel/stride/padding/groups/bias,
+    with groups 1 (dense) or in_channels = out_channels (depthwise); bn uses
+    in_channels; upsample uses factor. The remaining kinds are fully
     described by their inputs.
     """
 
@@ -154,6 +155,8 @@ def _conv_shape(spec, ins):
     n, c, h, w = ins[0]
     if c != spec.in_channels:
         raise ShapeError(f"layer {spec.name!r} expects {spec.in_channels} channels, got {c}")
+    if spec.groups != 1 and not spec.groups == c == spec.out_channels:
+        raise ShapeError(f"layer {spec.name!r} groups {spec.groups} is neither 1 nor depthwise")
     return (n, spec.out_channels, ops.conv_out_extent(h, spec.kernel, spec.stride, spec.padding),
             ops.conv_out_extent(w, spec.kernel, spec.stride, spec.padding))
 
@@ -516,7 +519,6 @@ class SgdConfig:
     weight_decay: float = 1e-4
     power: float = 0.9
     max_iter: int = 1000
-    decay_all: bool = False
 
     def __post_init__(self):
         if self.base_lr <= 0:
@@ -550,7 +552,7 @@ def sgd_step(store: ParamStore, grads: dict, lr: float, cfg: SgdConfig) -> None:
         g = grads[name].astype(np.float32, copy=True)
         if g.shape != entry.value.shape:
             raise ConsistencyError(f"gradient shape mismatch for {name!r}")
-        if cfg.weight_decay != 0.0 and (entry.decay or cfg.decay_all):
+        if cfg.weight_decay != 0.0 and entry.decay:
             g += np.float32(cfg.weight_decay) * entry.value
         if entry.momentum is None:
             entry.momentum = np.zeros_like(entry.value)
@@ -599,7 +601,8 @@ def save_checkpoint(store: ParamStore, path, iteration: int = 0, config_hash: in
 
 def load_checkpoint(path) -> Checkpoint:
     """Parse a save_checkpoint file. Any departure from the layout, including
-    a name that is not UTF-8 or bytes after the trailer, raises FormatError."""
+    a name that is not UTF-8 or repeated, or bytes after the trailer, raises
+    FormatError."""
     with open(path, "rb") as f:
         blob = f.read()
 
@@ -623,6 +626,8 @@ def load_checkpoint(path) -> Checkpoint:
         except UnicodeDecodeError as exc:
             raise FormatError(f"tensor name is not UTF-8: {exc.reason}",
                               offset=pos + exc.start) from None
+        if name in tensors:
+            raise FormatError(f"tensor name {name!r} appears twice", offset=pos)
         pos += name_len
         dtype_tag, rank = struct.unpack("<BB", need(pos, 2, "dtype/rank"))
         pos += 2

@@ -18,15 +18,19 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import graph, ops
-from .backbone import BackboneConfig, GraphBuilder, backbone_specs, check_input_extents
+from .backbone import (
+    INPUT_CHANNELS,
+    BackboneConfig,
+    GraphBuilder,
+    backbone_specs,
+    check_input_extents,
+)
 from .errors import ArgumentError, ShapeError
 from .graph import LayerSpec, ParamStore
 from .tensor import Rng, Tensor
 
 _FUSIONS = ("ffm", "sum")
-_GATES = ("sigmoid", "relu")
 _CONTEXT_FUSIONS = ("ushape8s", "ushape4s")
-_AUX_TAPS = ("refined", "raw")
 _LOSS_MODES = ("plain", "bootstrap")
 
 
@@ -44,15 +48,12 @@ class NetConfig:
     fusion: str = "ffm"
     use_global_pool: bool = True
     use_arm: bool = True
-    arm_gate: str = "sigmoid"
     context_fusion: str = "ushape8s"
     aux_weight: float = 1.0
-    aux_tap: str = "refined"
     loss_mode: str = "plain"
     bootstrap_keep: float = 1.0 / 16.0
     bootstrap_min_kept: int = 256
     loss_at_full: bool = False
-    ignore_index: int = 255
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
 
     def __post_init__(self):
@@ -66,18 +67,12 @@ class NetConfig:
             raise ArgumentError("ffm_reduction must divide ffm_channels")
         if self.fusion not in _FUSIONS:
             raise ArgumentError(f"fusion must be one of {_FUSIONS}")
-        if self.arm_gate not in _GATES:
-            raise ArgumentError(f"arm_gate must be one of {_GATES}")
         if self.context_fusion not in _CONTEXT_FUSIONS:
             raise ArgumentError(f"context_fusion must be one of {_CONTEXT_FUSIONS}")
-        if self.aux_tap not in _AUX_TAPS:
-            raise ArgumentError(f"aux_tap must be one of {_AUX_TAPS}")
         if self.loss_mode not in _LOSS_MODES:
             raise ArgumentError(f"loss_mode must be one of {_LOSS_MODES}")
         if self.aux_weight < 0:
             raise ArgumentError("aux_weight must be non-negative")
-        if not 0 <= self.ignore_index <= 255:
-            raise ArgumentError("ignore_index must fit in a byte")
 
 
 @dataclass(frozen=True)
@@ -110,26 +105,21 @@ class ForwardArtifacts:
 def spatial_path_specs(g: GraphBuilder, cfg: NetConfig, x: str) -> str:
     """Three stride-2 conv+BN+ReLU layers: stride 8, detail-preserving."""
     c1, c2, c3 = cfg.sp_channels
-    y = g.conv_bn_relu("sp.l1", x, cfg.backbone.input_channels, c1, k=3, s=2)  # 1/2
-    y = g.conv_bn_relu("sp.l2", y, c1, c2, k=3, s=2)                           # 1/4
-    y = g.conv_bn_relu("sp.l3", y, c2, c3, k=3, s=2)                           # 1/8
+    y = g.conv_bn_relu("sp.l1", x, INPUT_CHANNELS, c1, k=3, s=2)  # 1/2
+    y = g.conv_bn_relu("sp.l2", y, c1, c2, k=3, s=2)              # 1/4
+    y = g.conv_bn_relu("sp.l3", y, c2, c3, k=3, s=2)              # 1/8
     return y
 
 
-def arm_specs(g: GraphBuilder, name: str, feature: str, channels: int,
-              gate: str = "sigmoid") -> tuple[str, str]:
-    """Channel-attention refinement: feature * gate(BN(1x1(pooled feature))).
+def arm_specs(g: GraphBuilder, name: str, feature: str, channels: int) -> tuple[str, str]:
+    """Channel-attention refinement: feature * sigmoid(BN(1x1(pooled feature))).
 
-    Returns (refined value name, gate value name). The gate squashes with a
-    sigmoid by default; "relu" is available for the unclamped variant.
+    Returns (refined value name, gate value name).
     """
     pooled = g.gap(f"{name}.pool", feature)
     a = g.conv(f"{name}.conv", pooled, channels, channels, k=1, p=0)
     a = g.bn(f"{name}.bn", a, channels)
-    if gate == "sigmoid":
-        a = g.sigmoid(f"{name}.gate", a)
-    else:
-        a = g.relu(f"{name}.gate", a)
+    a = g.sigmoid(f"{name}.gate", a)
     refined = g.mul(f"{name}.apply", feature, a)
     return refined, a
 
@@ -145,7 +135,8 @@ def global_context_specs(g: GraphBuilder, name: str, feature: str, channels: int
 def context_path_specs(g: GraphBuilder, cfg: NetConfig, x: str):
     """Backbone plus top-down decoder; output sits at stride 8.
 
-    Returns (cp output name, tap16 name, tap32 name, attention list).
+    Returns (cp output name, refined stride-16 tap, refined stride-32 tap,
+    attention list); the aux heads read the two taps.
     ushape8s folds the stride-16/32 taps only; ushape4s additionally folds
     the stride-8 tap, upsamples to stride 4, and realigns to stride 8 with a
     stride-2 conv (slower, for the decoder-depth comparison).
@@ -158,7 +149,7 @@ def context_path_specs(g: GraphBuilder, cfg: NetConfig, x: str):
     feat32 = taps[32]
     refined32 = feat32
     if cfg.use_arm:
-        refined32, gate32 = arm_specs(g, "cp.arm32", feat32, c32, cfg.arm_gate)
+        refined32, gate32 = arm_specs(g, "cp.arm32", feat32, c32)
         attention.append(("arm32", gate32))
     if cfg.use_global_pool:
         ctx = global_context_specs(g, "cp.gp", feat32, c32)
@@ -166,7 +157,7 @@ def context_path_specs(g: GraphBuilder, cfg: NetConfig, x: str):
 
     refined16 = taps[16]
     if cfg.use_arm:
-        refined16, gate16 = arm_specs(g, "cp.arm16", taps[16], c16, cfg.arm_gate)
+        refined16, gate16 = arm_specs(g, "cp.arm16", taps[16], c16)
         attention.append(("arm16", gate16))
 
     cpw = cfg.cp_channels
@@ -184,9 +175,7 @@ def context_path_specs(g: GraphBuilder, cfg: NetConfig, x: str):
         out4 = g.upsample("cp.up8", refined8, 2)
         out8 = g.conv_bn_relu("cp.align8", out4, cpw, cpw, k=3, s=2)
 
-    tap16 = refined16 if cfg.aux_tap == "refined" else taps[16]
-    tap32 = refined32 if cfg.aux_tap == "refined" else taps[32]
-    return out8, tap16, tap32, attention
+    return out8, refined16, refined32, attention
 
 
 def ffm_specs(g: GraphBuilder, cfg: NetConfig, sp: str, cp: str,
@@ -276,8 +265,8 @@ def network_forward(x: Tensor, store: ParamStore, cfg: NetConfig,
                     mode: str = "infer") -> ForwardArtifacts:
     """Run the network; aux logits are produced only in train mode."""
     _n, c, h, w = x.data.shape
-    if c != cfg.backbone.input_channels:
-        raise ShapeError(f"network expects {cfg.backbone.input_channels} channels, got {c}")
+    if c != INPUT_CHANNELS:
+        raise ShapeError(f"network expects {INPUT_CHANNELS} channels, got {c}")
     check_input_extents(h, w)
     net = build_network(cfg, train=(mode == "train"))
     values = graph.run_forward(net.specs, store, {net.input: x.data}, mode=mode)
@@ -309,9 +298,8 @@ def _single_ce(logits: np.ndarray, labels: np.ndarray, cfg: NetConfig) -> ops.Ce
             logits, labels,
             keep_fraction=cfg.bootstrap_keep,
             min_kept=cfg.bootstrap_min_kept,
-            ignore_index=cfg.ignore_index,
         )
-    return ops.softmax_ce_loss(logits, labels, ignore_index=cfg.ignore_index)
+    return ops.softmax_ce_loss(logits, labels)
 
 
 def joint_loss_on_values(values: dict, net: GraphDef, labels: np.ndarray,

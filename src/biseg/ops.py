@@ -7,7 +7,7 @@ clamping. Every kernel follows the dtype of its inputs, so the production
 float32 path and the float64 verification path share one implementation.
 
 Losses return a CeLoss record carrying the scalar, the logit gradient, and
-bookkeeping about ignored pixels.
+bookkeeping about ignored pixels; label IGNORE (255) marks void pixels.
 """
 
 from __future__ import annotations
@@ -17,6 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, DataError, ShapeError
+
+IGNORE = 255  # void label: no loss, no gradient, not counted in metrics
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.9  # weight of the old running statistic per update
 
 
 def conv_out_extent(extent: int, k: int, stride: int, pad: int) -> int:
@@ -32,7 +36,11 @@ def conv_out_extent(extent: int, k: int, stride: int, pad: int) -> int:
 
 @dataclass
 class Conv2dParams:
-    """Weight (c_out, c_in/groups, k_h, k_w), optional bias (c_out,)."""
+    """Weight (c_out, c_in/groups, k_h, k_w), optional bias (c_out,).
+
+    groups is 1 (dense) or c_in = c_out (depthwise); no other grouping is
+    supported.
+    """
 
     weight: np.ndarray
     bias: np.ndarray | None = None
@@ -48,8 +56,8 @@ def _check_conv(x: np.ndarray, p: Conv2dParams) -> tuple[int, int]:
         raise ShapeError("conv weight must be rank-4 (c_out, c_in/groups, k_h, k_w)")
     n, c_in, h, w = x.shape
     c_out, c_in_g, kh, kw = p.weight.shape
-    if p.groups < 1 or c_in % p.groups or c_out % p.groups:
-        raise ShapeError(f"groups {p.groups} does not divide channels ({c_in} in, {c_out} out)")
+    if p.groups != 1 and not p.groups == c_in == c_out:
+        raise ShapeError(f"groups {p.groups} is neither 1 nor depthwise ({c_in} in, {c_out} out)")
     if c_in_g != c_in // p.groups:
         raise ShapeError(
             f"weight expects {c_in_g} input channels per group, input supplies {c_in // p.groups}"
@@ -100,28 +108,11 @@ def _conv_fwd_depthwise(xp, w, stride, oh, ow):
 
 def conv2d_forward(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
     oh, ow = _check_conv(x, p)
-    c_in = x.shape[1]
-    c_out = p.weight.shape[0]
     xp = _pad_hw(x, p.padding)
-    if p.groups == 1:
-        y = _conv_fwd_dense(xp, p.weight, p.stride, oh, ow)
-    elif p.groups == c_in and c_out == c_in:
-        y = _conv_fwd_depthwise(xp, p.weight, p.stride, oh, ow)
-    else:
-        # General grouped case: run the dense kernel per group.
-        gs_in = c_in // p.groups
-        gs_out = c_out // p.groups
-        y = np.empty((x.shape[0], c_out, oh, ow), dtype=x.dtype)
-        for g in range(p.groups):
-            y[:, g * gs_out : (g + 1) * gs_out] = _conv_fwd_dense(
-                xp[:, g * gs_in : (g + 1) * gs_in],
-                p.weight[g * gs_out : (g + 1) * gs_out],
-                p.stride,
-                oh,
-                ow,
-            )
+    kernel = _conv_fwd_dense if p.groups == 1 else _conv_fwd_depthwise
+    y = kernel(xp, p.weight, p.stride, oh, ow)
     if p.bias is not None:
-        y += p.bias.reshape(1, c_out, 1, 1)
+        y += p.bias.reshape(1, -1, 1, 1)
     return y
 
 
@@ -160,27 +151,9 @@ def conv2d_backward(
     oh, ow = _check_conv(x, p)
     if grad_out.shape != (x.shape[0], p.weight.shape[0], oh, ow):
         raise ShapeError(f"grad_out shape {grad_out.shape} does not match conv output")
-    c_in = x.shape[1]
-    c_out = p.weight.shape[0]
     xp = _pad_hw(x, p.padding)
-    if p.groups == 1:
-        gxp, gw = _conv_bwd_dense(xp, p.weight, grad_out, p.stride)
-    elif p.groups == c_in and c_out == c_in:
-        gxp, gw = _conv_bwd_depthwise(xp, p.weight, grad_out, p.stride)
-    else:
-        gs_in = c_in // p.groups
-        gs_out = c_out // p.groups
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(p.weight)
-        for g in range(p.groups):
-            sub_gx, sub_gw = _conv_bwd_dense(
-                xp[:, g * gs_in : (g + 1) * gs_in],
-                p.weight[g * gs_out : (g + 1) * gs_out],
-                grad_out[:, g * gs_out : (g + 1) * gs_out],
-                p.stride,
-            )
-            gxp[:, g * gs_in : (g + 1) * gs_in] = sub_gx
-            gw[g * gs_out : (g + 1) * gs_out] = sub_gw
+    kernel = _conv_bwd_dense if p.groups == 1 else _conv_bwd_depthwise
+    gxp, gw = kernel(xp, p.weight, grad_out, p.stride)
     pad = p.padding
     gx = gxp if pad == 0 else gxp[:, :, pad:-pad, pad:-pad]
     gb = grad_out.sum(axis=(0, 2, 3)) if p.bias is not None else None
@@ -198,16 +171,15 @@ class BatchNormParams:
 
     mode "train" normalizes with biased batch moments over (n, h, w) and
     updates the running statistics in place as
-    running = (1 - momentum) * batch + momentum * running.
-    mode "infer" normalizes with the stored running statistics.
+    running = (1 - BN_MOMENTUM) * batch + BN_MOMENTUM * running.
+    mode "infer" normalizes with the stored running statistics. Both add
+    BN_EPS to the variance.
     """
 
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = 1e-5
-    momentum: float = 0.9
     mode: str = "train"
 
 
@@ -223,10 +195,6 @@ def _check_bn(x: np.ndarray, p: BatchNormParams):
             raise ShapeError(f"batchnorm {name} shape {arr.shape} does not match {c} channels")
     if p.mode not in ("train", "infer"):
         raise ArgumentError(f"unknown batchnorm mode {p.mode!r}")
-    if not 0.0 <= p.momentum <= 1.0:
-        raise ArgumentError(f"momentum {p.momentum} outside [0, 1]")
-    if p.eps <= 0.0:
-        raise ArgumentError("eps must be positive")
 
 
 def _bn_batch_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,11 +208,11 @@ def batchnorm_forward(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
     _check_bn(x, p)
     if p.mode == "train":
         mean, var = _bn_batch_moments(x)
-        p.running_mean[...] = (1.0 - p.momentum) * mean + p.momentum * p.running_mean
-        p.running_var[...] = (1.0 - p.momentum) * var + p.momentum * p.running_var
+        p.running_mean[...] = (1.0 - BN_MOMENTUM) * mean + BN_MOMENTUM * p.running_mean
+        p.running_var[...] = (1.0 - BN_MOMENTUM) * var + BN_MOMENTUM * p.running_var
     else:
         mean, var = p.running_mean, p.running_var
-    inv_std = 1.0 / np.sqrt(var.astype(x.dtype) + x.dtype.type(p.eps))
+    inv_std = 1.0 / np.sqrt(var.astype(x.dtype) + x.dtype.type(BN_EPS))
     x_hat = (x - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
     return p.gamma.reshape(1, -1, 1, 1) * x_hat + p.beta.reshape(1, -1, 1, 1)
 
@@ -260,7 +228,7 @@ def batchnorm_backward(
         mean, var = _bn_batch_moments(x)
     else:
         mean, var = p.running_mean.astype(x.dtype), p.running_var.astype(x.dtype)
-    inv_std = (1.0 / np.sqrt(var + x.dtype.type(p.eps))).reshape(1, -1, 1, 1)
+    inv_std = (1.0 / np.sqrt(var + x.dtype.type(BN_EPS))).reshape(1, -1, 1, 1)
     x_hat = (x - mean.reshape(1, -1, 1, 1)) * inv_std
     d_gamma = (grad_out * x_hat).sum(axis=(0, 2, 3))
     d_beta = grad_out.sum(axis=(0, 2, 3))
@@ -342,18 +310,23 @@ def interp_matrix(src: int, dst: int, dtype=np.float32) -> np.ndarray:
     return a.astype(dtype)
 
 
+def resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Resize (n,c,h,w) to (n,c,out_h,out_w) with half-pixel bilinear."""
+    h, w = x.shape[2], x.shape[3]
+    if (h, w) == (out_h, out_w):
+        return x.copy()
+    ah = interp_matrix(h, out_h, x.dtype)
+    aw = interp_matrix(w, out_w, x.dtype)
+    # Separable: rows first, then columns; both are plain matmuls.
+    return np.matmul(np.matmul(ah, x), aw.T)
+
+
 def bilinear_upsample(x: np.ndarray, factor: int) -> np.ndarray:
     if x.ndim != 4:
         raise ShapeError("bilinear_upsample input must be rank-4 NCHW")
     if factor < 1:
         raise ArgumentError(f"upsample factor must be >= 1, got {factor}")
-    if factor == 1:
-        return x.copy()
-    h, w = x.shape[2], x.shape[3]
-    ah = interp_matrix(h, h * factor, x.dtype)
-    aw = interp_matrix(w, w * factor, x.dtype)
-    # Separable: rows first, then columns; both are plain matmuls.
-    return np.matmul(np.matmul(ah, x), aw.T)
+    return resize_bilinear(x, x.shape[2] * factor, x.shape[3] * factor)
 
 
 def bilinear_upsample_backward(x_shape: tuple, factor: int, grad_out: np.ndarray) -> np.ndarray:
@@ -383,29 +356,29 @@ class CeLoss:
     all_ignored: bool = field(default=False)
 
 
-def _check_labels(labels: np.ndarray, num_classes: int, ignore_index: int):
+def _check_labels(labels: np.ndarray, num_classes: int):
     if labels.ndim != 3:
         raise ShapeError("labels must be rank-3 (n, h, w)")
     lab = labels.astype(np.int64, copy=False)
-    bad = (lab != ignore_index) & ((lab < 0) | (lab >= num_classes))
+    bad = (lab != IGNORE) & ((lab < 0) | (lab >= num_classes))
     if bad.any():
         where = np.argwhere(bad)[0]
         raise DataError(
             f"label {int(lab[tuple(where)])} at {tuple(int(v) for v in where)} "
-            f"outside [0, {num_classes}) and not ignore={ignore_index}"
+            f"outside [0, {num_classes}) and not ignore={IGNORE}"
         )
 
 
-def _pixel_ce(logits: np.ndarray, labels: np.ndarray, ignore_index: int):
+def _pixel_ce(logits: np.ndarray, labels: np.ndarray):
     """Per-pixel CE loss (float64), probabilities, and the valid mask."""
     if logits.ndim != 4:
         raise ShapeError("logits must be rank-4 (n, C, h, w)")
     n, num_classes, h, w = logits.shape
     if labels.shape != (n, h, w):
         raise ShapeError(f"labels shape {labels.shape} does not match logits {logits.shape}")
-    _check_labels(labels, num_classes, ignore_index)
+    _check_labels(labels, num_classes)
     lab = labels.astype(np.int64, copy=False)
-    valid = lab != ignore_index
+    valid = lab != IGNORE
     z = logits.astype(np.float64, copy=False)
     z = z - z.max(axis=1, keepdims=True)
     ez = np.exp(z)
@@ -432,15 +405,13 @@ def _ce_from_mask(logits, probs, valid, safe, kept_mask, denom_count):
     return grad.astype(logits.dtype, copy=False)
 
 
-def softmax_ce_loss(
-    logits: np.ndarray, labels: np.ndarray, ignore_index: int = 255
-) -> CeLoss:
+def softmax_ce_loss(logits: np.ndarray, labels: np.ndarray) -> CeLoss:
     """Mean cross-entropy over non-ignored pixels.
 
     The mean divides by the count of non-ignored pixels. If every pixel is
     ignored the loss is 0 with a zero gradient, flagged via all_ignored.
     """
-    pixel_loss, probs, valid, safe = _pixel_ce(logits, labels, ignore_index)
+    pixel_loss, probs, valid, safe = _pixel_ce(logits, labels)
     n_valid = int(valid.sum())
     if n_valid == 0:
         return CeLoss(0.0, np.zeros_like(logits), 0, 0, all_ignored=True)
@@ -454,7 +425,6 @@ def bootstrap_ce_loss(
     labels: np.ndarray,
     keep_fraction: float = 1.0 / 16.0,
     min_kept: int = 256,
-    ignore_index: int = 255,
 ) -> CeLoss:
     """Online hard-pixel mining: average CE over the hardest pixels only.
 
@@ -466,7 +436,7 @@ def bootstrap_ce_loss(
         raise ArgumentError(f"keep_fraction {keep_fraction} outside (0, 1]")
     if min_kept < 0:
         raise ArgumentError("min_kept must be non-negative")
-    pixel_loss, probs, valid, safe = _pixel_ce(logits, labels, ignore_index)
+    pixel_loss, probs, valid, safe = _pixel_ce(logits, labels)
     n_valid = int(valid.sum())
     if n_valid == 0:
         return CeLoss(0.0, np.zeros_like(logits), 0, 0, all_ignored=True)

@@ -152,5 +152,5 @@ def evaluate(store: ParamStore, cfg: EngineConfig,
         arts = network.network_forward(x, store, cfg.model, mode="infer")
         h, w = s.label.shape
         pred = network.predict_full_res(arts.main_logits, h, w)
-        cm.update(pred[0], s.label, ignore_index=cfg.model.ignore_index)
+        cm.update(pred[0], s.label)
     return miou(cm)

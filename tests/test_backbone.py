@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from biseg.backbone import (
+    INPUT_CHANNELS,
     BackboneConfig,
     backbone_specs,
     check_input_extents,
@@ -103,7 +104,7 @@ class TestParams:
     def test_count_matches_closed_form(self, cfg):
         store = _init(cfg, 0)
         expect = backbone_param_formula(
-            cfg.stem_channels, cfg.stage_channels, cfg.blocks_per_stage, cfg.input_channels
+            cfg.stem_channels, cfg.stage_channels, cfg.blocks_per_stage, INPUT_CHANNELS
         )
         assert store.param_count(trainable_only=True) == expect
 

@@ -1,7 +1,11 @@
 """Config round trips, the training loop, and the command-line surface."""
 
+import dataclasses
 import json
+import math
 import os
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ import pytest
 from biseg import train as train_mod
 from biseg.cli import main
 from biseg.config import (
+    _SCHEMA,
     EngineConfig,
     config_hash,
     load_config,
@@ -20,6 +25,8 @@ from biseg.data import SegDataset, read_pgm, read_ppm, synth_shapes, write_ppm
 from biseg.errors import ConfigError, NumericAbort
 from biseg.graph import SgdConfig
 from biseg.tensor import Rng, Tensor
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY_LINES = """
 model.num_classes = 3
@@ -73,6 +80,28 @@ class TestConfigForms:
         assert len(keys) == len(set(keys))
         assert "model.backbone.stage_channels" in keys
         assert parse_config(text) == EngineConfig()
+
+    def test_schema_sets_every_field_once(self):
+        def leaves(obj, section):
+            for f in dataclasses.fields(obj):
+                value = getattr(obj, f.name)
+                if dataclasses.is_dataclass(value):
+                    yield from leaves(value, f"{section}.{f.name}".lstrip("."))
+                else:
+                    yield section, f.name
+
+        targets = [(section, fname) for section, fname, _conv in _SCHEMA.values()]
+        assert sorted(targets) == sorted(leaves(EngineConfig(), ""))
+
+    def test_shipped_configs_list_every_key_once(self):
+        paths = sorted(CONFIGS.glob("*.cfg"))
+        assert paths
+        for path in paths:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            keys = [ln.partition("=")[0].strip() for ln in lines
+                    if ln.strip() and not ln.startswith("#")]
+            assert sorted(keys) == sorted(_SCHEMA), path.name
+            load_config(path)
 
     def test_json_input_equivalent(self):
         obj = {
@@ -362,7 +391,7 @@ class TestCliErrors:
         assert rc == 3
         assert capsys.readouterr().err.startswith("error[data]: ")
 
-    @pytest.mark.parametrize("damage", ["truncated", "appended", "bad_name"])
+    @pytest.mark.parametrize("damage", ["truncated", "appended", "bad_name", "dup_name"])
     def test_corrupt_checkpoint_exit_3(self, workspace, tmp_path, capsys, damage):
         blob = workspace["ckpt"].read_bytes()
         if damage == "truncated":
@@ -371,8 +400,15 @@ class TestCliErrors:
                                               len(blob) - 8, len(blob) - 1)]
         elif damage == "appended":
             damaged = [blob + b"\x00", blob + blob[-16:]]
-        else:
+        elif damage == "bad_name":
             damaged = [blob[:12] + b"\xff" + blob[13:]]  # first byte of the first name
+        else:  # the first tensor record twice, with the count raised to match
+            (count,) = struct.unpack_from("<I", blob, 6)
+            (name_len,) = struct.unpack_from("<H", blob, 10)
+            rank = blob[13 + name_len]
+            dims = struct.unpack_from(f"<{rank}I", blob, 14 + name_len)
+            record = blob[10 : 14 + name_len + 4 * rank + 4 * math.prod(dims)]
+            damaged = [blob[:6] + struct.pack("<I", count + 1) + record + blob[10:]]
         for i, data in enumerate(damaged):
             ckpt = tmp_path / f"{damage}{i}.bsnt"
             ckpt.write_bytes(data)

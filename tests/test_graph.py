@@ -152,6 +152,11 @@ class TestInferShapes:
         assert shapes["wide"] == (1, 16, 8, 8)
         assert shapes["gated"] == (1, 8, 8, 8)
 
+    def test_grouped_conv_rejected(self):
+        specs = [conv_spec("c1", "x", "a", 6, 8, groups=2)]
+        with pytest.raises(ShapeError, match="depthwise"):
+            infer_shapes(specs, {"x": (1, 6, 16, 16)})
+
     def test_conv_channel_mismatch(self):
         specs = [conv_spec("c1", "x", "a", 4, 8)]
         with pytest.raises(ShapeError):
@@ -355,12 +360,6 @@ class TestSgd:
         sgd_step(store, {"w": np.array([0.0], dtype=np.float32)}, 0.1, cfg)
         assert float(store.get("w").value[0]) == 1.0
 
-    def test_decay_all_overrides(self):
-        store = _single_param_store(1.0, decay=False)
-        cfg = SgdConfig(base_lr=0.1, momentum=0.0, weight_decay=0.5, decay_all=True)
-        sgd_step(store, {"w": np.array([0.0], dtype=np.float32)}, 0.1, cfg)
-        assert abs(float(store.get("w").value[0]) - 0.95) < 1e-7
-
     def test_zero_lr_keeps_values(self):
         store = _single_param_store(1.0)
         cfg = SgdConfig(base_lr=0.1, momentum=0.9, weight_decay=1e-4)
@@ -507,6 +506,19 @@ class TestCheckpoint:
         with pytest.raises(FormatError) as exc:
             load_checkpoint(path)
         assert exc.value.offset == 12
+
+    def test_repeated_name_rejected(self, tmp_path):
+        store = ParamStore()
+        store.add("a.w", np.zeros(2, np.float32))
+        store.add("b.w", np.zeros(2, np.float32))
+        path = tmp_path / "model.bsnt"
+        save_checkpoint(store, path)
+        blob = path.read_bytes()
+        second = blob.index(b"b.w")
+        path.write_bytes(blob.replace(b"b.w", b"a.w"))
+        with pytest.raises(FormatError, match="twice") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == second
 
     def test_extra_tensor_strict_vs_permissive(self, tmp_path):
         store = self._store()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from biseg.backbone import BackboneConfig, GraphBuilder
+from biseg.backbone import BackboneConfig, GraphBuilder, backbone_specs
 from biseg.errors import ArgumentError, ShapeError
 from biseg.graph import ParamStore, forward_backward, init_params, run_forward
 from biseg.network import (
@@ -86,10 +86,10 @@ class TestSpatialPath:
         assert self._spatial(h, w, 2).shape == (1, 16, h // 8, w // 8)
 
 
-def _arm(feat, seed, gate="sigmoid", store=None):
+def _arm(feat, seed, store=None):
     """Refinement block "arm" over feat; returns (refined, gate vector, store)."""
     values, (refined, gate_name), store = _run_sub(
-        lambda g: arm_specs(g, "arm", "feat", feat.shape[1], gate), {"feat": feat}, seed,
+        lambda g: arm_specs(g, "arm", "feat", feat.shape[1]), {"feat": feat}, seed,
         store=store)
     return values[refined], values[gate_name], store
 
@@ -111,12 +111,6 @@ class TestAttentionRefine:
         assert (gate == 0.5).all()
         assert np.allclose(refined, 0.5 * feat, rtol=0, atol=1e-7)
 
-    def test_relu_gate_variant(self):
-        feat = np.abs(Rng(7).normal(1 * 4 * 2 * 2)).astype(np.float32).reshape(1, 4, 2, 2)
-        refined, gate, _ = _arm(feat, 8, gate="relu")
-        assert (gate >= 0).all()
-        assert refined.shape == feat.shape
-
 
 class TestContextPath:
     def test_output_shapes(self):
@@ -129,16 +123,15 @@ class TestContextPath:
     def test_global_context_broadcast_add(self):
         cfg = NetConfig(
             num_classes=3, sp_channels=(8, 8, 16), cp_channels=16, ffm_channels=32,
-            head_channels=8, use_arm=False, use_global_pool=True, aux_tap="raw",
-            backbone=TINY_BB,
+            head_channels=8, use_arm=False, use_global_pool=True, backbone=TINY_BB,
         )
         g = GraphBuilder()
-        out_name, _, tap32_name, _ = context_path_specs(g, cfg, "x")
+        context_path_specs(g, cfg, "x")
         store = ParamStore()
         init_params(g.specs, store, Rng(10))
         x = _rand_input(1, 64, 64, seed=11)
         values = run_forward(g.specs, store, {"x": x.data}, mode="infer")
-        feat32 = values[tap32_name]
+        feat32 = values[backbone_specs(TINY_BB, prefix="cp.", input_name="x")[1][32]]
         pooled = global_avg_pool(feat32)
         ctx = conv2d_forward(pooled, Conv2dParams(store.get("cp.gp.conv.weight").value))
         ctx = batchnorm_forward(ctx, BatchNormParams(

@@ -61,7 +61,7 @@ CONV_CASES = [
     (2, 4, 6, 6, 5, 1, 1, 0, 1, True),
     (1, 4, 8, 8, 4, 3, 1, 1, 4, False),   # depthwise
     (1, 4, 9, 9, 4, 3, 2, 1, 4, True),    # strided depthwise
-    (1, 6, 7, 7, 8, 3, 2, 1, 2, False),   # grouped
+    (1, 3, 9, 9, 5, 3, 2, 1, 1, True),    # strided RGB stem
     (1, 2, 4, 4, 3, 7, 1, 3, 1, False),   # kernel larger than input
 ]
 
@@ -104,6 +104,13 @@ class TestConvForward:
         w = np.zeros((4, 1, 3, 3), dtype=np.float32)
         with pytest.raises(ShapeError):
             conv2d_forward(x, Conv2dParams(w, groups=2))
+        # Groups that divide the channels are still rejected unless depthwise.
+        x = np.zeros((1, 6, 4, 4), dtype=np.float32)
+        p = Conv2dParams(np.zeros((8, 3, 3, 3), dtype=np.float32), groups=2)
+        with pytest.raises(ShapeError, match="depthwise"):
+            conv2d_forward(x, p)
+        with pytest.raises(ShapeError, match="depthwise"):
+            conv2d_backward(x, p, np.zeros((1, 8, 2, 2), np.float32))
 
     def test_channel_mismatch_rejected(self):
         x = np.zeros((1, 3, 4, 4), dtype=np.float32)
@@ -272,7 +279,7 @@ class TestBatchNorm:
         rv0 = np.array([2.0, 3.0])
         p = BatchNormParams(
             gamma=np.ones(2), beta=np.zeros(2),
-            running_mean=rm0.copy(), running_var=rv0.copy(), momentum=0.9,
+            running_mean=rm0.copy(), running_var=rv0.copy(),
         )
         batchnorm_forward(x, p)
         mean = x.mean(axis=(0, 2, 3))
