@@ -2,12 +2,10 @@
 
 Each resolution is padded up to the stride tile (multiples of 32), a fixed
 random input is allocated once, the model runs untimed warmup iterations,
-and then the timed iterations measure forward passes only (optionally the
-end-to-end path including the x8 upsample and argmax). The garbage
-collector is paused inside the timed region and the input is reused, so
-the region performs no Python-side allocation beyond numpy's own
-temporaries; a per-allocation hook is not available on CPython without
-distorting the timings, so that property is best-effort by construction.
+and then the timed iterations run network_forward as `biseg infer` does
+(the inference plan, its per-call BN fold included), optionally followed by
+the x8 upsample and argmax of the end-to-end path. The garbage collector is
+paused inside the timed region and the input is reused.
 """
 
 from __future__ import annotations
@@ -107,15 +105,13 @@ def run_bench(cfg: EngineConfig, store: ParamStore | None = None,
         rng = Rng(cfg.seed).split(_INPUT_SALT).split(res_i)
         x = rng.normal(INPUT_CHANNELS * ph * pw, std=50.0)
         x = x.reshape(1, INPUT_CHANNELS, ph, pw).astype(np.float32)
-        run = graph.GraphRun(net.specs, store, mode="infer")
+        xt = Tensor(x)
 
         def one_pass():
-            values = run.forward({net.input: x})
+            arts = network.network_forward(xt, store, cfg.model, mode="infer")
             if e2e:
-                return network.predict_full_res(
-                    Tensor(values[net.main_logits]), ph, pw
-                )
-            return values[net.main_logits]
+                return network.predict_full_res(arts.main_logits, ph, pw)
+            return arts.main_logits
 
         for _ in range(cfg.bench.warmup_iters):
             one_pass()

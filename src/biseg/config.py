@@ -99,15 +99,30 @@ def _parse_resolutions(s: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-_INT = (int, str)
-_FLOAT = (float, _fmt_float)
-_BOOL = (_parse_bool, lambda v: "true" if v else "false")
-_STR = (lambda s: s, lambda v: v)
-_INTS = (_parse_ints, lambda v: ",".join(str(x) for x in v))
-_FLOATS = (_parse_floats, lambda v: ",".join(_fmt_float(x) for x in v))
-_RES = (_parse_resolutions, lambda v: ",".join(f"{w}x{h}" for w, h in v))
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
-# key -> (section, field, (parse, format)); order here is the canonical
+
+def _is_num(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
+
+
+# (parse text, format value, JSON value check); a JSON value that passes its
+# check is formatted to text and parsed like the key = value form.
+_INT = (int, str, _is_int)
+_FLOAT = (float, _fmt_float, _is_num)
+_BOOL = (_parse_bool, lambda v: "true" if v else "false", lambda v: isinstance(v, bool))
+_STR = (lambda s: s, lambda v: v, lambda v: isinstance(v, str))
+_INTS = (_parse_ints, lambda v: ",".join(str(x) for x in v), _list_of(_is_int))
+_FLOATS = (_parse_floats, lambda v: ",".join(_fmt_float(x) for x in v), _list_of(_is_num))
+_RES = (_parse_resolutions, lambda v: ",".join(f"{w}x{h}" for w, h in v),
+        _list_of(lambda p: _list_of(_is_int)(p) and len(p) == 2))
+
+# key -> (section, field, (parse, format, JSON check)); order here is the canonical
 # serialization order.
 _SCHEMA: dict[str, tuple[str, str, tuple]] = {
     "seed": ("", "seed", _INT),
@@ -188,7 +203,7 @@ def serialize_config(cfg: EngineConfig) -> str:
     """Canonical text form: every key, schema order, stable formatting."""
     flat = _flatten(cfg)
     lines = []
-    for key, (_s, _f, (_parse, fmt)) in _SCHEMA.items():
+    for key, (_s, _f, (_parse, fmt, _ok)) in _SCHEMA.items():
         lines.append(f"{key} = {fmt(flat[key])}\n")
     return "".join(lines)
 
@@ -224,30 +239,28 @@ def parse_config(text: str, source: str = "<config>") -> EngineConfig:
 def _parse_json(text: str, source: str) -> EngineConfig:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int too long to convert
         raise ConfigError(f"{source}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{source}: top level must be an object")
     flat = dict(_flatten(EngineConfig()))
-    found = _walk_json(obj, "", flat, source)
-    for key in found:
-        value = found[key]
-        want = type(flat[key])
-        if want in (tuple,) and isinstance(value, list):
-            if key == "bench.resolutions":
-                value = tuple(tuple(int(x) for x in pair) for pair in value)
-            else:
-                value = tuple(value)
-        flat[key] = value
+    for key, value in _walk_json(obj, "", source).items():
+        parse, fmt, ok = _SCHEMA[key][2]
+        try:
+            if not ok(value):
+                raise ValueError(f"{json.dumps(value)} has the wrong JSON type")
+            flat[key] = parse(fmt(value))
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{source}: bad value for {key}: {exc}") from exc
     return _build(flat)
 
 
-def _walk_json(obj: dict, prefix: str, flat: dict, source: str) -> dict:
+def _walk_json(obj: dict, prefix: str, source: str) -> dict:
     found = {}
     for name, value in obj.items():
         key = f"{prefix}{name}"
         if isinstance(value, dict):
-            found.update(_walk_json(value, f"{key}.", flat, source))
+            found.update(_walk_json(value, f"{key}.", source))
         elif key in _SCHEMA:
             found[key] = value
         else:

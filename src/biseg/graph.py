@@ -4,7 +4,9 @@ A model is a sequence of LayerSpec records forming a DAG over named values:
 each spec consumes previously produced (or externally supplied) value names
 and produces one new name. Execution walks the sequence in order; the
 backward pass walks it in exact reverse, accumulating gradients by addition
-wherever a value fans out.
+wherever a value fans out. Inference runs a plan over the same specs:
+fold_bn merges each BN into the conv before it, and a forward given the
+values it must return drops every other value after its last consumer.
 
 Everything the engine knows about a layer kind sits in its LayerKind record
 in KINDS: arity, parameters, shape rule, forward and backward kernels,
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -380,6 +382,49 @@ def init_params(specs, store: ParamStore, rng: Rng) -> None:
                       trainable=d.trainable, decay=d.decay)
 
 
+def fold_bn(specs, store: ParamStore, keep=()) -> tuple[list[LayerSpec], ParamStore]:
+    """Inference plan with every BN folded into the conv it follows.
+
+    A conv whose output feeds exactly one layer, a bn, and is not named in
+    keep becomes one conv with a bias that writes the bn's output:
+        w' = w * s,  b' = beta + (b - running_mean) * s,
+    with s = gamma / sqrt(running_var + BN_EPS). Only valid in infer mode,
+    where BN is that affine map. The returned store shares the arrays of
+    every untouched layer with the given one and holds fresh folded arrays,
+    so it reflects the store as it is at the time of the call.
+    """
+    consumers: dict[str, list[LayerSpec]] = {}
+    for spec in specs:
+        for name in spec.inputs:
+            consumers.setdefault(name, []).append(spec)
+    out_specs, folded, absorbed = [], ParamStore(), set()
+
+    def value(spec, suffix):
+        return store.get(f"{spec.name}.{suffix}").value
+
+    for spec in specs:
+        if spec.name in absorbed:
+            continue
+        users = consumers.get(spec.output, [])
+        if (spec.kind == "conv" and spec.output not in keep and len(users) == 1
+                and users[0].kind == "bn"):
+            bn = users[0]
+            w = value(spec, "weight")
+            s = value(bn, "gamma") / np.sqrt(value(bn, "running_var").astype(np.float64)
+                                              + ops.BN_EPS)
+            b = value(spec, "bias") if spec.bias else 0.0
+            folded.add(f"{spec.name}.weight", w * s.astype(w.dtype).reshape(-1, 1, 1, 1))
+            folded.add(f"{spec.name}.bias",
+                       (value(bn, "beta") + (b - value(bn, "running_mean")) * s).astype(w.dtype))
+            out_specs.append(replace(spec, output=bn.output, bias=True))
+            absorbed.add(bn.name)
+            continue
+        for d in kind_of(spec).params(spec):
+            folded.add(f"{spec.name}.{d.suffix}", value(spec, d.suffix))
+        out_specs.append(spec)
+    return out_specs, folded
+
+
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
@@ -406,14 +451,33 @@ class GraphRun:
         self.store = store
         self.mode = mode
         self.values: dict[str, np.ndarray] = {}
+        self.freed = False  # the last forward dropped values after their last use
         self._params: dict[str, dict[str, np.ndarray]] = {}  # layer -> {suffix: array}
         self._input_names: tuple[str, ...] = ()
 
-    def forward(self, inputs: dict, counter: OpCounter | None = None) -> dict:
+    def forward(self, inputs: dict, outputs=None, counter: OpCounter | None = None) -> dict:
+        """Run every spec in order; returns the value dict.
+
+        With outputs (value names), each other value is dropped after its
+        last consumer and only the named values are returned; such a run
+        cannot be followed by backward.
+        """
         validate_graph(self.specs, inputs.keys())
         self._input_names = tuple(inputs.keys())
+        drop_after = [[] for _ in self.specs]
+        if outputs is not None:
+            keep = set(outputs)
+            last_use = dict.fromkeys(inputs, 0)
+            for i, spec in enumerate(self.specs):
+                last_use.update(dict.fromkeys((*spec.inputs, spec.output), i))
+            missing = keep - last_use.keys()
+            if missing:
+                raise GraphError(f"requested values {sorted(missing)} are never produced")
+            for name, i in last_use.items():
+                if name not in keep:
+                    drop_after[i].append(name)
         vals = dict(inputs)
-        for spec in self.specs:
+        for spec, dead in zip(self.specs, drop_after):
             kind = KINDS[spec.kind]
             xs = [vals[name] for name in spec.inputs]
             kind.shape(spec, [x.shape for x in xs])  # operands must fit the kind
@@ -427,6 +491,9 @@ class GraphRun:
                     [x.shape for x in xs], out.shape, {k: v.shape for k, v in p.items()})
                 counter.record(spec.name, macs, flops)
             vals[spec.output] = out
+            for name in dead:
+                del vals[name]
+        self.freed = outputs is not None
         self.values = vals
         return vals
 
@@ -439,6 +506,8 @@ class GraphRun:
         """
         if not self.values:
             raise GraphError("backward called before forward")
+        if self.freed:
+            raise GraphError("backward needs a forward that keeps every value (outputs=None)")
         vgrads: dict[str, np.ndarray] = {}
         for name, g in seed_grads.items():
             if name not in self.values:

@@ -263,13 +263,24 @@ def param_count(cfg: NetConfig, trainable_only: bool = True) -> int:
 
 def network_forward(x: Tensor, store: ParamStore, cfg: NetConfig,
                     mode: str = "infer") -> ForwardArtifacts:
-    """Run the network; aux logits are produced only in train mode."""
+    """Run the network; aux logits are produced only in train mode.
+
+    In infer mode the graph runs as a plan: BN folded into the convs (from
+    the store as it is now, on every call) and each value dropped after its
+    last consumer, except the values returned here.
+    """
     _n, c, h, w = x.data.shape
     if c != INPUT_CHANNELS:
         raise ShapeError(f"network expects {INPUT_CHANNELS} channels, got {c}")
     check_input_extents(h, w)
     net = build_network(cfg, train=(mode == "train"))
-    values = graph.run_forward(net.specs, store, {net.input: x.data}, mode=mode)
+    inputs = {net.input: x.data}
+    if mode == "infer":
+        keep = (net.main_logits, net.fused, *(name for _label, name in net.attention))
+        specs, params = graph.fold_bn(net.specs, store, keep)
+        values = graph.GraphRun(specs, params, mode).forward(inputs, outputs=keep)
+    else:
+        values = graph.run_forward(net.specs, store, inputs, mode=mode)
     return ForwardArtifacts(
         main_logits=Tensor(values[net.main_logits]),
         aux_logits=[Tensor(values[name]) for name in net.aux_logits],

@@ -21,6 +21,7 @@ from .errors import ArgumentError, DataError, ShapeError
 IGNORE = 255  # void label: no loss, no gradient, not counted in metrics
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # weight of the old running statistic per update
+_BAND_ELEMS = 1 << 23  # im2col elements per conv band (32 MiB in float32)
 
 
 def conv_out_extent(extent: int, k: int, stride: int, pad: int) -> int:
@@ -86,15 +87,31 @@ def _tap(xp: np.ndarray, ki: int, kj: int, stride: int, oh: int, ow: int) -> np.
 
 
 def _conv_fwd_dense(xp, w, stride, oh, ow):
-    n = xp.shape[0]
+    """Dense conv as matmuls that write NCHW directly.
+
+    A 1x1 stride-1 conv is one matmul over the flattened pixels. Otherwise
+    the input is unrolled (im2col) one band of output rows at a time, so the
+    columns never exceed _BAND_ELEMS elements, and each band is one matmul.
+    """
+    n, c_in = xp.shape[0], xp.shape[1]
     c_out, _, kh, kw = w.shape
-    acc = np.zeros((n, oh, ow, c_out), dtype=xp.dtype)
-    for ki in range(kh):
-        for kj in range(kw):
-            xs = _tap(xp, ki, kj, stride, oh, ow)
-            # (n, c_in, oh, ow) x (c_out, c_in) summed over c_in
-            acc += np.tensordot(xs, w[:, :, ki, kj], axes=([1], [1]))
-    return np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
+    w2 = w.reshape(c_out, -1)
+    y = np.empty((n, c_out, oh, ow), dtype=xp.dtype)
+    flat = y.reshape(n, c_out, oh * ow)
+    if kh == kw == 1 and stride == 1:
+        np.matmul(w2, xp.reshape(n, c_in, oh * ow), out=flat)
+        return y
+    per_row = n * w2.shape[1] * ow  # column elements per output row
+    rows = min(oh, max(1, _BAND_ELEMS // per_row))
+    buf = np.empty(per_row * rows, dtype=xp.dtype)
+    for r0 in range(0, oh, rows):
+        r = min(rows, oh - r0)
+        cols = buf[: per_row * r].reshape(n, c_in, kh, kw, r, ow)
+        for ki in range(kh):
+            for kj in range(kw):
+                cols[:, :, ki, kj] = _tap(xp[:, :, r0 * stride :], ki, kj, stride, r, ow)
+        np.matmul(w2, cols.reshape(n, -1, r * ow), out=flat[:, :, r0 * ow : (r0 + r) * ow])
+    return y
 
 
 def _conv_fwd_depthwise(xp, w, stride, oh, ow):

@@ -51,11 +51,14 @@ def batch_indices(seed: int, iteration: int, batch_size: int, n: int):
     an epoch boundary. Pure function of (seed, iteration), so any iteration
     can be replayed in isolation.
     """
+    orders = {}  # each epoch's order is computed once per call
     out = []
     for j in range(batch_size):
         g = iteration * batch_size + j
         epoch, pos = divmod(g, n)
-        out.append((epoch, int(_epoch_order(seed, epoch, n)[pos])))
+        if epoch not in orders:
+            orders[epoch] = _epoch_order(seed, epoch, n)
+        out.append((epoch, int(orders[epoch][pos])))
     return out
 
 

@@ -139,6 +139,22 @@ class TestConfigForms:
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config("{broken")
 
+    @pytest.mark.parametrize("text", [
+        '{"model": {"num_classes": "x"}}', '{"seed": 1.5}', '{"seed": true}',
+        '{"model": {"use_arm": 1}}', '{"model": {"fusion": 3}}',
+        '{"model": {"sp_channels": [8, 8.5, 16]}}', '{"aug": {"mean": "1,2,3"}}',
+        '{"bench": {"resolutions": [[640, 360, 1]]}}',
+    ])
+    def test_json_values_checked_like_text(self, text):
+        with pytest.raises(ConfigError, match="bad value"):
+            parse_config(text)
+
+    def test_json_lists_parse_like_text(self):
+        cfg = parse_config('{"aug": {"mean": [1, 2.5, 3]}, "bench": {"resolutions": '
+                           '[[64, 32]]}, "model": {"sp_channels": [8, 8, 16]}}')
+        assert cfg == parse_config("aug.mean = 1,2.5,3\nbench.resolutions = 64x32\n"
+                                   "model.sp_channels = 8,8,16\n")
+
     def test_semantic_errors_become_config_errors(self):
         with pytest.raises(ConfigError):
             parse_config("model.num_classes = 1\n")
@@ -179,6 +195,15 @@ class TestTrainingLoop:
         assert all(e == 1 for e, _ in nxt)
         assert sorted(i for _, i in nxt) == list(range(7))
         assert [i for _, i in nxt] != [i for _, i in epoch]
+
+    def test_batch_indices_straddling_epochs(self):
+        # batch 5 over 3 samples: iteration 1 covers samples 5..9 of the
+        # stream, the tail of epoch 1, all of epoch 2 and the head of epoch 3
+        picks = train_mod.batch_indices(4, 1, 5, 3)
+        expect = [(g // 3, int(train_mod._epoch_order(4, g // 3, 3)[g % 3]))
+                  for g in range(5, 10)]
+        assert picks == expect
+        assert [e for e, _ in picks] == [1, 2, 2, 2, 3]
 
     def test_artifacts_and_log_shape(self, tmp_path):
         cfg = tiny_config(**{"train.max_iter": 4, "train.checkpoint_every": 2})
@@ -340,6 +365,13 @@ class TestCliErrors:
         bad.write_text("model.num_classes = 1\n")
         rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
+        assert capsys.readouterr().err.startswith("error[config]: ")
+
+    @pytest.mark.parametrize("body", ['{"model": {"num_classes": "x"}}', '{"seed": 1.5}'])
+    def test_bad_json_config_exit_2(self, tmp_path, capsys, body):
+        bad = tmp_path / "bad.json"
+        bad.write_text(body)
+        assert main(["analyze", "--config", str(bad), "--res", "64x64"]) == 2
         assert capsys.readouterr().err.startswith("error[config]: ")
 
     def test_bad_res_exit_2(self, capsys):

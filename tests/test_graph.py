@@ -1,8 +1,11 @@
 """Graph executor, parameter store, SGD schedule, and checkpoint format."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from biseg import ops
 from biseg.errors import (
     ArgumentError,
     ConsistencyError,
@@ -16,6 +19,7 @@ from biseg.graph import (
     LayerSpec,
     ParamStore,
     SgdConfig,
+    fold_bn,
     forward_backward,
     infer_shapes,
     init_params,
@@ -323,6 +327,122 @@ class TestExecutor:
         frozen = store.get("b1.running_mean").value.copy()
         run_forward(specs, store, {"x": x}, mode="infer")
         assert (store.get("b1.running_mean").value == frozen).all()
+
+
+class TestFreeingForward:
+    def _graph(self):
+        specs = [
+            conv_spec("c1", "x", "a", 2, 3),
+            unary("relu", "r1", "a", "b"),
+            conv_spec("c2", "b", "c", 3, 2, k=1, padding=0),
+            binary("add", "s1", "c", "x", "y"),
+            unary("sigmoid", "g1", "y", "dead"),  # consumed by nothing
+        ]
+        store = ParamStore()
+        init_params(specs, store, Rng(30))
+        x = Rng(31).normal(1 * 2 * 5 * 5).astype(np.float32).reshape(1, 2, 5, 5)
+        return specs, store, x
+
+    def test_returns_only_named_values(self):
+        specs, store, x = self._graph()
+        full = run_forward(specs, store, {"x": x})
+        got = GraphRun(specs, store).forward({"x": x}, outputs=("y", "b"))
+        assert sorted(got) == ["b", "y"]
+        for name in got:
+            assert (got[name] == full[name]).all()
+
+    def test_values_dropped_after_last_use(self, monkeypatch):
+        specs, store, x = self._graph()
+        seen = {}
+        relu, sigmoid = ops.relu, ops.sigmoid
+
+        def spy_relu(a):  # r1 is the last consumer of "a"
+            seen["a"] = weakref.ref(a)
+            return relu(a)
+
+        def spy_sigmoid(y):  # g1 runs last
+            seen["alive"] = seen["a"]() is not None
+            return sigmoid(y)
+
+        monkeypatch.setattr(ops, "relu", spy_relu)
+        monkeypatch.setattr(ops, "sigmoid", spy_sigmoid)
+        GraphRun(specs, store).forward({"x": x})
+        assert seen["alive"]
+        run = GraphRun(specs, store)
+        run.forward({"x": x}, outputs=("y",))
+        assert not seen["alive"] and set(run.values) == {"y"}
+
+    def test_backward_after_freeing_forward_raises(self):
+        specs, store, x = self._graph()
+        run = GraphRun(specs, store, mode="train")
+        y = run.forward({"x": x}, outputs=("y",))["y"]
+        with pytest.raises(GraphError, match="keeps every value"):
+            run.backward({"y": np.ones_like(y)})
+
+    def test_unknown_output_rejected(self):
+        specs, store, x = self._graph()
+        with pytest.raises(GraphError, match="never produced"):
+            GraphRun(specs, store).forward({"x": x}, outputs=("ghost",))
+
+
+def _bn_chain_store(specs, seed):
+    """Parameters with non-trivial BN statistics, in float64."""
+    store = ParamStore()
+    init_params(specs, store, Rng(seed))
+    rng = Rng(seed + 1)
+    for name, entry in store.items():
+        c = entry.value.shape
+        if name.endswith(".gamma"):
+            entry.value[...] = 0.5 + rng.uniform(c[0])
+        elif name.endswith((".beta", ".running_mean", ".bias")):
+            entry.value[...] = rng.normal(c[0])
+        elif name.endswith(".running_var"):
+            entry.value[...] = 0.25 + 2.0 * rng.uniform(c[0])
+    return store.as_dtype(np.float64)
+
+
+class TestFoldBn:
+    def _chain(self):
+        return [
+            conv_spec("c1", "x", "a", 3, 4, bias=True),
+            unary("bn", "b1", "a", "b", in_channels=4),
+            unary("relu", "r1", "b", "c"),
+            conv_spec("dw", "c", "d", 4, 4, groups=4),
+            unary("bn", "b2", "d", "e", in_channels=4),
+            conv_spec("c2", "e", "f", 4, 2, k=1, padding=0),
+        ]
+
+    def test_folded_plan_matches_graph(self):
+        specs = self._chain()
+        store = _bn_chain_store(specs, 40)
+        x = Rng(41).normal(2 * 3 * 6 * 6).reshape(2, 3, 6, 6)
+        ref = run_forward(specs, store, {"x": x})["f"]
+        folded, params = fold_bn(specs, store)
+        assert [s.kind for s in folded] == ["conv", "relu", "conv", "conv"]
+        assert folded[0].output == "b" and folded[0].bias and folded[2].output == "e"
+        assert folded[3] is specs[5]
+        got = run_forward(folded, params, {"x": x})["f"]
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_store_untouched_and_refolded_each_call(self):
+        specs = self._chain()
+        store = _bn_chain_store(specs, 42)
+        before = {k: e.value.copy() for k, e in store.items()}
+        _, params = fold_bn(specs, store)
+        assert all((store.get(k).value == v).all() for k, v in before.items())
+        assert params.get("c2.weight").value is store.get("c2.weight").value
+        store.get("b1.running_mean").value[...] += 1.0  # as a training step would
+        _, again = fold_bn(specs, store)
+        assert (again.get("c1.bias").value != params.get("c1.bias").value).all()
+
+    def test_requested_or_shared_conv_output_not_folded(self):
+        specs = self._chain()
+        folded, params = fold_bn(specs, _bn_chain_store(specs, 43), keep=("a",))
+        assert [s.name for s in folded][:3] == ["c1", "b1", "r1"]
+        assert "c1.bias" in params and "b1.gamma" in params
+        shared = specs + [binary("add", "s1", "d", "d", "g")]  # d feeds b2 and s1
+        folded, _ = fold_bn(shared, _bn_chain_store(shared, 44))
+        assert "b2" in [s.name for s in folded]
 
 
 def _single_param_store(value, decay=True):

@@ -5,7 +5,14 @@ import pytest
 
 from biseg.backbone import BackboneConfig, GraphBuilder, backbone_specs
 from biseg.errors import ArgumentError, ShapeError
-from biseg.graph import ParamStore, forward_backward, init_params, run_forward
+from biseg.graph import (
+    GraphRun,
+    ParamStore,
+    fold_bn,
+    forward_backward,
+    init_params,
+    run_forward,
+)
 from biseg.network import (
     GraphDef,
     NetConfig,
@@ -258,6 +265,68 @@ class TestFullForward:
             NetConfig(ffm_channels=30, ffm_reduction=4)
         with pytest.raises(ArgumentError):
             NetConfig(aux_weight=-0.5)
+
+
+def _trained_like_store(cfg, seed):
+    """Parameters with BN statistics away from their initial values."""
+    store = _init_store(cfg, seed)
+    rng = Rng(seed + 1)
+    for name, entry in store.items():
+        c = entry.value.shape[0]
+        if name.endswith(".gamma"):
+            entry.value[...] = 0.5 + rng.uniform(c)
+        elif name.endswith((".beta", ".running_mean")):
+            entry.value[...] = 0.2 * rng.normal(c)
+        elif name.endswith(".running_var"):
+            entry.value[...] = 0.5 + rng.uniform(c)
+    return store
+
+
+def _plan_outputs(net):
+    return (net.main_logits, net.fused, *(name for _label, name in net.attention))
+
+
+class TestInferencePlan:
+    """network_forward in infer mode runs BN folded into the convs, with
+    each value freed after its last use; the paper topology is unchanged."""
+
+    @pytest.mark.parametrize("row", ["default", *ablation_configs(NetConfig())])
+    def test_folded_plan_matches_graph_float64(self, row):
+        cfg = NetConfig() if row == "default" else ablation_configs(NetConfig())[row]
+        net = build_network(cfg, train=False)
+        store = _trained_like_store(cfg, 50).as_dtype(np.float64)
+        x = Rng(51).normal(3 * 64 * 64, std=40.0).reshape(1, 3, 64, 64)
+        ref = run_forward(net.specs, store, {"x": x})
+        keep = _plan_outputs(net)
+        specs, params = fold_bn(net.specs, store, keep)
+        assert not any(s.kind == "bn" for s in specs)
+        got = GraphRun(specs, params).forward({"x": x}, outputs=keep)
+        assert sorted(got) == sorted(keep)
+        for name in keep:
+            err = np.abs(got[name] - ref[name]).max() / np.abs(ref[name]).max()
+            assert err <= 1e-5, (name, err)
+
+    def test_network_forward_runs_the_plan(self):
+        store = _trained_like_store(TINY, 52)
+        x = _rand_input(1, 64, 64, seed=53)
+        art = network_forward(x, store, TINY)
+        net = build_network(TINY, train=False)
+        keep = _plan_outputs(net)
+        specs, params = fold_bn(net.specs, store, keep)
+        plan = GraphRun(specs, params).forward({"x": x.data}, outputs=keep)
+        assert (art.main_logits.data == plan[net.main_logits]).all()
+        assert (art.fused_feature.data == plan[net.fused]).all()
+        unfolded = run_forward(net.specs, store, {"x": x.data})[net.main_logits]
+        assert np.abs(art.main_logits.data - unfolded).max() <= 1e-4 * np.abs(unfolded).max()
+
+    def test_two_infer_calls_bitwise_equal(self):
+        store = _trained_like_store(TINY, 54)
+        before = {k: e.value.copy() for k, e in store.items()}
+        x = _rand_input(1, 64, 64, seed=55)
+        a = network_forward(x, store, TINY).main_logits.data
+        b = network_forward(x, store, TINY).main_logits.data
+        assert (a == b).all()
+        assert all((store.get(k).value == v).all() for k, v in before.items())
 
 
 def _fake_net(n_aux=2):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from biseg import ops
 from biseg.errors import ArgumentError, ShapeError
 from biseg.ops import (
     BatchNormParams,
@@ -63,6 +64,9 @@ CONV_CASES = [
     (1, 4, 9, 9, 4, 3, 2, 1, 4, True),    # strided depthwise
     (1, 3, 9, 9, 5, 3, 2, 1, 1, True),    # strided RGB stem
     (1, 2, 4, 4, 3, 7, 1, 3, 1, False),   # kernel larger than input
+    (1, 5, 7, 6, 3, 1, 1, 0, 1, True),    # 1x1 stride 1: one matmul into NCHW
+    (2, 4, 9, 7, 6, 1, 2, 0, 1, False),   # 1x1 stride 2 (projection shortcut)
+    (2, 3, 11, 10, 4, 3, 2, 1, 1, True),  # strided RGB stem, odd extents, batch 2
 ]
 
 
@@ -81,6 +85,21 @@ class TestConvForward:
             stride, pad, groups,
         )
         assert out.shape == ref.shape
+        assert np.allclose(out, ref, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("case", [c for c in CONV_CASES if c[8] == 1])
+    def test_multi_band_matches_naive(self, case, monkeypatch):
+        # A budget of two output rows per band: every conv with an odd number
+        # of output rows above one ends in a short band.
+        n, c_in, h, w, c_out, k, stride, pad, groups, use_bias = case
+        ow = conv_out_extent(w, k, stride, pad)
+        monkeypatch.setattr(ops, "_BAND_ELEMS", 2 * n * c_in * k * k * ow)
+        rng = Rng(hash(case) & 0xFFF)
+        x = _randn(rng, n, c_in, h, w)
+        weight = _randn(rng, c_out, c_in, k, k)
+        bias = _randn(rng, c_out) if use_bias else None
+        out = conv2d_forward(x, Conv2dParams(weight, bias, stride, pad))
+        ref = naive_conv2d(x, weight, bias, stride, pad)
         assert np.allclose(out, ref, rtol=1e-5, atol=1e-5)
 
     def test_identity_1x1(self):
