@@ -83,8 +83,10 @@ class BenchReport:
 
 
 def environment_descriptor() -> str:
+    """Platform, versions, and the CPUs present and usable by this process."""
     return (f"{platform.platform()} python {platform.python_version()} "
-            f"numpy {np.__version__} cpus {os.cpu_count()}")
+            f"numpy {np.__version__} cpus {os.cpu_count()} "
+            f"usable {len(os.sched_getaffinity(0))}")
 
 
 def run_bench(cfg: EngineConfig, store: ParamStore | None = None,

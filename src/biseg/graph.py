@@ -6,7 +6,8 @@ and produces one new name. Execution walks the sequence in order; the
 backward pass walks it in exact reverse, accumulating gradients by addition
 wherever a value fans out. Inference runs a plan over the same specs:
 fold_bn merges each BN into the conv before it, and a forward given the
-values it must return drops every other value after its last consumer.
+values it must return drops every other value after its last consumer and
+runs the branches that start at the graph inputs concurrently.
 
 Everything the engine knows about a layer kind sits in its LayerKind record
 in KINDS: arity, parameters, shape rule, forward and backward kernels,
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -90,6 +93,8 @@ class LayerKind:
         array shapes) evaluate it on independent inputs
     rf(spec, states) -> RfState; None where the receptive-field walk stops
     params(spec) -> ParamDefs in store order; none by default
+    inplace(spec, xs, p, mode) -> forward that may overwrite xs[0]; the
+        freeing executor uses it when xs[0] dies at this layer
     """
 
     arity: int
@@ -99,6 +104,7 @@ class LayerKind:
     cost: Callable
     rf: Callable | None
     params: Callable = lambda spec: ()
+    inplace: Callable | None = None
 
 
 def kind_of(spec: LayerSpec) -> LayerKind:
@@ -243,6 +249,7 @@ KINDS: dict[str, LayerKind] = {
                                    2 * math.prod(out))),
     "relu": LayerKind(
         arity=1, shape=_first, forward=lambda spec, xs, p, mode: ops.relu(xs[0]),
+        inplace=lambda spec, xs, p, mode: ops.relu(xs[0], out=xs[0]),
         backward=lambda spec, xs, y, gy, p, mode: ((ops.relu_backward(xs[0], gy),), {}),
         cost=_flops(1), rf=_first),
     "sigmoid": LayerKind(
@@ -441,6 +448,40 @@ class OpCounter:
         self.rows[name] = (prev[0] + macs, prev[1] + flops)
 
 
+def split_branches(specs, input_names) -> tuple[list[list[LayerSpec]], list[LayerSpec]]:
+    """Split specs into the independent branches rooted at the graph inputs.
+
+    A spec that reads only graph inputs is its own root; any other spec's
+    roots are the union of its producers' roots. The specs with a single
+    root form that root's branch; the rest, which join branches, form the
+    tail. Both keep the spec order. Returns (branches, tail).
+    """
+    roots: dict[str, frozenset] = dict.fromkeys(input_names, frozenset())
+    groups: dict[str, list[LayerSpec]] = {}
+    tail = []
+    for spec in specs:
+        own = frozenset().union(*(roots[name] for name in spec.inputs)) or frozenset([spec.name])
+        roots[spec.output] = own
+        if len(own) == 1:
+            groups.setdefault(next(iter(own)), []).append(spec)
+        else:
+            tail.append(spec)
+    return list(groups.values()), tail
+
+
+_pool: tuple[int, ThreadPoolExecutor] | None = None  # (workers, executor), made on first use
+_pool_lock = threading.Lock()
+
+
+def _branch_pool(workers: int) -> ThreadPoolExecutor:
+    """The shared pool for branches after the first, grown to the widest graph."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] < workers:
+            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="biseg-branch"))
+        return _pool[1]
+
+
 class GraphRun:
     """One forward (and optional backward) execution of a spec sequence."""
 
@@ -456,45 +497,70 @@ class GraphRun:
         self._input_names: tuple[str, ...] = ()
 
     def forward(self, inputs: dict, outputs=None, counter: OpCounter | None = None) -> dict:
-        """Run every spec in order; returns the value dict.
+        """Run every spec; returns the value dict.
 
+        Without outputs the specs run in order and every value is kept.
         With outputs (value names), each other value is dropped after its
         last consumer and only the named values are returned; such a run
-        cannot be followed by backward.
+        cannot be followed by backward. It runs the split_branches() branches
+        at the same time, the first on the calling thread, then the tail.
         """
         validate_graph(self.specs, inputs.keys())
         self._input_names = tuple(inputs.keys())
-        drop_after = [[] for _ in self.specs]
+        if outputs is None:
+            groups, tail = [self.specs], []
+        else:
+            groups, tail = split_branches(self.specs, inputs.keys())
+        order = [spec for group in (*groups, tail) for spec in group]
+        dead: dict[str, list[str]] = {spec.name: [] for spec in order}
         if outputs is not None:
             keep = set(outputs)
-            last_use = dict.fromkeys(inputs, 0)
-            for i, spec in enumerate(self.specs):
-                last_use.update(dict.fromkeys((*spec.inputs, spec.output), i))
+            last_use = dict.fromkeys(inputs, order[0].name)
+            for spec in order:  # execution order: every branch before the tail
+                last_use.update(dict.fromkeys((*spec.inputs, spec.output), spec.name))
             missing = keep - last_use.keys()
             if missing:
                 raise GraphError(f"requested values {sorted(missing)} are never produced")
-            for name, i in last_use.items():
+            for name, at in last_use.items():
                 if name not in keep:
-                    drop_after[i].append(name)
-        vals = dict(inputs)
-        for spec, dead in zip(self.specs, drop_after):
+                    dead[at].append(name)
+        futures = [_branch_pool(len(groups) - 1).submit(
+            self._run, group, dict(inputs), dead, counter) for group in groups[1:]]
+        try:
+            done = [self._run(groups[0], dict(inputs), dead, counter)]
+        finally:
+            wait(futures)
+        done += [f.result() for f in futures]
+        vals = {}
+        for branch_vals in done:
+            vals.update(branch_vals)
+        for spec in order[: len(order) - len(tail)]:
+            for name in dead[spec.name]:  # a graph input dropped by one branch
+                vals.pop(name, None)  # is still held by the others
+        self.values = self._run(tail, vals, dead, counter)
+        self.freed = outputs is not None
+        return self.values
+
+    def _run(self, specs, vals: dict, dead: dict, counter: OpCounter | None) -> dict:
+        """Run specs in order on vals, dropping dead[spec.name] after each."""
+        for spec in specs:
             kind = KINDS[spec.kind]
             xs = [vals[name] for name in spec.inputs]
             kind.shape(spec, [x.shape for x in xs])  # operands must fit the kind
             p = self._params[spec.name] = {
                 d.suffix: self.store.get(f"{spec.name}.{d.suffix}").value
                 for d in kind.params(spec)}
-            out = kind.forward(spec, xs, p, self.mode)
+            reuse = (kind.inplace is not None and spec.inputs[0] in dead[spec.name]
+                     and spec.inputs[0] not in self._input_names)
+            out = (kind.inplace if reuse else kind.forward)(spec, xs, p, self.mode)
             if counter is not None:
                 # Measured from the arrays involved, not from the spec.
                 _, macs, flops = kind.cost(
                     [x.shape for x in xs], out.shape, {k: v.shape for k, v in p.items()})
                 counter.record(spec.name, macs, flops)
             vals[spec.output] = out
-            for name in dead:
+            for name in dead[spec.name]:
                 del vals[name]
-        self.freed = outputs is not None
-        self.values = vals
         return vals
 
     def backward(self, seed_grads: dict) -> tuple[dict, dict]:

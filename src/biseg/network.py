@@ -355,14 +355,26 @@ def joint_loss_on_values(values: dict, net: GraphDef, labels: np.ndarray,
 
 
 def predict_full_res(main_logits: Tensor, input_h: int, input_w: int) -> np.ndarray:
-    """Bilinear x8 upsample then per-pixel argmax (ties pick the lowest id)."""
-    n, _, h8, w8 = main_logits.data.shape
+    """Bilinear x8 upsample then per-pixel argmax (ties pick the lowest id).
+
+    Runs in bands of output rows, each upsampled through its rows of the
+    interpolation matrix and reduced at once, so the full-resolution logits
+    are never held; the mask equals argmax(bilinear_upsample(logits, 8)).
+    """
+    x = main_logits.data
+    n, c, h8, w8 = x.shape
     if (h8 * 8, w8 * 8) != (input_h, input_w):
         raise ShapeError(
             f"logits {main_logits.shape} do not upsample to ({input_h},{input_w})"
         )
-    up = ops.bilinear_upsample(main_logits.data, 8)
-    return np.argmax(up, axis=1).astype(np.int32)
+    ah = ops.interp_matrix(h8, input_h, x.dtype)
+    aw_t = ops.interp_matrix(w8, input_w, x.dtype).T
+    mask = np.empty((n, input_h, input_w), dtype=np.int32)
+    rows = ops.band_rows(input_h, n * c * input_w)
+    for r0 in range(0, input_h, rows):
+        band = np.matmul(np.matmul(ah[r0 : r0 + rows], x), aw_t)
+        mask[:, r0 : r0 + rows] = np.argmax(band, axis=1)
+    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .errors import ArgumentError, DataError, ShapeError
 IGNORE = 255  # void label: no loss, no gradient, not counted in metrics
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # weight of the old running statistic per update
-_BAND_ELEMS = 1 << 23  # im2col elements per conv band (32 MiB in float32)
+_BAND_ELEMS = 1 << 20  # elements per conv im2col or prediction band (4 MiB in float32)
 
 
 def conv_out_extent(extent: int, k: int, stride: int, pad: int) -> int:
@@ -86,6 +86,11 @@ def _tap(xp: np.ndarray, ki: int, kj: int, stride: int, oh: int, ow: int) -> np.
     ]
 
 
+def band_rows(rows: int, per_row: int) -> int:
+    """Rows per band so that a band holds at most _BAND_ELEMS elements (at least one row)."""
+    return min(rows, max(1, _BAND_ELEMS // per_row))
+
+
 def _conv_fwd_dense(xp, w, stride, oh, ow):
     """Dense conv as matmuls that write NCHW directly.
 
@@ -102,7 +107,7 @@ def _conv_fwd_dense(xp, w, stride, oh, ow):
         np.matmul(w2, xp.reshape(n, c_in, oh * ow), out=flat)
         return y
     per_row = n * w2.shape[1] * ow  # column elements per output row
-    rows = min(oh, max(1, _BAND_ELEMS // per_row))
+    rows = band_rows(oh, per_row)
     buf = np.empty(per_row * rows, dtype=xp.dtype)
     for r0 in range(0, oh, rows):
         r = min(rows, oh - r0)
@@ -265,8 +270,9 @@ def batchnorm_backward(
 # ---------------------------------------------------------------------------
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0); out=x overwrites the input."""
+    return np.maximum(x, 0, out=out)
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
@@ -315,15 +321,14 @@ def interp_matrix(src: int, dst: int, dtype=np.float32) -> np.ndarray:
     """
     if src < 1 or dst < 1:
         raise ShapeError("interp_matrix extents must be positive")
+    d = np.arange(dst)
+    s = (d + 0.5) * src / dst - 0.5
+    s0 = np.floor(s)
+    t = s - s0
     a = np.zeros((dst, src), dtype=np.float64)
-    for d in range(dst):
-        s = (d + 0.5) * src / dst - 0.5
-        s0 = int(np.floor(s))
-        t = s - s0
-        i0 = min(max(s0, 0), src - 1)
-        i1 = min(max(s0 + 1, 0), src - 1)
-        a[d, i0] += 1.0 - t
-        a[d, i1] += t
+    # Edge rows clamp both taps onto one column and sum (1 - t) + t there.
+    np.add.at(a, (d, np.clip(s0, 0, src - 1).astype(np.intp)), 1.0 - t)
+    np.add.at(a, (d, np.clip(s0 + 1, 0, src - 1).astype(np.intp)), t)
     return a.astype(dtype)
 
 

@@ -111,6 +111,19 @@ def naive_bilinear_upsample(x, factor):
     return out
 
 
+def loop_interp_matrix(src, dst):
+    """Half-pixel row-interpolation matrix (dst x src), one output row at a
+    time in float64; the edge rows add (1 - t) and then t into one column."""
+    a = np.zeros((dst, src))
+    for d in range(dst):
+        s = (d + 0.5) * src / dst - 0.5
+        s0 = math.floor(s)
+        t = s - s0
+        a[d, min(max(s0, 0), src - 1)] += 1.0 - t
+        a[d, min(max(s0 + 1, 0), src - 1)] += t
+    return a
+
+
 def naive_softmax_ce(logits, labels, ignore_index=255):
     """Mean CE over non-ignored pixels, float64; returns (loss, n_valid)."""
     logits = np.asarray(logits, dtype=np.float64)

@@ -318,6 +318,8 @@ class TestCliHappyPath:
             assert row["mean_ms"] > 0
         text = capsys.readouterr().out
         assert "mean ms" in text and "config_hash" in text
+        cpus = f"cpus {os.cpu_count()} usable {len(os.sched_getaffinity(0))}"
+        assert report["environment"].endswith(cpus)
 
     def test_bench_e2e_flag(self, workspace):
         jpath = workspace["root"] / "bench_e2e.json"

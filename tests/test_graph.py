@@ -1,5 +1,7 @@
 """Graph executor, parameter store, SGD schedule, and checkpoint format."""
 
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -23,12 +25,14 @@ from biseg.graph import (
     forward_backward,
     infer_shapes,
     init_params,
+    OpCounter,
     load_checkpoint,
     poly_lr,
     restore_into,
     run_forward,
     save_checkpoint,
     sgd_step,
+    split_branches,
     validate_graph,
 )
 from biseg.ops import (
@@ -356,9 +360,9 @@ class TestFreeingForward:
         seen = {}
         relu, sigmoid = ops.relu, ops.sigmoid
 
-        def spy_relu(a):  # r1 is the last consumer of "a"
+        def spy_relu(a, out=None):  # r1 is the last consumer of "a"
             seen["a"] = weakref.ref(a)
-            return relu(a)
+            return relu(a, out=out)
 
         def spy_sigmoid(y):  # g1 runs last
             seen["alive"] = seen["a"]() is not None
@@ -383,6 +387,138 @@ class TestFreeingForward:
         specs, store, x = self._graph()
         with pytest.raises(GraphError, match="never produced"):
             GraphRun(specs, store).forward({"x": x}, outputs=("ghost",))
+
+    def test_relu_writes_into_a_dying_input(self, monkeypatch):
+        specs, store, x = self._graph()
+        specs.append(unary("relu", "r2", "x", "rx"))  # reads the graph input
+        calls = []
+        orig = ops.relu
+
+        def spy_relu(a, out=None):
+            calls.append((a, out))
+            return orig(a, out=out)
+
+        monkeypatch.setattr(ops, "relu", spy_relu)
+        full = run_forward(specs, store, {"x": x})
+        assert all(out is None for _a, out in calls)
+        calls.clear()
+        got = GraphRun(specs, store).forward({"x": x}, outputs=("y", "rx"))
+        outs = {a is x: (a, out) for a, out in calls}  # r2 runs as its own branch
+        assert outs[False][1] is outs[False][0]  # "a" dies at r1
+        assert outs[True][1] is None  # a graph input is never overwritten
+        assert (got["y"] == full["y"]).all() and (got["rx"] == full["rx"]).all()
+        calls.clear()
+        GraphRun(specs, store).forward({"x": x}, outputs=("y", "a"))
+        assert calls[0][1] is None  # a requested value is never overwritten
+
+
+class TestBranches:
+    """The freeing forward runs the branches rooted at the graph inputs at
+    the same time, then the tail that joins them."""
+
+    def _graph(self):
+        specs = [
+            conv_spec("p1", "x", "p", 2, 3),          # branch "p1"
+            conv_spec("q1", "x", "q", 2, 3, k=1, padding=0),  # branch "q1"
+            binary("concat", "cat", "p", "q", "c"),   # tail, listed before branch layers
+            unary("relu", "pr", "p", "pa"),           # so "p" and "q" die in the tail
+            unary("sigmoid", "qs", "q", "qa"),
+            conv_spec("q2", "qa", "qb", 3, 3),
+            unary("sigmoid", "qt", "qb", "qc"),
+            binary("concat", "cat2", "pa", "qc", "d"),
+            conv_spec("f", "c", "y", 6, 2, k=1, padding=0),
+            conv_spec("g", "d", "w", 6, 2, k=1, padding=0),
+            binary("add", "s", "y", "w", "z"),
+        ]
+        store = ParamStore()
+        init_params(specs, store, Rng(33))
+        x = Rng(34).normal(2 * 2 * 6 * 5).astype(np.float32).reshape(2, 2, 6, 5)
+        return specs, store, x
+
+    def test_split_by_roots(self):
+        specs, _store, _x = self._graph()
+        groups, tail = split_branches(specs, ["x"])
+        assert [[s.name for s in g] for g in groups] == [["p1", "pr"], ["q1", "qs", "q2", "qt"]]
+        assert [s.name for s in tail] == ["cat", "cat2", "f", "g", "s"]
+
+    def test_bitwise_equal_to_sequential(self):
+        specs, store, x = self._graph()
+        full = run_forward(specs, store, {"x": x})
+        got = GraphRun(specs, store).forward({"x": x}, outputs=("z", "qb", "x"))
+        assert sorted(got) == ["qb", "x", "z"]  # qb is produced inside a branch
+        for name in got:
+            assert got[name].tobytes() == full[name].tobytes()
+        assert list(GraphRun(specs, store).forward({"x": x}, outputs=("z",))) == ["z"]
+
+    def test_value_freed_inside_its_branch(self, monkeypatch):
+        specs, store, x = self._graph()
+        seen = {}
+        sigmoid = ops.sigmoid
+
+        def spy_sigmoid(a):
+            if "qa" in seen:  # qt: "qa" died at q2, earlier in the branch
+                seen["alive"] = seen["qa"]() is not None
+                seen["thread"] = threading.current_thread()
+                return sigmoid(a)
+            out = sigmoid(a)  # qs makes "qa"
+            seen["qa"] = weakref.ref(out)
+            return out
+
+        monkeypatch.setattr(ops, "sigmoid", spy_sigmoid)
+        GraphRun(specs, store).forward({"x": x}, outputs=("z",))
+        assert not seen["alive"]
+        assert seen["thread"] is not threading.current_thread()  # a pool worker
+
+    def test_worker_error_reaches_caller(self):
+        specs, store, x = self._graph()
+        specs[5] = conv_spec("q2", "qa", "qb", 4, 3)  # expects 4 channels, gets 3
+        assert specs[5] in split_branches(specs, ["x"])[0][1]
+        with pytest.raises(ShapeError, match="q2"):
+            GraphRun(specs, store).forward({"x": x}, outputs=("z",))
+
+    def test_single_branch_runs_on_the_calling_thread(self, monkeypatch):
+        specs, store, x = TestFreeingForward()._graph()
+        groups, tail = split_branches(specs, ["x"])
+        assert groups == [specs] and tail == []
+        threads = set()
+        orig = ops.conv2d_forward
+
+        def spy_conv(*args):
+            threads.add(threading.current_thread())
+            return orig(*args)
+
+        monkeypatch.setattr(ops, "conv2d_forward", spy_conv)
+        full = run_forward(specs, store, {"x": x})
+        got = GraphRun(specs, store).forward({"x": x}, outputs=("y",))
+        assert threads == {threading.current_thread()}
+        assert got["y"].tobytes() == full["y"].tobytes()
+
+    def test_many_branches_under_thread_switching(self):
+        """More branches than cores, a tiny switch interval and a shared
+        counter: every value and every layer's count survive."""
+        specs = []
+        for b in range(5):
+            specs += [conv_spec(f"c{b}", "x", f"a{b}", 2, 2),
+                      unary("relu", f"r{b}", f"a{b}", f"b{b}"),
+                      conv_spec(f"d{b}", f"b{b}", f"e{b}", 2, 2, k=1, padding=0)]
+        specs.append(binary("add", "j1", "e0", "e1", "s1"))
+        for b in range(2, 5):
+            specs.append(binary("add", f"j{b}", f"s{b - 1}", f"e{b}", f"s{b}"))
+        store = ParamStore()
+        init_params(specs, store, Rng(35))
+        x = Rng(36).normal(2 * 7 * 7).astype(np.float32).reshape(1, 2, 7, 7)
+        ref_counter = OpCounter()
+        ref = run_forward(specs, store, {"x": x}, counter=ref_counter)["s4"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                counter = OpCounter()
+                got = GraphRun(specs, store).forward({"x": x}, outputs=("s4",), counter=counter)
+                assert got["s4"].tobytes() == ref.tobytes()
+                assert counter.rows == ref_counter.rows
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def _bn_chain_store(specs, seed):

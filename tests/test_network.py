@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from biseg import ops
 from biseg.backbone import BackboneConfig, GraphBuilder, backbone_specs
 from biseg.errors import ArgumentError, ShapeError
 from biseg.graph import (
@@ -12,6 +13,7 @@ from biseg.graph import (
     forward_backward,
     init_params,
     run_forward,
+    split_branches,
 )
 from biseg.network import (
     GraphDef,
@@ -319,6 +321,20 @@ class TestInferencePlan:
         unfolded = run_forward(net.specs, store, {"x": x.data})[net.main_logits]
         assert np.abs(art.main_logits.data - unfolded).max() <= 1e-4 * np.abs(unfolded).max()
 
+    @pytest.mark.parametrize("row", ["full", "cp"])
+    def test_plan_splits_into_the_two_paths(self, row):
+        """The spatial and context paths are the branches, joined from the
+        fusion on; a row without a spatial path is one branch."""
+        net = build_network(ablation_configs(NetConfig())[row], train=False)
+        specs, _params = fold_bn(net.specs, _init_store(NetConfig()), _plan_outputs(net))
+        groups, tail = split_branches(specs, [net.input])
+        if row == "cp":
+            assert groups == [specs] and tail == []
+        else:
+            assert [{s.name[:3] for s in g} for g in groups] == [{"cp."}, {"sp."}]
+            assert tail[0].name == "ffm.cat"
+            assert len(specs) == sum(map(len, groups)) + len(tail)
+
     def test_two_infer_calls_bitwise_equal(self):
         store = _trained_like_store(TINY, 54)
         before = {k: e.value.copy() for k, e in store.items()}
@@ -461,6 +477,18 @@ class TestPredict:
         pred = predict_full_res(Tensor(logits), 64, 64)
         ref = np.argmax(naive_bilinear_upsample(logits.astype(np.float64), 8), axis=1)
         assert (pred == ref).all()
+
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    def test_banded_equals_unbanded(self, monkeypatch, rows):
+        """One, a partial last (64 = 21 * 3 + 1) and a single band of rows."""
+        # A seed per case, so no case's mask can reappear in freed memory.
+        logits = Rng(30 + rows).normal(2 * 5 * 8 * 8).astype(np.float32).reshape(2, 5, 8, 8)
+        ref = np.argmax(ops.bilinear_upsample(logits, 8), axis=1)
+        monkeypatch.setattr(ops, "_BAND_ELEMS", rows * 2 * 5 * 64)
+        assert ops.band_rows(64, 2 * 5 * 64) == rows
+        pred = predict_full_res(Tensor(logits), 64, 64)
+        assert pred.dtype == np.int32 and (pred == ref).all()
 
 
 class TestAblations:

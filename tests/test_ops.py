@@ -26,7 +26,15 @@ from biseg.ops import (
 from biseg.graph import LayerSpec, ParamStore, init_params, run_forward
 from biseg.tensor import Rng
 
-from oracles import check_grad, naive_batchnorm_infer, naive_batchnorm_train, naive_bilinear_upsample, naive_conv2d, naive_gap
+from oracles import (
+    check_grad,
+    loop_interp_matrix,
+    naive_batchnorm_infer,
+    naive_batchnorm_train,
+    naive_bilinear_upsample,
+    naive_conv2d,
+    naive_gap,
+)
 
 
 def _randn(rng, *shape):
@@ -372,6 +380,12 @@ class TestActivations:
         out = relu(x)
         assert out.reshape(-1).tolist() == [0.0, 0.0, 0.0, 0.5, 3.0]
 
+    def test_relu_out_overwrites_input(self):
+        x = np.array([-2.0, 0.5, 3.0], dtype=np.float32).reshape(1, 1, 1, 3)
+        ref = relu(x)
+        out = relu(x, out=x)
+        assert out is x and (x == ref).all()
+
     def test_relu_grad_masks(self):
         x = np.array([-1.0, 2.0], dtype=np.float32).reshape(1, 1, 1, 2)
         g = np.array([5.0, 7.0], dtype=np.float32).reshape(1, 1, 1, 2)
@@ -428,6 +442,17 @@ class TestGlobalPool:
         loss = lambda xv: float((global_avg_pool(xv).reshape(-1) * probe).sum())
         grad = lambda xv: global_avg_pool_backward(xv.shape, probe.reshape(xv.shape[0], xv.shape[1], 1, 1))
         assert check_grad(loss, grad, x, eps=1e-6) < 1e-6
+
+
+class TestInterpMatrix:
+    @pytest.mark.parametrize("src,dst", [(1, 1), (1, 8), (3, 24), (8, 64), (45, 360),
+                                         (48, 384), (7, 3), (64, 8), (5, 5), (2, 1)])
+    def test_bitwise_equals_loop(self, src, dst):
+        """Upscale, downscale, src=1 and identity, in both precisions."""
+        ref = loop_interp_matrix(src, dst)
+        for dtype in (np.float64, np.float32):
+            got = ops.interp_matrix(src, dst, dtype)
+            assert got.dtype == dtype and got.tobytes() == ref.astype(dtype).tobytes()
 
 
 class TestUpsample:
