@@ -10,7 +10,7 @@ schedule, netpbm data plumbing with augmentation and synthetic scenes, and
 static-vs-instrumented efficiency accounting.
 """
 
-from .analysis import CostReport, count_layer, count_model, verify_counts
+from .analysis import CostReport, count_model, verify_counts
 from .backbone import BackboneConfig, receptive_field
 from .benchmark import BenchReport, run_bench
 from .config import (
@@ -20,7 +20,6 @@ from .config import (
     config_hash,
     load_config,
     parse_config,
-    save_config,
     serialize_config,
 )
 from .data import (
@@ -37,7 +36,6 @@ from .data import (
     write_ppm,
 )
 from .errors import (
-    AnalysisError,
     ArgumentError,
     ConfigError,
     ConsistencyError,
@@ -47,7 +45,6 @@ from .errors import (
     GraphError,
     NumericAbort,
     ShapeError,
-    SizeError,
 )
 from .graph import (
     KINDS,
@@ -72,7 +69,7 @@ from .network import (
     param_count,
     predict_full_res,
 )
-from .tensor import Rng, Shape, Tensor
+from .tensor import Rng, Tensor
 from .train import evaluate, run_training
 
 __version__ = "0.1.0"

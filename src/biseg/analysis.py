@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph
-from .errors import AnalysisError
 from .graph import LayerSpec, OpCounter, ParamStore
 from .tensor import Rng
 
@@ -80,35 +79,14 @@ class CostReport:
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _kind(spec: LayerSpec) -> graph.LayerKind:
-    kind = graph.KINDS.get(spec.kind)
-    if kind is None:
-        raise AnalysisError(f"no cost model for layer kind {spec.kind!r}")
-    return kind
-
-
 def _row_for(spec: LayerSpec, in_shapes: list[tuple], out_shape: tuple) -> CostRow:
-    kind = _kind(spec)
+    kind = graph.KINDS[spec.kind]
     params, macs, flops = kind.cost(
         in_shapes, out_shape, {d.suffix: d.shape for d in kind.params(spec)})
     return CostRow(
         name=spec.name, kind=spec.kind, output_shape=tuple(out_shape),
         params=int(params), macs=int(macs), flops=int(flops),
     )
-
-
-def count_layer(spec: LayerSpec, input_shape) -> CostRow:
-    """Cost of one layer given its (first) input shape.
-
-    Binary layers accept a dict {value name: shape}; unary layers may pass
-    the plain 4-tuple.
-    """
-    if isinstance(input_shape, dict):
-        shapes = dict(input_shape)
-    else:
-        shapes = {spec.inputs[0]: tuple(input_shape)}
-    in_shapes = [shapes[i] for i in spec.inputs]
-    return _row_for(spec, in_shapes, _kind(spec).shape(spec, in_shapes))
 
 
 def count_model(specs, input_shapes: dict) -> CostReport:

@@ -277,11 +277,6 @@ def load_config(path) -> EngineConfig:
     return parse_config(text, source=str(path))
 
 
-def save_config(cfg: EngineConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_config(cfg))
-
-
 def config_hash(cfg: EngineConfig) -> int:
     """64-bit identity of the canonical serialization."""
     digest = hashlib.blake2b(serialize_config(cfg).encode("utf-8"), digest_size=8)

@@ -187,23 +187,6 @@ def write_palette(palette: dict, path) -> None:
             fh.write(f"{c} {r} {g} {b}\n")
 
 
-def read_palette(path) -> dict[int, tuple[int, int, int]]:
-    pal = {}
-    with open(os.fspath(path), "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4 or not all(p.isdigit() for p in parts):
-                raise DataError(f"{path}:{lineno}: palette line must be 'class r g b'")
-            c, r, g, b = (int(p) for p in parts)
-            pal[c] = (r, g, b)
-    if not pal:
-        raise DataError(f"{path}: empty palette")
-    return pal
-
-
 def write_color_mask(label: np.ndarray, palette: dict, path) -> None:
     """Render a label map through a palette and write it as P6."""
     label = np.asarray(label)

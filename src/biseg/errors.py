@@ -9,10 +9,6 @@ class EngineError(Exception):
     """Base class for all deliberate engine errors."""
 
 
-class SizeError(EngineError):
-    """A shape or element count is out of range (zero, negative, overflow)."""
-
-
 class ShapeError(EngineError):
     """Operands disagree in shape, or an op would produce an empty output."""
 
@@ -44,10 +40,6 @@ class FormatError(EngineError):
 
 class DataError(EngineError):
     """Input data (images, labels, manifests) is unusable."""
-
-
-class AnalysisError(EngineError):
-    """Static cost accounting disagrees with instrumented execution."""
 
 
 class ConfigError(EngineError):

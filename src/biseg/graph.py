@@ -37,7 +37,7 @@ from .errors import (
     GraphError,
     ShapeError,
 )
-from .tensor import Rng, Shape, init_kaiming
+from .tensor import Rng, init_kaiming
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def kind_of(spec: LayerSpec) -> LayerKind:
 
 
 def _kaiming(shape, rng):  # He-normal, fan_in = (c_in / groups) * kh * kw
-    return init_kaiming(Shape(*shape), math.prod(shape[1:]), rng).data
+    return init_kaiming(shape, math.prod(shape[1:]), rng)
 
 
 def _zeros(shape, rng):
@@ -355,18 +355,8 @@ class ParamStore:
         except KeyError:
             raise ConsistencyError(f"parameter {name!r} is not registered") from None
 
-    def names(self):
-        return list(self._entries.keys())
-
     def items(self):
         return self._entries.items()
-
-    def param_count(self, trainable_only: bool = True) -> int:
-        return sum(
-            int(e.value.size)
-            for e in self._entries.values()
-            if e.trainable or not trainable_only
-        )
 
     def as_dtype(self, dtype) -> "ParamStore":
         """Copy of the store with values converted (for verification runs)."""
@@ -770,7 +760,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(f"unknown dtype tag {dtype_tag} for {name!r}", offset=pos - 2)
         dims = struct.unpack(f"<{rank}I", need(pos, 4 * rank, "dims"))
         pos += 4 * rank
-        numel = int(np.prod(dims)) if rank else 1
+        numel = math.prod(dims)
         payload = need(pos, 4 * numel, f"payload of {name!r}")
         pos += 4 * numel
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
@@ -781,24 +771,17 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(tensors=tensors, iteration=iteration, config_hash=config_hash)
 
 
-def restore_into(store: ParamStore, ckpt: Checkpoint, permissive: bool = False) -> list[str]:
+def restore_into(store: ParamStore, ckpt: Checkpoint) -> None:
     """Copy checkpoint tensors into a prepared store.
 
-    Every store entry must be present in the file. Names in the file that the
-    store does not know are an error unless permissive, in which case they are
-    returned as warnings.
+    The file and the store must hold the same names, with the same shapes.
     """
-    warnings = []
     for name, _entry in store.items():
         if name not in ckpt.tensors:
             raise ConsistencyError(f"checkpoint lacks parameter {name!r}")
     for name, value in ckpt.tensors.items():
         if name not in store:
-            msg = f"checkpoint tensor {name!r} has no matching parameter; skipped"
-            if not permissive:
-                raise ConsistencyError(msg)
-            warnings.append(msg)
-            continue
+            raise ConsistencyError(f"checkpoint tensor {name!r} has no matching parameter")
         entry = store.get(name)
         if entry.value.shape != value.shape:
             raise ConsistencyError(
@@ -806,4 +789,3 @@ def restore_into(store: ParamStore, ckpt: Checkpoint, permissive: bool = False) 
                 f"{entry.value.shape}"
             )
         entry.value[...] = value
-    return warnings

@@ -27,7 +27,7 @@ from .backbone import (
 )
 from .errors import ArgumentError, ShapeError
 from .graph import LayerSpec, ParamStore
-from .tensor import Rng, Tensor
+from .tensor import Tensor
 
 _FUSIONS = ("ffm", "sum")
 _CONTEXT_FUSIONS = ("ushape8s", "ushape4s")
@@ -57,8 +57,8 @@ class NetConfig:
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ArgumentError("num_classes must be at least 2")
+        if not 2 <= self.num_classes <= ops.IGNORE:  # byte labels; IGNORE is void
+            raise ArgumentError(f"num_classes must be in [2, {ops.IGNORE}]")
         if len(self.sp_channels) != 3 or any(c < 1 for c in self.sp_channels):
             raise ArgumentError("sp_channels must be three positive widths")
         if self.cp_channels < 1 or self.ffm_channels < 1 or self.head_channels < 1:
@@ -83,8 +83,6 @@ class GraphDef:
     input: str
     main_logits: str
     aux_logits: tuple[str, ...]
-    fused: str
-    attention: tuple[tuple[str, str], ...]  # (label, value name) per gate
 
 
 @dataclass
@@ -93,8 +91,6 @@ class ForwardArtifacts:
 
     main_logits: Tensor
     aux_logits: list[Tensor]
-    fused_feature: Tensor
-    attention_vectors: dict[str, Tensor]
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +107,13 @@ def spatial_path_specs(g: GraphBuilder, cfg: NetConfig, x: str) -> str:
     return y
 
 
-def arm_specs(g: GraphBuilder, name: str, feature: str, channels: int) -> tuple[str, str]:
-    """Channel-attention refinement: feature * sigmoid(BN(1x1(pooled feature))).
-
-    Returns (refined value name, gate value name).
-    """
+def arm_specs(g: GraphBuilder, name: str, feature: str, channels: int) -> str:
+    """Channel-attention refinement: feature * sigmoid(BN(1x1(pooled feature)))."""
     pooled = g.gap(f"{name}.pool", feature)
     a = g.conv(f"{name}.conv", pooled, channels, channels, k=1, p=0)
     a = g.bn(f"{name}.bn", a, channels)
     a = g.sigmoid(f"{name}.gate", a)
-    refined = g.mul(f"{name}.apply", feature, a)
-    return refined, a
+    return g.mul(f"{name}.apply", feature, a)
 
 
 def global_context_specs(g: GraphBuilder, name: str, feature: str, channels: int) -> str:
@@ -135,8 +127,8 @@ def global_context_specs(g: GraphBuilder, name: str, feature: str, channels: int
 def context_path_specs(g: GraphBuilder, cfg: NetConfig, x: str):
     """Backbone plus top-down decoder; output sits at stride 8.
 
-    Returns (cp output name, refined stride-16 tap, refined stride-32 tap,
-    attention list); the aux heads read the two taps.
+    Returns (cp output name, refined stride-16 tap, refined stride-32 tap);
+    the aux heads read the two taps.
     ushape8s folds the stride-16/32 taps only; ushape4s additionally folds
     the stride-8 tap, upsamples to stride 4, and realigns to stride 8 with a
     stride-2 conv (slower, for the decoder-depth comparison).
@@ -144,21 +136,18 @@ def context_path_specs(g: GraphBuilder, cfg: NetConfig, x: str):
     bb_specs, taps = backbone_specs(cfg.backbone, prefix="cp.", input_name=x)
     g.specs.extend(bb_specs)
     c8, c16, c32 = cfg.backbone.stage_channels
-    attention = []
 
     feat32 = taps[32]
     refined32 = feat32
     if cfg.use_arm:
-        refined32, gate32 = arm_specs(g, "cp.arm32", feat32, c32)
-        attention.append(("arm32", gate32))
+        refined32 = arm_specs(g, "cp.arm32", feat32, c32)
     if cfg.use_global_pool:
         ctx = global_context_specs(g, "cp.gp", feat32, c32)
         refined32 = g.add("cp.gp.apply", refined32, ctx)
 
     refined16 = taps[16]
     if cfg.use_arm:
-        refined16, gate16 = arm_specs(g, "cp.arm16", taps[16], c16)
-        attention.append(("arm16", gate16))
+        refined16 = arm_specs(g, "cp.arm16", taps[16], c16)
 
     cpw = cfg.cp_channels
     p32 = g.conv_bn_relu("cp.proj32", refined32, c32, cpw, k=1)
@@ -175,7 +164,7 @@ def context_path_specs(g: GraphBuilder, cfg: NetConfig, x: str):
         out4 = g.upsample("cp.up8", refined8, 2)
         out8 = g.conv_bn_relu("cp.align8", out4, cpw, cpw, k=3, s=2)
 
-    return out8, refined16, refined32, attention
+    return out8, refined16, refined32
 
 
 def ffm_specs(g: GraphBuilder, cfg: NetConfig, sp: str, cp: str,
@@ -217,7 +206,7 @@ def build_network(cfg: NetConfig, train: bool = True) -> GraphDef:
     """
     g = GraphBuilder()
     x = "x"
-    cp_out, tap16, tap32, attention = context_path_specs(g, cfg, x)
+    cp_out, tap16, tap32 = context_path_specs(g, cfg, x)
     cp_c = cfg.cp_channels
     fused = cp_out
     fused_c = cp_c
@@ -241,13 +230,7 @@ def build_network(cfg: NetConfig, train: bool = True) -> GraphDef:
         input=x,
         main_logits=main,
         aux_logits=tuple(aux),
-        fused=fused,
-        attention=tuple(attention),
     )
-
-
-def init_network_params(cfg: NetConfig, store: ParamStore, rng: Rng) -> None:
-    graph.init_params(build_network(cfg, train=True).specs, store, rng)
 
 
 def param_count(cfg: NetConfig, trainable_only: bool = True) -> int:
@@ -266,8 +249,8 @@ def network_forward(x: Tensor, store: ParamStore, cfg: NetConfig,
     """Run the network; aux logits are produced only in train mode.
 
     In infer mode the graph runs as a plan: BN folded into the convs (from
-    the store as it is now, on every call) and each value dropped after its
-    last consumer, except the values returned here.
+    the store as it is now, on every call) and each value but the logits
+    dropped after its last consumer.
     """
     _n, c, h, w = x.data.shape
     if c != INPUT_CHANNELS:
@@ -276,7 +259,7 @@ def network_forward(x: Tensor, store: ParamStore, cfg: NetConfig,
     net = build_network(cfg, train=(mode == "train"))
     inputs = {net.input: x.data}
     if mode == "infer":
-        keep = (net.main_logits, net.fused, *(name for _label, name in net.attention))
+        keep = (net.main_logits,)
         specs, params = graph.fold_bn(net.specs, store, keep)
         values = graph.GraphRun(specs, params, mode).forward(inputs, outputs=keep)
     else:
@@ -284,8 +267,6 @@ def network_forward(x: Tensor, store: ParamStore, cfg: NetConfig,
     return ForwardArtifacts(
         main_logits=Tensor(values[net.main_logits]),
         aux_logits=[Tensor(values[name]) for name in net.aux_logits],
-        fused_feature=Tensor(values[net.fused]),
-        attention_vectors={label: Tensor(values[name]) for label, name in net.attention},
     )
 
 
@@ -300,7 +281,6 @@ class JointLoss:
     main: float
     aux: tuple[float, ...]
     seed_grads: dict  # value name -> grad array
-    all_ignored: bool
 
 
 def _single_ce(logits: np.ndarray, labels: np.ndarray, cfg: NetConfig) -> ops.CeLoss:
@@ -338,7 +318,6 @@ def joint_loss_on_values(values: dict, net: GraphDef, labels: np.ndarray,
         main_grad = ce.grad
     seeds = {net.main_logits: main_grad}
     aux_losses = []
-    all_ignored = ce.all_ignored
     total = ce.loss
     for name in net.aux_logits:
         logits = values[name]
@@ -347,10 +326,9 @@ def joint_loss_on_values(values: dict, net: GraphDef, labels: np.ndarray,
         aux_losses.append(aux_ce.loss)
         seeds[name] = cfg.aux_weight * aux_ce.grad
         total = total + cfg.aux_weight * aux_ce.loss
-        all_ignored = all_ignored and aux_ce.all_ignored
     return JointLoss(
         total=float(total), main=float(ce.loss), aux=tuple(aux_losses),
-        seed_grads=seeds, all_ignored=all_ignored,
+        seed_grads=seeds,
     )
 
 
@@ -365,7 +343,7 @@ def predict_full_res(main_logits: Tensor, input_h: int, input_w: int) -> np.ndar
     n, c, h8, w8 = x.shape
     if (h8 * 8, w8 * 8) != (input_h, input_w):
         raise ShapeError(
-            f"logits {main_logits.shape} do not upsample to ({input_h},{input_w})"
+            f"logits {x.shape} do not upsample to ({input_h},{input_w})"
         )
     ah = ops.interp_matrix(h8, input_h, x.dtype)
     aw_t = ops.interp_matrix(w8, input_w, x.dtype).T

@@ -413,7 +413,7 @@ def _pixel_ce(logits: np.ndarray, labels: np.ndarray):
     return pixel_loss, probs, valid, safe
 
 
-def _ce_from_mask(logits, probs, valid, safe, kept_mask, denom_count):
+def _ce_from_mask(logits, probs, safe, kept_mask, denom_count):
     """Shared assembly: average selected pixel losses, scatter the gradient."""
     grad = probs.copy()
     np.put_along_axis(
@@ -438,7 +438,7 @@ def softmax_ce_loss(logits: np.ndarray, labels: np.ndarray) -> CeLoss:
     if n_valid == 0:
         return CeLoss(0.0, np.zeros_like(logits), 0, 0, all_ignored=True)
     loss = float(pixel_loss[valid].sum() / n_valid)
-    grad = _ce_from_mask(logits, probs, valid, safe, valid, n_valid)
+    grad = _ce_from_mask(logits, probs, safe, valid, n_valid)
     return CeLoss(loss, grad, n_valid, n_valid)
 
 
@@ -473,7 +473,7 @@ def bootstrap_ce_loss(
         kept_flat[kept_idx] = True
         kept_mask = kept_flat.reshape(valid.shape)
     loss = float(pixel_loss[kept_mask].sum() / k)
-    grad = _ce_from_mask(logits, probs, valid, safe, kept_mask, k)
+    grad = _ce_from_mask(logits, probs, safe, kept_mask, k)
     return CeLoss(loss, grad, n_valid, k)
 
 

@@ -1,10 +1,9 @@
-"""Rank-4 NCHW shapes, the image tensor wrapper, and the deterministic RNG.
+"""The image tensor wrapper and the deterministic RNG.
 
 A Tensor is a thin, data-only wrapper over a contiguous float32 numpy array
 laid out (batch, channel, height, width); it carries images through the
 data, inference and benchmark code, while the graph executor works on raw
-arrays. The flat offset of element (n, c, h, w) is
-((n * C + c) * H + h) * W + w.
+arrays.
 
 Randomness comes from a counter-based SplitMix64 generator so that a seed
 produces the same stream everywhere regardless of platform RNG defaults.
@@ -12,47 +11,11 @@ produces the same stream everywhere regardless of platform RNG defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError, SizeError
-
-# Largest element count we accept; keeps byte sizes well inside addressable
-# range on 64-bit platforms.
-_MAX_NUMEL = 1 << 61
-
-
-@dataclass(frozen=True)
-class Shape:
-    """Static NCHW extents. All four must be at least 1."""
-
-    n: int
-    c: int
-    h: int
-    w: int
-
-    def __post_init__(self):
-        for axis, value in zip("nchw", (self.n, self.c, self.h, self.w)):
-            if not isinstance(value, int) or value < 1:
-                raise SizeError(f"shape axis '{axis}' must be a positive int, got {value!r}")
-        if self.numel() > _MAX_NUMEL:
-            raise SizeError(f"element count {self.numel()} overflows the supported range")
-
-    def numel(self) -> int:
-        return self.n * self.c * self.h * self.w
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.n, self.c, self.h, self.w)
-
-    def offset_of(self, n: int, c: int, h: int, w: int) -> int:
-        """Flat index of element (n, c, h, w) in the contiguous buffer."""
-        if not (0 <= n < self.n and 0 <= c < self.c and 0 <= h < self.h and 0 <= w < self.w):
-            raise SizeError(f"index ({n},{c},{h},{w}) out of bounds for {self}")
-        return ((n * self.c + c) * self.h + h) * self.w + w
-
-    def __str__(self):
-        return f"({self.n},{self.c},{self.h},{self.w})"
+from .errors import ArgumentError, ShapeError
 
 
 class Tensor:
@@ -66,17 +29,6 @@ class Tensor:
         if data.dtype != np.float32:
             raise ShapeError(f"tensor data must be float32, got {data.dtype}")
         self.data = np.ascontiguousarray(data)
-
-    @property
-    def shape(self) -> Shape:
-        n, c, h, w = self.data.shape
-        return Shape(n, c, h, w)
-
-    def numel(self) -> int:
-        return int(self.data.size)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape})"
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +118,10 @@ class Rng:
 # ---------------------------------------------------------------------------
 
 
-def init_kaiming(shape: Shape, fan_in: int, rng: Rng) -> Tensor:
+def init_kaiming(shape: tuple, fan_in: int, rng: Rng) -> np.ndarray:
     """He-normal init: Normal(0, sqrt(2 / fan_in)) truncated to float32."""
     if fan_in < 1:
         raise ArgumentError(f"fan_in must be >= 1, got {fan_in}")
     std = float(np.sqrt(2.0 / fan_in))
-    draws = rng.normal(shape.numel(), std=std)
-    return Tensor(draws.astype(np.float32).reshape(shape.as_tuple()))
+    draws = rng.normal(math.prod(shape), std=std)
+    return draws.astype(np.float32).reshape(shape)

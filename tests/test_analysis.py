@@ -6,9 +6,9 @@ import json
 import pytest
 
 from biseg import graph
-from biseg.analysis import count_layer, count_model, verify_counts
+from biseg.analysis import count_model, verify_counts
 from biseg.backbone import BackboneConfig, backbone_specs
-from biseg.errors import AnalysisError
+from biseg.errors import GraphError
 from biseg.graph import LayerSpec, infer_shapes
 from biseg.network import NetConfig, build_network
 from biseg.tensor import Rng
@@ -30,10 +30,19 @@ def _binary(kind, name, a, b, dst):
     return LayerSpec(kind=kind, name=name, inputs=(a, b), output=dst)
 
 
+def _one_row(spec, input_shape):
+    """The one row of a one-layer model; input_shape is a {name: shape}
+    dict, or the plain shape of a unary layer's input."""
+    if not isinstance(input_shape, dict):
+        input_shape = {spec.inputs[0]: input_shape}
+    (row,) = count_model([spec], input_shape).rows
+    return row
+
+
 class TestLayerRows:
     def test_reference_conv_row(self):
         spec = _conv("c", "x", "y", 3, 8)
-        row = count_layer(spec, (1, 3, 32, 32))
+        row = _one_row(spec, (1, 3, 32, 32))
         assert row.params == 216
         assert row.macs == 221_184
         assert row.flops == 442_368
@@ -41,55 +50,55 @@ class TestLayerRows:
 
     def test_bias_adds_output_channels_only(self):
         spec = _conv("c", "x", "y", 3, 8, bias=True)
-        row = count_layer(spec, (1, 3, 32, 32))
+        row = _one_row(spec, (1, 3, 32, 32))
         assert row.params == 224
         assert row.macs == 221_184
 
     def test_pointwise_macs_formula(self):
         c, h, w, n = 5, 6, 7, 2
         spec = _conv("c", "x", "y", c, c, k=1, p=0)
-        row = count_layer(spec, (n, c, h, w))
+        row = _one_row(spec, (n, c, h, w))
         assert row.macs == c * c * h * w * n
 
     def test_depthwise_divides_by_groups(self):
         spec = _conv("c", "x", "y", 8, 8, k=3, groups=8)
-        row = count_layer(spec, (1, 8, 10, 10))
+        row = _one_row(spec, (1, 8, 10, 10))
         assert row.params == 8 * 9
         assert row.macs == 8 * 9 * 100
 
     def test_strided_conv_uses_output_extent(self):
         spec = _conv("c", "x", "y", 4, 4, k=3, s=2)
-        row = count_layer(spec, (1, 4, 16, 16))
+        row = _one_row(spec, (1, 4, 16, 16))
         assert row.output_shape == (1, 4, 8, 8)
         assert row.macs == 4 * 4 * 9 * 8 * 8
 
     def test_bn_row(self):
-        row = count_layer(_unary("bn", "b", "x", "y", in_channels=4), (1, 4, 5, 5))
+        row = _one_row(_unary("bn", "b", "x", "y", in_channels=4), (1, 4, 5, 5))
         assert (row.params, row.macs, row.flops) == (8, 0, 200)
 
     def test_elementwise_rows(self):
         shape = (1, 4, 5, 5)
-        assert count_layer(_unary("relu", "r", "x", "y"), shape).flops == 100
-        assert count_layer(_unary("sigmoid", "s", "x", "y"), shape).flops == 400
-        gap = count_layer(_unary("gap", "g", "x", "y"), shape)
+        assert _one_row(_unary("relu", "r", "x", "y"), shape).flops == 100
+        assert _one_row(_unary("sigmoid", "s", "x", "y"), shape).flops == 400
+        gap = _one_row(_unary("gap", "g", "x", "y"), shape)
         assert gap.output_shape == (1, 4, 1, 1)
         assert gap.flops == 100 + 4
-        up = count_layer(_unary("upsample", "u", "x", "y", factor=2), shape)
+        up = _one_row(_unary("upsample", "u", "x", "y", factor=2), shape)
         assert up.output_shape == (1, 4, 10, 10)
         assert up.flops == 7 * 400
 
     def test_binary_rows(self):
         shapes = {"a": (1, 4, 5, 5), "b": (1, 4, 5, 5)}
-        assert count_layer(_binary("add", "p", "a", "b", "y"), shapes).flops == 100
-        assert count_layer(_binary("mul", "m", "a", "b", "y"), shapes).flops == 100
-        cat = count_layer(_binary("concat", "c", "a", "b", "y"), shapes)
+        assert _one_row(_binary("add", "p", "a", "b", "y"), shapes).flops == 100
+        assert _one_row(_binary("mul", "m", "a", "b", "y"), shapes).flops == 100
+        cat = _one_row(_binary("concat", "c", "a", "b", "y"), shapes)
         assert (cat.params, cat.macs, cat.flops) == (0, 0, 0)
         assert cat.output_shape == (1, 8, 5, 5)
 
     def test_unknown_kind_rejected(self):
         spec = LayerSpec(kind="matmul", name="m", inputs=("a", "b"), output="y")
-        with pytest.raises(AnalysisError):
-            count_layer(spec, {"a": (1, 2, 4, 4), "b": (1, 2, 4, 4)})
+        with pytest.raises(GraphError):
+            _one_row(spec, {"a": (1, 2, 4, 4), "b": (1, 2, 4, 4)})
 
 
 class TestModelTotals:

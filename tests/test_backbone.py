@@ -14,7 +14,7 @@ from biseg.backbone import (
 )
 from biseg.errors import ArgumentError, ShapeError
 from biseg.graph import GraphRun, LayerSpec, ParamStore, infer_shapes, init_params, run_forward
-from biseg.network import NetConfig, init_network_params, network_forward
+from biseg.network import NetConfig, build_network, network_forward
 from biseg.tensor import Rng, Tensor
 
 from oracles import backbone_param_formula
@@ -69,7 +69,7 @@ class TestShapes:
         cfg = NetConfig(num_classes=3, sp_channels=(4, 4, 8), cp_channels=8, ffm_channels=16,
                         head_channels=4, backbone=TINY)
         store = ParamStore()
-        init_network_params(cfg, store, Rng(0))
+        init_params(build_network(cfg).specs, store, Rng(0))
         with pytest.raises(ShapeError):
             network_forward(Tensor(np.zeros((1, 3, 65, 64), dtype=np.float32)), store, cfg)
 
@@ -106,7 +106,7 @@ class TestParams:
         expect = backbone_param_formula(
             cfg.stem_channels, cfg.stage_channels, cfg.blocks_per_stage, INPUT_CHANNELS
         )
-        assert store.param_count(trainable_only=True) == expect
+        assert sum(e.value.size for _name, e in store.items() if e.trainable) == expect
 
     def test_init_deterministic(self):
         s1, s2 = _init(TINY, 9), _init(TINY, 9)

@@ -18,7 +18,6 @@ from biseg.config import (
     config_hash,
     load_config,
     parse_config,
-    save_config,
     serialize_config,
 )
 from biseg.data import SegDataset, read_pgm, read_ppm, synth_shapes, write_ppm
@@ -161,6 +160,13 @@ class TestConfigForms:
         with pytest.raises(ConfigError):
             parse_config("train.momentum = 1.5\n")
 
+    def test_num_classes_fit_byte_labels(self):
+        # labels are bytes and 255 is the void label, so 255 classes is the most
+        assert parse_config("model.num_classes = 255\n").model.num_classes == 255
+        for n in (256, 300):
+            with pytest.raises(ConfigError, match="num_classes"):
+                parse_config(f"model.num_classes = {n}\n")
+
     def test_hash_tracks_content(self):
         a = config_hash(EngineConfig())
         b = config_hash(parse_config("seed = 1\n"))
@@ -170,7 +176,7 @@ class TestConfigForms:
     def test_file_round_trip(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "engine.cfg"
-        save_config(cfg, path)
+        path.write_text(serialize_config(cfg))
         assert load_config(path) == cfg
 
     def test_missing_config_file(self, tmp_path):
@@ -376,6 +382,13 @@ class TestCliErrors:
         assert main(["analyze", "--config", str(bad), "--res", "64x64"]) == 2
         assert capsys.readouterr().err.startswith("error[config]: ")
 
+    @pytest.mark.parametrize("classes", [256, 300])
+    def test_too_many_classes_exit_2(self, tmp_path, capsys, classes):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(tiny_config_text(**{"model.num_classes": classes}))
+        assert main(["analyze", "--config", str(bad), "--res", "64x64"]) == 2
+        assert capsys.readouterr().err.startswith("error[config]: ")
+
     def test_bad_res_exit_2(self, capsys):
         assert main(["analyze", "--res", "banana"]) == 2
         assert capsys.readouterr().err.startswith("error[config]: ")
@@ -425,7 +438,8 @@ class TestCliErrors:
         assert rc == 3
         assert capsys.readouterr().err.startswith("error[data]: ")
 
-    @pytest.mark.parametrize("damage", ["truncated", "appended", "bad_name", "dup_name"])
+    @pytest.mark.parametrize("damage", ["truncated", "appended", "bad_name", "dup_name",
+                                        "huge_dims"])
     def test_corrupt_checkpoint_exit_3(self, workspace, tmp_path, capsys, damage):
         blob = workspace["ckpt"].read_bytes()
         if damage == "truncated":
@@ -436,6 +450,11 @@ class TestCliErrors:
             damaged = [blob + b"\x00", blob + blob[-16:]]
         elif damage == "bad_name":
             damaged = [blob[:12] + b"\xff" + blob[13:]]  # first byte of the first name
+        elif damage == "huge_dims":  # first tensor as rank 4 of 2**16 each: 2**64 elements
+            (name_len,) = struct.unpack_from("<H", blob, 10)
+            at = 13 + name_len
+            huge = bytes([4]) + struct.pack("<4I", *(1 << 16,) * 4)
+            damaged = [blob[:at] + huge + blob[at + 1 + 4 * blob[at]:]]
         else:  # the first tensor record twice, with the count raised to match
             (count,) = struct.unpack_from("<I", blob, 6)
             (name_len,) = struct.unpack_from("<H", blob, 10)

@@ -14,7 +14,6 @@ from biseg.data import (
     expected_class_fraction,
     miou,
     read_manifest,
-    read_palette,
     read_pgm,
     read_ppm,
     resize_nearest_labels,
@@ -121,7 +120,8 @@ class TestPalette:
         pal = default_palette(5)
         path = tmp_path / "palette.txt"
         write_palette(pal, path)
-        assert read_palette(path) == pal
+        rows = [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+        assert {c: (r, g, b) for c, r, g, b in rows} == pal
 
     def test_color_mask_pixels(self, tmp_path):
         lbl = np.array([[0, 1], [2, IGNORE]], dtype=np.uint8)

@@ -1,5 +1,7 @@
 """Two-path network assembly: paths, attention, fusion, loss, ablations."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,6 @@ from biseg.network import (
     context_path_specs,
     ffm_specs,
     global_context_specs,
-    init_network_params,
     joint_loss_on_values,
     network_forward,
     param_count,
@@ -56,7 +57,7 @@ def _rand_input(n, h, w, seed=0):
 
 def _init_store(cfg, seed=0):
     store = ParamStore()
-    init_network_params(cfg, store, Rng(seed))
+    init_params(build_network(cfg).specs, store, Rng(seed))
     return store
 
 
@@ -97,10 +98,10 @@ class TestSpatialPath:
 
 def _arm(feat, seed, store=None):
     """Refinement block "arm" over feat; returns (refined, gate vector, store)."""
-    values, (refined, gate_name), store = _run_sub(
+    values, refined, store = _run_sub(
         lambda g: arm_specs(g, "arm", "feat", feat.shape[1]), {"feat": feat}, seed,
         store=store)
-    return values[refined], values[gate_name], store
+    return values[refined], values["arm.gate"], store
 
 
 class TestAttentionRefine:
@@ -123,7 +124,7 @@ class TestAttentionRefine:
 
 class TestContextPath:
     def test_output_shapes(self):
-        values, (out, tap16, tap32, _), _ = _run_sub(
+        values, (out, tap16, tap32), _ = _run_sub(
             lambda g: context_path_specs(g, TINY, "x"), {"x": _rand_input(1, 64, 64).data}, 9)
         assert values[out].shape == (1, 16, 8, 8)
         assert values[tap16].shape == (1, 16, 4, 4)
@@ -156,7 +157,7 @@ class TestContextPath:
             num_classes=3, sp_channels=(8, 8, 16), cp_channels=16, ffm_channels=32,
             head_channels=8, context_fusion="ushape4s", backbone=TINY_BB,
         )
-        values, (out, _, _, _), _ = _run_sub(
+        values, (out, _, _), _ = _run_sub(
             lambda g: context_path_specs(g, cfg, "x"), {"x": _rand_input(1, 64, 64).data}, 12)
         assert values[out].shape == (1, 16, 8, 8)
         names = {s.name for s in build_network(cfg).specs}
@@ -164,10 +165,12 @@ class TestContextPath:
 
     def test_arm_gates_recorded(self):
         store = _init_store(TINY)
-        art = network_forward(_rand_input(1, 64, 64), store, TINY)
-        assert set(art.attention_vectors) == {"arm32", "arm16"}
-        for gate in art.attention_vectors.values():
-            assert (gate.data > 0).all() and (gate.data < 1).all()
+        net = build_network(TINY, train=False)
+        values = run_forward(net.specs, store, {"x": _rand_input(1, 64, 64).data})
+        for name, c in (("cp.arm32.gate", 32), ("cp.arm16.gate", 16)):
+            gate = values[name]
+            assert gate.shape == (1, c, 1, 1)
+            assert (gate > 0).all() and (gate < 1).all()
 
 
 class TestFeatureFusion:
@@ -226,10 +229,12 @@ class TestFeatureFusion:
 class TestFullForward:
     def test_train_mode_shapes(self):
         store = _init_store(TINY)
-        art = network_forward(_rand_input(2, 64, 64, seed=18), store, TINY, mode="train")
+        x = _rand_input(2, 64, 64, seed=18)
+        art = network_forward(x, store, TINY, mode="train")
         assert art.main_logits.data.shape == (2, 3, 8, 8)
         assert [t.data.shape for t in art.aux_logits] == [(2, 3, 4, 4), (2, 3, 2, 2)]
-        assert art.fused_feature.data.shape == (2, 32, 8, 8)
+        values = run_forward(build_network(TINY).specs, store, {"x": x.data}, mode="train")
+        assert values["ffm.out"].shape == (2, 32, 8, 8)
 
     def test_infer_mode_has_no_aux(self):
         store = _init_store(TINY)
@@ -242,7 +247,7 @@ class TestFullForward:
             head_channels=8, use_spatial_path=False, backbone=TINY_BB,
         )
         store = _init_store(cfg)
-        assert not any(name.startswith("sp.") for name in store.names())
+        assert not any(name.startswith("sp.") for name, _entry in store.items())
         art = network_forward(_rand_input(1, 64, 64), store, cfg)
         assert art.main_logits.data.shape == (1, 3, 8, 8)
 
@@ -284,10 +289,6 @@ def _trained_like_store(cfg, seed):
     return store
 
 
-def _plan_outputs(net):
-    return (net.main_logits, net.fused, *(name for _label, name in net.attention))
-
-
 class TestInferencePlan:
     """network_forward in infer mode runs BN folded into the convs, with
     each value freed after its last use; the paper topology is unchanged."""
@@ -299,7 +300,7 @@ class TestInferencePlan:
         store = _trained_like_store(cfg, 50).as_dtype(np.float64)
         x = Rng(51).normal(3 * 64 * 64, std=40.0).reshape(1, 3, 64, 64)
         ref = run_forward(net.specs, store, {"x": x})
-        keep = _plan_outputs(net)
+        keep = (net.main_logits,)
         specs, params = fold_bn(net.specs, store, keep)
         assert not any(s.kind == "bn" for s in specs)
         got = GraphRun(specs, params).forward({"x": x}, outputs=keep)
@@ -313,11 +314,10 @@ class TestInferencePlan:
         x = _rand_input(1, 64, 64, seed=53)
         art = network_forward(x, store, TINY)
         net = build_network(TINY, train=False)
-        keep = _plan_outputs(net)
+        keep = (net.main_logits,)
         specs, params = fold_bn(net.specs, store, keep)
         plan = GraphRun(specs, params).forward({"x": x.data}, outputs=keep)
         assert (art.main_logits.data == plan[net.main_logits]).all()
-        assert (art.fused_feature.data == plan[net.fused]).all()
         unfolded = run_forward(net.specs, store, {"x": x.data})[net.main_logits]
         assert np.abs(art.main_logits.data - unfolded).max() <= 1e-4 * np.abs(unfolded).max()
 
@@ -326,7 +326,7 @@ class TestInferencePlan:
         """The spatial and context paths are the branches, joined from the
         fusion on; a row without a spatial path is one branch."""
         net = build_network(ablation_configs(NetConfig())[row], train=False)
-        specs, _params = fold_bn(net.specs, _init_store(NetConfig()), _plan_outputs(net))
+        specs, _params = fold_bn(net.specs, _init_store(NetConfig()), (net.main_logits,))
         groups, tail = split_branches(specs, [net.input])
         if row == "cp":
             assert groups == [specs] and tail == []
@@ -344,11 +344,27 @@ class TestInferencePlan:
         assert (a == b).all()
         assert all((store.get(k).value == v).all() for k, v in before.items())
 
+    def test_fused_feature_freed_after_the_head_reads_it(self, monkeypatch):
+        """Only the logits outlive the plan: ffm.out is gone by head.cls."""
+        seen = {}
+        conv = ops.conv2d_forward
+
+        def spy_conv(x, p):
+            if p.weight.shape == (8, 32, 3, 3):  # head.mix reads ffm.out
+                seen["fused"] = weakref.ref(x)
+            elif p.weight.shape == (3, 8, 1, 1):  # head.cls runs after it
+                seen["alive"] = seen["fused"]() is not None
+            return conv(x, p)
+
+        monkeypatch.setattr(ops, "conv2d_forward", spy_conv)
+        network_forward(_rand_input(1, 64, 64, seed=56), _init_store(TINY, 57), TINY)
+        assert seen["alive"] is False
+
 
 def _fake_net(n_aux=2):
     return GraphDef(
         specs=(), input="x", main_logits="main",
-        aux_logits=tuple(f"aux{i}" for i in range(n_aux)), fused="f", attention=(),
+        aux_logits=tuple(f"aux{i}" for i in range(n_aux)),
     )
 
 

@@ -1,12 +1,12 @@
-"""Substrate tests: shapes, layout, RNG determinism, and the elementwise and
-concat layers as the graph executor runs them."""
+"""Substrate tests: the tensor wrapper, RNG determinism, and the elementwise
+and concat layers as the graph executor runs them."""
 
 import numpy as np
 import pytest
 
-from biseg.errors import ArgumentError, ShapeError, SizeError
+from biseg.errors import ArgumentError, ShapeError
 from biseg.graph import GraphRun, LayerSpec, ParamStore
-from biseg.tensor import Rng, Shape, Tensor, init_kaiming
+from biseg.tensor import Rng, Tensor, init_kaiming
 
 
 def _f32(values):
@@ -17,34 +17,6 @@ def _binary(kind, a, b):
     """Run one two-input layer over arrays a and b; returns (output, run)."""
     run = GraphRun([LayerSpec(kind, "l", ("a", "b"), "y")], ParamStore())
     return run.forward({"a": _f32(a), "b": _f32(b)})["y"], run
-
-
-class TestShape:
-    def test_zeros_count(self):
-        assert Tensor(np.zeros((2, 3, 1, 1), dtype=np.float32)).numel() == 6
-
-    @pytest.mark.parametrize("bad", [(0, 1, 1, 1), (1, -1, 1, 1), (1, 1, 0, 5)])
-    def test_nonpositive_extent_rejected(self, bad):
-        with pytest.raises(SizeError):
-            Shape(*bad)
-
-    def test_overflow_rejected(self):
-        with pytest.raises(SizeError):
-            Shape(1 << 31, 1 << 31, 1, 2)
-
-    def test_offset_matches_layout(self):
-        shape = Shape(2, 3, 4, 5)
-        buf = np.arange(shape.numel(), dtype=np.float32).reshape(shape.as_tuple())
-        flat = buf.reshape(-1)
-        for n in range(2):
-            for c in range(3):
-                for h in range(4):
-                    for w in range(5):
-                        assert flat[shape.offset_of(n, c, h, w)] == buf[n, c, h, w]
-
-    def test_offset_bounds(self):
-        with pytest.raises(SizeError):
-            Shape(1, 1, 2, 2).offset_of(0, 0, 2, 0)
 
 
 class TestTensor:
@@ -100,20 +72,21 @@ class TestRng:
 
 class TestInit:
     def test_deterministic(self):
-        a = init_kaiming(Shape(4, 4, 3, 3), fan_in=2, rng=Rng(7))
-        b = init_kaiming(Shape(4, 4, 3, 3), fan_in=2, rng=Rng(7))
-        assert (a.data == b.data).all()
+        a = init_kaiming((4, 4, 3, 3), fan_in=2, rng=Rng(7))
+        b = init_kaiming((4, 4, 3, 3), fan_in=2, rng=Rng(7))
+        assert a.shape == (4, 4, 3, 3) and a.dtype == np.float32
+        assert (a == b).all()
 
     def test_moments_match_he(self):
         n = 100000
-        vals = init_kaiming(Shape(n, 1, 1, 1), fan_in=8, rng=Rng(1)).data
+        vals = init_kaiming((n, 1, 1, 1), fan_in=8, rng=Rng(1))
         assert abs(float(vals.mean())) < 0.01
         # variance target 2/8 = 0.25
         assert abs(float(vals.var()) - 0.25) < 0.05 * 0.25
 
     def test_bad_fan_in(self):
         with pytest.raises(ArgumentError):
-            init_kaiming(Shape(1, 1, 1, 1), fan_in=0, rng=Rng(0))
+            init_kaiming((1, 1, 1, 1), fan_in=0, rng=Rng(0))
 
 
 class TestElementwise:
