@@ -33,8 +33,8 @@ from .tensor import Rng, Tensor
 
 def _parse_size(text: str, flag: str) -> tuple[int, int]:
     w, sep, h = text.partition("x")
-    if not sep or not w.isdigit() or not h.isdigit():
-        raise ConfigError(f"{flag} expects WxH, got {text!r}")
+    if not (sep and w.isdecimal() and h.isdecimal() and int(w) > 0 and int(h) > 0):
+        raise ConfigError(f"{flag} expects WxH with positive extents, got {text!r}")
     return int(w), int(h)
 
 
@@ -67,12 +67,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    stems: dict[str, str] = {}  # output stem -> input path; a clash would overwrite masks
+    for path in args.images:
+        stem = os.path.splitext(os.path.basename(path))[0]
+        if stem in stems:
+            raise ArgumentError(f"{stems[stem]} and {path} would both write {stem}.pgm")
+        stems[stem] = path
     cfg = _load_cfg(args.config)
     store = _restore_store(cfg, args.ckpt)
     os.makedirs(args.out, exist_ok=True)
     palette = default_palette(cfg.model.num_classes)
     mean = np.asarray(cfg.aug.mean, dtype=np.float32).reshape(1, 3, 1, 1)
-    for path in args.images:
+    for stem, path in stems.items():
         t0 = time.perf_counter()
         img = read_ppm(path).data - mean
         _n, _c, h, w = img.shape
@@ -86,7 +92,6 @@ def cmd_infer(args) -> int:
             img = np.pad(img, ((0, 0), (0, 0), (0, ph - h), (0, pw - w)), mode="reflect")
         arts = network.network_forward(Tensor(img), store, cfg.model, mode="infer")
         pred = network.predict_full_res(arts.main_logits, ph, pw)[0, :h, :w]
-        stem = os.path.splitext(os.path.basename(path))[0]
         label_path = os.path.join(args.out, f"{stem}.pgm")
         color_path = os.path.join(args.out, f"{stem}_color.ppm")
         write_pgm(pred.astype(np.uint8), label_path)

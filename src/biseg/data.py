@@ -353,8 +353,10 @@ def _paint_noise(rng: Rng, h: int, w: int) -> np.ndarray:
 def synth_shapes(count: int, h: int, w: int, num_classes: int, seed: int) -> list[Sample]:
     """Deterministic scenes: color-keyed rectangles (class 1) and circles
     (class 2) on a dark background (class 0). Label maps are exact."""
-    if num_classes < 2:
-        raise ArgumentError("synthetic scenes need at least 2 classes")
+    if count < 1:
+        raise ArgumentError(f"scene count must be at least 1, got {count}")
+    if not 2 <= num_classes <= IGNORE:  # byte labels; IGNORE is void
+        raise ArgumentError(f"synthetic scenes need 2 to {IGNORE} classes, got {num_classes}")
     if h < 8 or w < 8:
         raise ArgumentError("scene extents must be at least 8 pixels")
     m = min(h, w)

@@ -6,8 +6,8 @@ and produces one new name. Execution walks the sequence in order; the
 backward pass walks it in exact reverse, accumulating gradients by addition
 wherever a value fans out. Inference runs a plan over the same specs:
 fold_bn merges each BN into the conv before it, and a forward given the
-values it must return drops every other value after its last consumer and
-runs the branches that start at the graph inputs concurrently.
+values it must return drops each other layer output after its last use
+and runs the branches from the graph inputs concurrently on one dict.
 
 Everything the engine knows about a layer kind sits in its LayerKind record
 in KINDS: arity, parameters, shape rule, forward and backward kernels,
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -379,11 +378,11 @@ def init_params(specs, store: ParamStore, rng: Rng) -> None:
                       trainable=d.trainable, decay=d.decay)
 
 
-def fold_bn(specs, store: ParamStore, keep=()) -> tuple[list[LayerSpec], ParamStore]:
+def fold_bn(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
     """Inference plan with every BN folded into the conv it follows.
 
-    A conv whose output feeds exactly one layer, a bn, and is not named in
-    keep becomes one conv with a bias that writes the bn's output:
+    A conv whose output feeds exactly one layer, a bn, becomes one conv with
+    a bias that writes the bn's output, so the conv's own output is gone:
         w' = w * s,  b' = beta + (b - running_mean) * s,
     with s = gamma / sqrt(running_var + BN_EPS). Only valid in infer mode,
     where BN is that affine map. The returned store shares the arrays of
@@ -403,8 +402,7 @@ def fold_bn(specs, store: ParamStore, keep=()) -> tuple[list[LayerSpec], ParamSt
         if spec.name in absorbed:
             continue
         users = consumers.get(spec.output, [])
-        if (spec.kind == "conv" and spec.output not in keep and len(users) == 1
-                and users[0].kind == "bn"):
+        if spec.kind == "conv" and len(users) == 1 and users[0].kind == "bn":
             bn = users[0]
             w = value(spec, "weight")
             s = value(bn, "gamma") / np.sqrt(value(bn, "running_var").astype(np.float64)
@@ -459,17 +457,9 @@ def split_branches(specs, input_names) -> tuple[list[list[LayerSpec]], list[Laye
     return list(groups.values()), tail
 
 
-_pool: tuple[int, ThreadPoolExecutor] | None = None  # (workers, executor), made on first use
-_pool_lock = threading.Lock()
-
-
-def _branch_pool(workers: int) -> ThreadPoolExecutor:
-    """The shared pool for branches after the first, grown to the widest graph."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] < workers:
-            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="biseg-branch"))
-        return _pool[1]
+# Branches after the first run here. A branch never waits on another, so a
+# fixed pool cannot deadlock; its threads start on the first submit.
+_BRANCH_POOL = ThreadPoolExecutor(thread_name_prefix="biseg-branch")
 
 
 class GraphRun:
@@ -490,9 +480,10 @@ class GraphRun:
         """Run every spec; returns the value dict.
 
         Without outputs the specs run in order and every value is kept.
-        With outputs (value names), each other value is dropped after its
-        last consumer and only the named values are returned; such a run
-        cannot be followed by backward. It runs the split_branches() branches
+        With outputs (value names), every other layer output is dropped
+        after its last consumer (graph inputs stay with the caller) and only
+        the named values are returned; such a run cannot be followed by
+        backward. The split_branches() branches share one value dict and run
         at the same time, the first on the calling thread, then the tail.
         """
         validate_graph(self.specs, inputs.keys())
@@ -504,8 +495,8 @@ class GraphRun:
         order = [spec for group in (*groups, tail) for spec in group]
         dead: dict[str, list[str]] = {spec.name: [] for spec in order}
         if outputs is not None:
-            keep = set(outputs)
-            last_use = dict.fromkeys(inputs, order[0].name)
+            keep = {*outputs, *inputs}
+            last_use = dict.fromkeys(inputs)
             for spec in order:  # execution order: every branch before the tail
                 last_use.update(dict.fromkeys((*spec.inputs, spec.output), spec.name))
             missing = keep - last_use.keys()
@@ -514,24 +505,21 @@ class GraphRun:
             for name, at in last_use.items():
                 if name not in keep:
                     dead[at].append(name)
-        futures = [_branch_pool(len(groups) - 1).submit(
-            self._run, group, dict(inputs), dead, counter) for group in groups[1:]]
+        vals = dict(inputs)
+        futures = [_BRANCH_POOL.submit(self._run, group, vals, dead, counter)
+                   for group in groups[1:]]
         try:
-            done = [self._run(groups[0], dict(inputs), dead, counter)]
+            self._run(groups[0], vals, dead, counter)
         finally:
             wait(futures)
-        done += [f.result() for f in futures]
-        vals = {}
-        for branch_vals in done:
-            vals.update(branch_vals)
-        for spec in order[: len(order) - len(tail)]:
-            for name in dead[spec.name]:  # a graph input dropped by one branch
-                vals.pop(name, None)  # is still held by the others
-        self.values = self._run(tail, vals, dead, counter)
+        for future in futures:
+            future.result()
+        self._run(tail, vals, dead, counter)
+        self.values = vals if outputs is None else {name: vals[name] for name in outputs}
         self.freed = outputs is not None
         return self.values
 
-    def _run(self, specs, vals: dict, dead: dict, counter: OpCounter | None) -> dict:
+    def _run(self, specs, vals: dict, dead: dict, counter: OpCounter | None) -> None:
         """Run specs in order on vals, dropping dead[spec.name] after each."""
         for spec in specs:
             kind = KINDS[spec.kind]
@@ -540,8 +528,7 @@ class GraphRun:
             p = self._params[spec.name] = {
                 d.suffix: self.store.get(f"{spec.name}.{d.suffix}").value
                 for d in kind.params(spec)}
-            reuse = (kind.inplace is not None and spec.inputs[0] in dead[spec.name]
-                     and spec.inputs[0] not in self._input_names)
+            reuse = kind.inplace is not None and spec.inputs[0] in dead[spec.name]
             out = (kind.inplace if reuse else kind.forward)(spec, xs, p, self.mode)
             if counter is not None:
                 # Measured from the arrays involved, not from the spec.
@@ -551,7 +538,6 @@ class GraphRun:
             vals[spec.output] = out
             for name in dead[spec.name]:
                 del vals[name]
-        return vals
 
     def backward(self, seed_grads: dict) -> tuple[dict, dict]:
         """Reverse pass from value-name -> grad seeds.

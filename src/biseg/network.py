@@ -249,8 +249,8 @@ def network_forward(x: Tensor, store: ParamStore, cfg: NetConfig,
     """Run the network; aux logits are produced only in train mode.
 
     In infer mode the graph runs as a plan: BN folded into the convs (from
-    the store as it is now, on every call) and each value but the logits
-    dropped after its last consumer.
+    the store as it is now, on every call) and each layer output but the
+    logits dropped after its last consumer.
     """
     _n, c, h, w = x.data.shape
     if c != INPUT_CHANNELS:
@@ -259,9 +259,8 @@ def network_forward(x: Tensor, store: ParamStore, cfg: NetConfig,
     net = build_network(cfg, train=(mode == "train"))
     inputs = {net.input: x.data}
     if mode == "infer":
-        keep = (net.main_logits,)
-        specs, params = graph.fold_bn(net.specs, store, keep)
-        values = graph.GraphRun(specs, params, mode).forward(inputs, outputs=keep)
+        specs, params = graph.fold_bn(net.specs, store)
+        values = graph.GraphRun(specs, params, mode).forward(inputs, outputs=[net.main_logits])
     else:
         values = graph.run_forward(net.specs, store, inputs, mode=mode)
     return ForwardArtifacts(

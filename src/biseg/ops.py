@@ -12,7 +12,7 @@ bookkeeping about ignored pixels; label IGNORE (255) marks void pixels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -375,7 +375,6 @@ class CeLoss:
     grad: np.ndarray
     valid: int
     kept: int
-    all_ignored: bool = field(default=False)
 
 
 def _check_labels(labels: np.ndarray, num_classes: int):
@@ -431,12 +430,12 @@ def softmax_ce_loss(logits: np.ndarray, labels: np.ndarray) -> CeLoss:
     """Mean cross-entropy over non-ignored pixels.
 
     The mean divides by the count of non-ignored pixels. If every pixel is
-    ignored the loss is 0 with a zero gradient, flagged via all_ignored.
+    ignored the loss is 0 with a zero gradient and valid is 0.
     """
     pixel_loss, probs, valid, safe = _pixel_ce(logits, labels)
     n_valid = int(valid.sum())
     if n_valid == 0:
-        return CeLoss(0.0, np.zeros_like(logits), 0, 0, all_ignored=True)
+        return CeLoss(0.0, np.zeros_like(logits), 0, 0)
     loss = float(pixel_loss[valid].sum() / n_valid)
     grad = _ce_from_mask(logits, probs, safe, valid, n_valid)
     return CeLoss(loss, grad, n_valid, n_valid)
@@ -461,7 +460,7 @@ def bootstrap_ce_loss(
     pixel_loss, probs, valid, safe = _pixel_ce(logits, labels)
     n_valid = int(valid.sum())
     if n_valid == 0:
-        return CeLoss(0.0, np.zeros_like(logits), 0, 0, all_ignored=True)
+        return CeLoss(0.0, np.zeros_like(logits), 0, 0)
     k = max(min_kept, int(keep_fraction * n_valid))
     k = min(k, n_valid)
     if k == n_valid:

@@ -390,8 +390,9 @@ class TestCliErrors:
         assert capsys.readouterr().err.startswith("error[config]: ")
 
     def test_bad_res_exit_2(self, capsys):
-        assert main(["analyze", "--res", "banana"]) == 2
-        assert capsys.readouterr().err.startswith("error[config]: ")
+        for res in ("banana", "0x0", "640x0", "0x360", "\u00b2x2"):  # superscript two
+            assert main(["analyze", "--res", res]) == 2, res
+            assert capsys.readouterr().err.startswith("error[config]: ")
 
     def test_missing_manifest_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -500,6 +501,29 @@ class TestCliErrors:
         assert "iteration" in err
 
     def test_synth_bad_classes_exit_2(self, tmp_path, capsys):
-        rc = main(["synth", "--out", str(tmp_path / "s"), "--classes", "1"])
+        for classes in ("1", "256", "300"):
+            rc = main(["synth", "--out", str(tmp_path / "s"), "--classes", classes])
+            assert rc == 2, classes
+            assert capsys.readouterr().err.startswith("error[config]: ")
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_synth_bad_count_exit_2(self, tmp_path, capsys, count):
+        rc = main(["synth", "--out", str(tmp_path / "s"), "--count", count])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error[config]: ")
+        assert not (tmp_path / "s").exists()
+
+    def test_infer_stem_clash_writes_nothing(self, workspace, tmp_path, capsys):
+        paths = [tmp_path / "a" / "img.ppm", tmp_path / "b" / "img.ppm"]
+        for path in paths:
+            path.parent.mkdir()
+            path.write_bytes((workspace["data"] / "img_0000.ppm").read_bytes())
+        out = tmp_path / "o"
+        rc = main(["infer", "--ckpt", str(workspace["ckpt"]),
+                   "--config", str(workspace["config"]), "--out", str(out), *map(str, paths)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: ")
+        assert str(paths[0]) in err and str(paths[1]) in err
+        assert not out.exists()

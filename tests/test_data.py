@@ -304,6 +304,9 @@ class TestSynth:
             synth_shapes(1, 24, 24, 1, seed=0)
         with pytest.raises(ArgumentError):
             synth_shapes(1, 4, 24, 2, seed=0)
+        for count, classes in ((0, 3), (-1, 3), (1, 256), (1, 300)):
+            with pytest.raises(ArgumentError):
+                synth_shapes(count, 24, 24, classes, seed=0)
 
 
 class TestMetrics:

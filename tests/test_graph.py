@@ -452,6 +452,28 @@ class TestBranches:
             assert got[name].tobytes() == full[name].tobytes()
         assert list(GraphRun(specs, store).forward({"x": x}, outputs=("z",))) == ["z"]
 
+    def test_tail_reads_a_graph_input(self):
+        """The tail reads x after both branches ran on the shared value dict;
+        the caller's inputs are left as they were."""
+        specs = [
+            conv_spec("p1", "x", "p", 2, 3),
+            conv_spec("q1", "x", "q", 2, 3, k=1, padding=0),
+            binary("concat", "cat", "p", "q", "c"),
+            conv_spec("f", "c", "y", 6, 2, k=1, padding=0),
+            binary("add", "s", "x", "y", "z"),
+        ]
+        store = ParamStore()
+        init_params(specs, store, Rng(37))
+        x = Rng(38).normal(2 * 2 * 6 * 5).astype(np.float32).reshape(2, 2, 6, 5)
+        assert [s.name for s in split_branches(specs, ["x"])[1]] == ["cat", "f", "s"]
+        full = run_forward(specs, store, {"x": x})
+        inputs, before = {"x": x}, x.copy()
+        got = GraphRun(specs, store).forward(inputs, outputs=("z", "p"))
+        assert sorted(got) == ["p", "z"]
+        for name in got:
+            assert got[name].tobytes() == full[name].tobytes()
+        assert list(inputs) == ["x"] and inputs["x"] is x and x.tobytes() == before.tobytes()
+
     def test_value_freed_inside_its_branch(self, monkeypatch):
         specs, store, x = self._graph()
         seen = {}
@@ -573,12 +595,8 @@ class TestFoldBn:
         _, again = fold_bn(specs, store)
         assert (again.get("c1.bias").value != params.get("c1.bias").value).all()
 
-    def test_requested_or_shared_conv_output_not_folded(self):
-        specs = self._chain()
-        folded, params = fold_bn(specs, _bn_chain_store(specs, 43), keep=("a",))
-        assert [s.name for s in folded][:3] == ["c1", "b1", "r1"]
-        assert "c1.bias" in params and "b1.gamma" in params
-        shared = specs + [binary("add", "s1", "d", "d", "g")]  # d feeds b2 and s1
+    def test_shared_conv_output_not_folded(self):
+        shared = self._chain() + [binary("add", "s1", "d", "d", "g")]  # d feeds b2 and s1
         folded, _ = fold_bn(shared, _bn_chain_store(shared, 44))
         assert "b2" in [s.name for s in folded]
 

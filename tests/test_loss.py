@@ -105,7 +105,6 @@ class TestSoftmaxCe:
         logits = np.ones((1, 3, 2, 2), dtype=np.float32)
         labels = np.full((1, 2, 2), 255, dtype=np.int64)
         res = softmax_ce_loss(logits, labels)
-        assert res.all_ignored
         assert res.loss == 0.0 and res.valid == 0
         assert not res.grad.any()
 
@@ -196,7 +195,7 @@ class TestBootstrapCe:
     def test_all_ignored(self):
         labels = np.full((1, 2, 2), 255, dtype=np.int64)
         res = bootstrap_ce_loss(np.ones((1, 2, 2, 2), dtype=np.float32), labels)
-        assert res.all_ignored and res.loss == 0.0
+        assert res.valid == 0 and res.loss == 0.0
 
     def test_bad_fraction(self):
         logits = np.zeros((1, 2, 2, 2), dtype=np.float32)

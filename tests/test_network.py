@@ -301,7 +301,7 @@ class TestInferencePlan:
         x = Rng(51).normal(3 * 64 * 64, std=40.0).reshape(1, 3, 64, 64)
         ref = run_forward(net.specs, store, {"x": x})
         keep = (net.main_logits,)
-        specs, params = fold_bn(net.specs, store, keep)
+        specs, params = fold_bn(net.specs, store)
         assert not any(s.kind == "bn" for s in specs)
         got = GraphRun(specs, params).forward({"x": x}, outputs=keep)
         assert sorted(got) == sorted(keep)
@@ -315,7 +315,7 @@ class TestInferencePlan:
         art = network_forward(x, store, TINY)
         net = build_network(TINY, train=False)
         keep = (net.main_logits,)
-        specs, params = fold_bn(net.specs, store, keep)
+        specs, params = fold_bn(net.specs, store)
         plan = GraphRun(specs, params).forward({"x": x.data}, outputs=keep)
         assert (art.main_logits.data == plan[net.main_logits]).all()
         unfolded = run_forward(net.specs, store, {"x": x.data})[net.main_logits]
@@ -326,7 +326,7 @@ class TestInferencePlan:
         """The spatial and context paths are the branches, joined from the
         fusion on; a row without a spatial path is one branch."""
         net = build_network(ablation_configs(NetConfig())[row], train=False)
-        specs, _params = fold_bn(net.specs, _init_store(NetConfig()), (net.main_logits,))
+        specs, _params = fold_bn(net.specs, _init_store(NetConfig()))
         groups, tail = split_branches(specs, [net.input])
         if row == "cp":
             assert groups == [specs] and tail == []
