@@ -21,6 +21,7 @@ from .errors import ArgumentError, ShapeError
 from .graph import LayerSpec, RfState
 
 INPUT_CHANNELS = 3  # the network reads RGB
+STRIDE_TILE = 32  # the deepest tap's stride; input extents must be multiples of it
 
 
 @dataclass(frozen=True)
@@ -115,11 +116,11 @@ def backbone_specs(cfg: BackboneConfig, prefix: str = "cp.", input_name: str = "
 
 
 def check_input_extents(h: int, w: int) -> None:
-    """The backbone needs both spatial extents to be multiples of 32."""
-    if h % 32:
-        raise ShapeError(f"input height {h} is not a multiple of 32")
-    if w % 32:
-        raise ShapeError(f"input width {w} is not a multiple of 32")
+    """The backbone needs both spatial extents to be multiples of STRIDE_TILE."""
+    if h % STRIDE_TILE:
+        raise ShapeError(f"input height {h} is not a multiple of {STRIDE_TILE}")
+    if w % STRIDE_TILE:
+        raise ShapeError(f"input width {w} is not a multiple of {STRIDE_TILE}")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph, network
-from .backbone import INPUT_CHANNELS
+from .backbone import INPUT_CHANNELS, STRIDE_TILE
 from .config import EngineConfig, config_hash
 from .graph import ParamStore
 from .tensor import Rng, Tensor
@@ -28,8 +28,8 @@ from .tensor import Rng, Tensor
 _INPUT_SALT = 0xBE7C
 
 
-def pad_to_tile(w: int, h: int, tile: int = 32) -> tuple[int, int]:
-    return (-(-w // tile) * tile, -(-h // tile) * tile)
+def pad_to_tile(w: int, h: int) -> tuple[int, int]:
+    return (-(-w // STRIDE_TILE) * STRIDE_TILE, -(-h // STRIDE_TILE) * STRIDE_TILE)
 
 
 @dataclass

@@ -15,8 +15,8 @@ import time
 import numpy as np
 
 from . import analysis, benchmark, graph, network, train
-from .backbone import INPUT_CHANNELS
-from .config import EngineConfig, config_hash, load_config
+from .backbone import INPUT_CHANNELS, STRIDE_TILE
+from .config import EngineConfig, config_hash, load_config, parse_size
 from .data import default_palette, read_ppm, synth_shapes, write_color_mask, write_dataset, write_pgm
 from .errors import (
     ArgumentError,
@@ -32,10 +32,10 @@ from .tensor import Rng, Tensor
 
 
 def _parse_size(text: str, flag: str) -> tuple[int, int]:
-    w, sep, h = text.partition("x")
-    if not (sep and w.isdecimal() and h.isdecimal() and int(w) > 0 and int(h) > 0):
-        raise ConfigError(f"{flag} expects WxH with positive extents, got {text!r}")
-    return int(w), int(h)
+    try:
+        return parse_size(text)
+    except ValueError as exc:
+        raise ConfigError(f"{flag} {exc}") from None
 
 
 def _load_cfg(path: str | None) -> EngineConfig:
@@ -82,11 +82,11 @@ def cmd_infer(args) -> int:
         t0 = time.perf_counter()
         img = read_ppm(path).data - mean
         _n, _c, h, w = img.shape
-        ph, pw = -(-h // 32) * 32, -(-w // 32) * 32
+        pw, ph = benchmark.pad_to_tile(w, h)
         if (ph, pw) != (h, w):
             if not args.pad:
                 raise ShapeError(
-                    f"{path}: extents {w}x{h} are not multiples of 32; "
+                    f"{path}: extents {w}x{h} are not multiples of {STRIDE_TILE}; "
                     "rerun with --pad to reflect-pad and crop the output back"
                 )
             img = np.pad(img, ((0, 0), (0, 0), (0, ph - h), (0, pw - w)), mode="reflect")
@@ -120,7 +120,7 @@ def cmd_analyze(args) -> int:
     net = network.build_network(cfg.model, train=args.train_graph)
     report = analysis.count_model(net.specs, {net.input: (1, INPUT_CHANNELS, ph, pw)})
     if (pw, ph) != (w, h):
-        report.note = f"input {w}x{h} padded to {pw}x{ph} (stride tile 32)"
+        report.note = f"input {w}x{h} padded to {pw}x{ph} (stride tile {STRIDE_TILE})"
     if args.conv_only:
         report = analysis.CostReport(
             rows=[r for r in report.rows if r.kind == "conv"],

@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .backbone import BackboneConfig
+from .backbone import STRIDE_TILE, BackboneConfig
 from .data import AugmentConfig
 from .errors import ArgumentError, ConfigError
 from .graph import SgdConfig
@@ -44,7 +44,7 @@ class BenchConfig:
         if not self.resolutions:
             raise ArgumentError("bench needs at least one resolution")
         for w, h in self.resolutions:
-            if w < 32 or h < 32:
+            if w < STRIDE_TILE or h < STRIDE_TILE:
                 raise ArgumentError(f"resolution {w}x{h} is below one stride tile")
         if self.warmup_iters < 1:
             raise ArgumentError("warmup_iters must be >= 1")
@@ -88,15 +88,16 @@ def _parse_floats(s: str) -> tuple[float, ...]:
     return tuple(float(p.strip()) for p in s.split(",") if p.strip())
 
 
+def parse_size(text: str) -> tuple[int, int]:
+    """(w, h) from "WxH" with positive decimal extents; ValueError otherwise."""
+    w, sep, h = text.partition("x")
+    if not (sep and w.isdecimal() and h.isdecimal() and int(w) > 0 and int(h) > 0):
+        raise ValueError(f"expects WxH with positive extents, got {text!r}")
+    return int(w), int(h)
+
+
 def _parse_resolutions(s: str) -> tuple[tuple[int, int], ...]:
-    out = []
-    for part in s.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        w, _, h = part.partition("x")
-        out.append((int(w), int(h)))
-    return tuple(out)
+    return tuple(parse_size(p.strip()) for p in s.split(",") if p.strip())
 
 
 def _is_int(v) -> bool:

@@ -84,7 +84,8 @@ class RfState:
 class LayerKind:
     """The rules of one layer kind; ins/xs hold a layer's inputs in order.
 
-    shape(spec, ins) -> output shape, or ShapeError
+    shape(spec, ins) -> output shape, or ShapeError / ArgumentError without
+        the layer's name (infer_shapes adds it); the only operand check
     forward(spec, xs, p, mode) -> output; p maps suffix -> stored array
     backward(spec, xs, y, gy, p, mode) -> (input grads, {suffix: grad})
     cost(ins, out, param_shapes) -> (params, macs, flops) from shapes alone,
@@ -161,32 +162,38 @@ def _bn(p, mode):
 def _conv_shape(spec, ins):
     n, c, h, w = ins[0]
     if c != spec.in_channels:
-        raise ShapeError(f"layer {spec.name!r} expects {spec.in_channels} channels, got {c}")
+        raise ShapeError(f"expects {spec.in_channels} channels, got {c}")
     if spec.groups != 1 and not spec.groups == c == spec.out_channels:
-        raise ShapeError(f"layer {spec.name!r} groups {spec.groups} is neither 1 nor depthwise")
+        raise ShapeError(f"groups {spec.groups} is neither 1 nor depthwise")
     return (n, spec.out_channels, ops.conv_out_extent(h, spec.kernel, spec.stride, spec.padding),
             ops.conv_out_extent(w, spec.kernel, spec.stride, spec.padding))
 
 
 def _bn_shape(spec, ins):
     if ins[0][1] != spec.in_channels:
-        raise ShapeError(
-            f"layer {spec.name!r} normalizes {spec.in_channels} channels, got {ins[0][1]}")
+        raise ShapeError(f"normalizes {spec.in_channels} channels, got {ins[0][1]}")
     return ins[0]
 
 
 def _concat_shape(spec, ins):
     a, b = ins
     if a[0] != b[0] or a[2:] != b[2:]:
-        raise ShapeError(f"layer {spec.name!r} concat operands {a} / {b} misaligned")
+        raise ShapeError(f"concat operands {a} / {b} misaligned")
     return (a[0], a[1] + b[1], a[2], a[3])
 
 
 def _pointwise_shape(spec, ins):
     a, b = ins  # equal shapes, or the second operand broadcast as (n, c, 1, 1)
     if a != b and b != (a[0], a[1], 1, 1):
-        raise ShapeError(f"layer {spec.name!r} operands {a} / {b} do not align")
+        raise ShapeError(f"operands {a} / {b} do not align")
     return a
+
+
+def _upsample_shape(spec, ins):
+    if spec.factor < 1:
+        raise ArgumentError(f"upsample factor must be >= 1, got {spec.factor}")
+    n, c, h, w = ins[0]
+    return (n, c, h * spec.factor, w * spec.factor)
 
 
 def _conv_bwd(spec, xs, y, gy, p, mode):
@@ -262,8 +269,7 @@ KINDS: dict[str, LayerKind] = {
             (ops.global_avg_pool_backward(xs[0].shape, gy),), {}),
         cost=lambda ins, out, ps: (0, 0, math.prod(ins[0]) + math.prod(out)), rf=None),
     "upsample": LayerKind(
-        arity=1,
-        shape=lambda spec, ins: (*ins[0][:2], ins[0][2] * spec.factor, ins[0][3] * spec.factor),
+        arity=1, shape=_upsample_shape,
         forward=lambda spec, xs, p, mode: ops.bilinear_upsample(xs[0], spec.factor),
         backward=lambda spec, xs, y, gy, p, mode: (
             (ops.bilinear_upsample_backward(xs[0].shape, spec.factor, gy),), {}),
@@ -310,11 +316,19 @@ def validate_graph(specs, input_names) -> None:
 
 
 def infer_shapes(specs, input_shapes: dict) -> dict:
-    """Static NCHW shape for every value name; raises ShapeError on misfit."""
+    """Static NCHW shape for every value name. Input shapes must be rank 4
+    with positive extents; a shape rule's error gains the layer name here."""
     validate_graph(specs, input_shapes.keys())
+    for name, shape in input_shapes.items():
+        if len(shape) != 4 or min(shape) < 1:
+            raise ShapeError(f"input {name!r} has shape {tuple(shape)}, "
+                             "not rank-4 NCHW with positive extents")
     shapes = dict(input_shapes)
     for spec in specs:
-        shapes[spec.output] = KINDS[spec.kind].shape(spec, [shapes[i] for i in spec.inputs])
+        try:
+            shapes[spec.output] = KINDS[spec.kind].shape(spec, [shapes[i] for i in spec.inputs])
+        except (ShapeError, ArgumentError) as exc:
+            raise type(exc)(f"layer {spec.name!r}: {exc}") from None
     return shapes
 
 
@@ -479,14 +493,19 @@ class GraphRun:
     def forward(self, inputs: dict, outputs=None, counter: OpCounter | None = None) -> dict:
         """Run every spec; returns the value dict.
 
-        Without outputs the specs run in order and every value is kept.
-        With outputs (value names), every other layer output is dropped
-        after its last consumer (graph inputs stay with the caller) and only
-        the named values are returned; such a run cannot be followed by
-        backward. The split_branches() branches share one value dict and run
-        at the same time, the first on the calling thread, then the tail.
+        The inputs must be floating-point arrays; infer_shapes checks the
+        graph against their shapes once, before any layer runs. Without
+        outputs the specs run in order and every value is kept. With
+        outputs (value names), every other layer output is dropped after its
+        last consumer (graph inputs stay with the caller) and only the named
+        values are returned; such a run cannot be followed by backward. The
+        split_branches() branches share one value dict and run at the same
+        time, the first on the calling thread, then the tail.
         """
-        validate_graph(self.specs, inputs.keys())
+        for name, x in inputs.items():
+            if not (isinstance(x, np.ndarray) and np.issubdtype(x.dtype, np.floating)):
+                raise ArgumentError(f"input {name!r} must be a floating-point array")
+        infer_shapes(self.specs, {name: x.shape for name, x in inputs.items()})
         self._input_names = tuple(inputs.keys())
         if outputs is None:
             groups, tail = [self.specs], []
@@ -524,7 +543,6 @@ class GraphRun:
         for spec in specs:
             kind = KINDS[spec.kind]
             xs = [vals[name] for name in spec.inputs]
-            kind.shape(spec, [x.shape for x in xs])  # operands must fit the kind
             p = self._params[spec.name] = {
                 d.suffix: self.store.get(f"{spec.name}.{d.suffix}").value
                 for d in kind.params(spec)}
@@ -555,7 +573,8 @@ class GraphRun:
             if name not in self.values:
                 raise GraphError(f"gradient seeded for unknown value {name!r}")
             if g.shape != self.values[name].shape:
-                raise ShapeError(f"seed grad for {name!r} has wrong shape")
+                raise ShapeError(f"seed grad for {name!r} has shape {g.shape}, "
+                                 f"expected {self.values[name].shape}")
             vgrads[name] = g.copy()
         param_grads: dict[str, np.ndarray] = {}
         for spec in reversed(self.specs):

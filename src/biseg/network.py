@@ -233,10 +233,10 @@ def build_network(cfg: NetConfig, train: bool = True) -> GraphDef:
     )
 
 
-def param_count(cfg: NetConfig, trainable_only: bool = True) -> int:
+def param_count(cfg: NetConfig) -> int:
     """Trainable parameter count of the training-time topology."""
     return sum(math.prod(d.shape) for spec in build_network(cfg, train=True).specs
-               for d in graph.KINDS[spec.kind].params(spec) if d.trainable or not trainable_only)
+               for d in graph.KINDS[spec.kind].params(spec) if d.trainable)
 
 
 # ---------------------------------------------------------------------------

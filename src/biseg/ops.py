@@ -6,6 +6,11 @@ uses half-pixel centers (source = (dst + 0.5) / factor - 0.5) with edge
 clamping. Every kernel follows the dtype of its inputs, so the production
 float32 path and the float64 verification path share one implementation.
 
+The layer kernels assume operands that fit (rank 4, parameters and output
+gradients of the shapes the layer implies): the graph checks them once per
+run with each kind's shape rule. Only what also arrives from outside a
+graph is checked here: labels, interpolation extents, the upsample factor.
+
 Losses return a CeLoss record carrying the scalar, the logit gradient, and
 bookkeeping about ignored pixels; label IGNORE (255) marks void pixels.
 """
@@ -48,26 +53,6 @@ class Conv2dParams:
     stride: int = 1
     padding: int = 0
     groups: int = 1
-
-
-def _check_conv(x: np.ndarray, p: Conv2dParams) -> tuple[int, int]:
-    if x.ndim != 4:
-        raise ShapeError("conv input must be rank-4 NCHW")
-    if p.weight.ndim != 4:
-        raise ShapeError("conv weight must be rank-4 (c_out, c_in/groups, k_h, k_w)")
-    n, c_in, h, w = x.shape
-    c_out, c_in_g, kh, kw = p.weight.shape
-    if p.groups != 1 and not p.groups == c_in == c_out:
-        raise ShapeError(f"groups {p.groups} is neither 1 nor depthwise ({c_in} in, {c_out} out)")
-    if c_in_g != c_in // p.groups:
-        raise ShapeError(
-            f"weight expects {c_in_g} input channels per group, input supplies {c_in // p.groups}"
-        )
-    if p.bias is not None and p.bias.shape != (c_out,):
-        raise ShapeError(f"bias shape {p.bias.shape} does not match {c_out} output channels")
-    oh = conv_out_extent(h, kh, p.stride, p.padding)
-    ow = conv_out_extent(w, kw, p.stride, p.padding)
-    return oh, ow
 
 
 def _pad_hw(x: np.ndarray, pad: int) -> np.ndarray:
@@ -129,7 +114,9 @@ def _conv_fwd_depthwise(xp, w, stride, oh, ow):
 
 
 def conv2d_forward(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
-    oh, ow = _check_conv(x, p)
+    kh, kw = p.weight.shape[2:]
+    oh = conv_out_extent(x.shape[2], kh, p.stride, p.padding)
+    ow = conv_out_extent(x.shape[3], kw, p.stride, p.padding)
     xp = _pad_hw(x, p.padding)
     kernel = _conv_fwd_dense if p.groups == 1 else _conv_fwd_depthwise
     y = kernel(xp, p.weight, p.stride, oh, ow)
@@ -170,9 +157,6 @@ def conv2d_backward(
     x: np.ndarray, p: Conv2dParams, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Gradients (d_input, d_weight, d_bias) for conv2d_forward."""
-    oh, ow = _check_conv(x, p)
-    if grad_out.shape != (x.shape[0], p.weight.shape[0], oh, ow):
-        raise ShapeError(f"grad_out shape {grad_out.shape} does not match conv output")
     xp = _pad_hw(x, p.padding)
     kernel = _conv_bwd_dense if p.groups == 1 else _conv_bwd_depthwise
     gxp, gw = kernel(xp, p.weight, grad_out, p.stride)
@@ -205,20 +189,6 @@ class BatchNormParams:
     mode: str = "train"
 
 
-def _check_bn(x: np.ndarray, p: BatchNormParams):
-    if x.ndim != 4:
-        raise ShapeError("batchnorm input must be rank-4 NCHW")
-    c = x.shape[1]
-    for name, arr in (
-        ("gamma", p.gamma), ("beta", p.beta),
-        ("running_mean", p.running_mean), ("running_var", p.running_var),
-    ):
-        if arr.shape != (c,):
-            raise ShapeError(f"batchnorm {name} shape {arr.shape} does not match {c} channels")
-    if p.mode not in ("train", "infer"):
-        raise ArgumentError(f"unknown batchnorm mode {p.mode!r}")
-
-
 def _bn_batch_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Accumulate in float64, return in the input dtype (biased variance).
     mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
@@ -227,7 +197,6 @@ def _bn_batch_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def batchnorm_forward(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
-    _check_bn(x, p)
     if p.mode == "train":
         mean, var = _bn_batch_moments(x)
         p.running_mean[...] = (1.0 - BN_MOMENTUM) * mean + BN_MOMENTUM * p.running_mean
@@ -243,9 +212,6 @@ def batchnorm_backward(
     x: np.ndarray, p: BatchNormParams, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (d_input, d_gamma, d_beta). Batch moments are recomputed."""
-    _check_bn(x, p)
-    if grad_out.shape != x.shape:
-        raise ShapeError("batchnorm grad_out must match input shape")
     if p.mode == "train":
         mean, var = _bn_batch_moments(x)
     else:
@@ -295,15 +261,11 @@ def sigmoid_backward(y: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    if x.ndim != 4:
-        raise ShapeError("global_avg_pool input must be rank-4 NCHW")
     return x.mean(axis=(2, 3), keepdims=True, dtype=np.float64).astype(x.dtype)
 
 
 def global_avg_pool_backward(x_shape: tuple, grad_out: np.ndarray) -> np.ndarray:
-    n, c, h, w = x_shape
-    if grad_out.shape != (n, c, 1, 1):
-        raise ShapeError("global_avg_pool grad_out must be (n, c, 1, 1)")
+    h, w = x_shape[2:]
     scale = grad_out.dtype.type(1.0 / (h * w))
     return np.broadcast_to(grad_out * scale, x_shape).copy()
 
@@ -344,17 +306,13 @@ def resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def bilinear_upsample(x: np.ndarray, factor: int) -> np.ndarray:
-    if x.ndim != 4:
-        raise ShapeError("bilinear_upsample input must be rank-4 NCHW")
     if factor < 1:
         raise ArgumentError(f"upsample factor must be >= 1, got {factor}")
     return resize_bilinear(x, x.shape[2] * factor, x.shape[3] * factor)
 
 
 def bilinear_upsample_backward(x_shape: tuple, factor: int, grad_out: np.ndarray) -> np.ndarray:
-    n, c, h, w = x_shape
-    if grad_out.shape != (n, c, h * factor, w * factor):
-        raise ShapeError("upsample grad_out shape does not match factor")
+    h, w = x_shape[2:]
     if factor == 1:
         return grad_out.copy()
     ah = interp_matrix(h, h * factor, grad_out.dtype)
@@ -400,30 +358,23 @@ def _pixel_ce(logits: np.ndarray, labels: np.ndarray):
     _check_labels(labels, num_classes)
     lab = labels.astype(np.int64, copy=False)
     valid = lab != IGNORE
-    z = logits.astype(np.float64, copy=False)
-    z = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    denom = ez.sum(axis=1, keepdims=True)
-    log_probs = z - np.log(denom)
-    probs = ez / denom
+    z = np.subtract(logits, logits.max(axis=1, keepdims=True), dtype=np.float64)
+    probs = np.exp(z)
+    denom = probs.sum(axis=1)
+    probs /= denom[:, None]
     safe = np.where(valid, lab, 0)
-    picked = np.take_along_axis(log_probs, safe[:, None], axis=1)[:, 0]
+    # log_softmax at the label only: z - log(denom), one pixel at a time
+    picked = np.take_along_axis(z, safe[:, None], axis=1)[:, 0] - np.log(denom)
     pixel_loss = np.where(valid, -picked, 0.0)
     return pixel_loss, probs, valid, safe
 
 
 def _ce_from_mask(logits, probs, safe, kept_mask, denom_count):
-    """Shared assembly: average selected pixel losses, scatter the gradient."""
-    grad = probs.copy()
-    np.put_along_axis(
-        grad,
-        safe[:, None],
-        np.take_along_axis(grad, safe[:, None], axis=1) - 1.0,
-        axis=1,
-    )
-    scale = kept_mask.astype(np.float64) / float(denom_count)
-    grad *= scale[:, None]
-    return grad.astype(logits.dtype, copy=False)
+    """Shared assembly: the logit gradient, written into probs."""
+    picked = np.take_along_axis(probs, safe[:, None], axis=1)
+    np.put_along_axis(probs, safe[:, None], picked - 1.0, axis=1)
+    probs *= (kept_mask.astype(np.float64) / float(denom_count))[:, None]
+    return probs.astype(logits.dtype, copy=False)
 
 
 def softmax_ce_loss(logits: np.ndarray, labels: np.ndarray) -> CeLoss:

@@ -375,6 +375,14 @@ class TestCliErrors:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error[config]: ")
 
+    @pytest.mark.parametrize("value", ["+640x360", "6_40x360"])
+    def test_bad_bench_resolution_exit_2(self, tmp_path, capsys, value):
+        """bench.resolutions parts follow the --res rule."""
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"bench.resolutions = 640x360,{value}\n")
+        assert main(["analyze", "--config", str(bad), "--res", "64x64"]) == 2
+        assert capsys.readouterr().err.startswith("error[config]: ")
+
     @pytest.mark.parametrize("body", ['{"model": {"num_classes": "x"}}', '{"seed": 1.5}'])
     def test_bad_json_config_exit_2(self, tmp_path, capsys, body):
         bad = tmp_path / "bad.json"

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from biseg import ops
+from biseg.analysis import count_model
 from biseg.errors import (
     ArgumentError,
     ConsistencyError,
+    EngineError,
     FormatError,
     GraphError,
     ShapeError,
@@ -180,6 +182,54 @@ class TestInferShapes:
             infer_shapes(specs, {"x": (1, 3, 16, 16)})
 
 
+class TestEntryChecks:
+    """Every graph run is checked once, before any layer runs, by the
+    kinds' shape rules; the kernels do not check again."""
+
+    @pytest.mark.parametrize("shape", [(1, 2, 5), (1, 2, 5, 5, 1), (1, 2, 0, 5)])
+    def test_bad_input_shape_named(self, shape):
+        specs, store, _x = TestFreeingForward()._graph()
+        x = np.zeros(shape, np.float32)
+        for call in (lambda: infer_shapes(specs, {"x": shape}),
+                     lambda: count_model(specs, {"x": shape}),
+                     lambda: run_forward(specs, store, {"x": x}),
+                     lambda: GraphRun(specs, store).forward({"x": x}, outputs=("y",))):
+            with pytest.raises(ShapeError, match="input 'x'"):
+                call()
+
+    def test_non_float_input_rejected(self):
+        specs, store, x = TestBranches()._graph()
+        xi = x.astype(np.int32)
+        with pytest.raises(EngineError, match="'x'.*floating-point"):
+            GraphRun(specs, store).forward({"x": xi}, outputs=("z",))
+        with pytest.raises(EngineError, match="'x'.*floating-point"):
+            run_forward(specs, store, {"x": xi})
+
+    @pytest.mark.parametrize("factor", [0, -2])
+    def test_upsample_factor_below_one(self, factor):
+        specs = [unary("upsample", "u1", "x", "y", factor=factor)]
+        with pytest.raises(ArgumentError, match="layer 'u1'"):
+            infer_shapes(specs, {"x": (1, 2, 4, 4)})
+        with pytest.raises(ArgumentError, match="layer 'u1'"):
+            count_model(specs, {"x": (1, 2, 4, 4)})
+
+    def test_misfit_rejected_before_any_layer_runs(self, monkeypatch):
+        specs, store, x = TestBranches()._graph()
+        specs[5] = conv_spec("q2", "qa", "qb", 4, 3)  # expects 4 channels, gets 3
+        calls = []
+        orig = ops.conv2d_forward
+
+        def spy_conv(*args):
+            calls.append(args)
+            return orig(*args)
+
+        monkeypatch.setattr(ops, "conv2d_forward", spy_conv)
+        for outputs in (None, ("z",)):
+            with pytest.raises(ShapeError, match="^layer 'q2': expects 4 channels, got 3$"):
+                GraphRun(specs, store).forward({"x": x}, outputs=outputs)
+        assert calls == []
+
+
 class TestParamStore:
     def test_duplicate_rejected(self):
         store = ParamStore()
@@ -270,6 +320,12 @@ class TestExecutor:
         run.forward({"x": np.ones((1, 1, 2, 2), dtype=np.float32)})
         with pytest.raises(GraphError):
             run.backward({"ghost": np.ones((1, 1, 2, 2), dtype=np.float32)})
+
+    def test_seed_grad_shape_checked(self):
+        run = GraphRun([unary("relu", "r1", "x", "y")], ParamStore(), mode="train")
+        run.forward({"x": np.ones((1, 1, 2, 2), dtype=np.float32)})
+        with pytest.raises(ShapeError, match=r"shape \(1, 1, 2, 3\), expected \(1, 1, 2, 2\)"):
+            run.backward({"y": np.ones((1, 1, 2, 3), dtype=np.float32)})
 
     def test_backward_before_forward(self):
         run = GraphRun([unary("relu", "r1", "x", "y")], ParamStore(), mode="infer")
@@ -493,12 +549,19 @@ class TestBranches:
         assert not seen["alive"]
         assert seen["thread"] is not threading.current_thread()  # a pool worker
 
-    def test_worker_error_reaches_caller(self):
+    def test_worker_error_reaches_caller(self, monkeypatch):
         specs, store, x = self._graph()
-        specs[5] = conv_spec("q2", "qa", "qb", 4, 3)  # expects 4 channels, gets 3
-        assert specs[5] in split_branches(specs, ["x"])[0][1]
-        with pytest.raises(ShapeError, match="q2"):
+        assert [s.name for s in split_branches(specs, ["x"])[0][1]] == ["q1", "qs", "q2", "qt"]
+        threads = []
+
+        def failing_sigmoid(a):  # only the pool-worker branch has sigmoids
+            threads.append(threading.current_thread())
+            raise RuntimeError("sigmoid kernel failed")
+
+        monkeypatch.setattr(ops, "sigmoid", failing_sigmoid)
+        with pytest.raises(RuntimeError, match="sigmoid kernel failed"):
             GraphRun(specs, store).forward({"x": x}, outputs=("z",))
+        assert threads and threads[0] is not threading.current_thread()
 
     def test_single_branch_runs_on_the_calling_thread(self, monkeypatch):
         specs, store, x = TestFreeingForward()._graph()
