@@ -92,15 +92,14 @@ def _row_for(spec: LayerSpec, in_shapes: list[tuple], out_shape: tuple) -> CostR
 def count_model(specs, input_shapes: dict) -> CostReport:
     """Per-layer costs in topological order plus exact integer totals.
 
-    An empty model is a valid degenerate case with all-zero totals.
+    An empty model is a valid degenerate case with all-zero totals; its
+    input shapes are checked all the same.
     """
     specs = list(specs)
-    if not specs:
-        return CostReport(
-            rows=[], totals=(0, 0, 0), conv_totals=(0, 0, 0),
-            input_shapes={k: tuple(v) for k, v in input_shapes.items()},
-        )
-    shapes = graph.infer_shapes(specs, input_shapes)
+    if specs:
+        shapes = graph.infer_shapes(specs, input_shapes)
+    else:
+        graph.check_input_shapes(input_shapes)
     rows = []
     for spec in specs:
         rows.append(_row_for(

@@ -127,7 +127,11 @@ def write_ppm(image: Tensor | np.ndarray, path) -> None:
         arr = arr[0]
     if arr.ndim != 3 or arr.shape[0] != 3:
         raise ArgumentError(f"write_ppm expects 3 channels, got shape {arr.shape}")
-    pix = np.clip(np.rint(arr), 0, 255).astype(np.uint8).transpose(1, 2, 0)
+    _write_p6(np.clip(np.rint(arr), 0, 255).astype(np.uint8).transpose(1, 2, 0), path)
+
+
+def _write_p6(pix: np.ndarray, path) -> None:
+    """Write an (h,w,3) uint8 array as binary P6."""
     h, w, _ = pix.shape
     with open(os.fspath(path), "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (w, h))
@@ -191,13 +195,18 @@ def write_color_mask(label: np.ndarray, palette: dict, path) -> None:
     """Render a label map through a palette and write it as P6."""
     label = np.asarray(label)
     lut = np.zeros((256, 3), dtype=np.uint8)
+    known = np.zeros(256, dtype=bool)
     for c, rgb in palette.items():
         lut[c] = rgb
-    missing = np.setdiff1d(np.unique(label), np.array(sorted(palette), dtype=label.dtype))
-    if missing.size:
-        raise DataError(f"palette has no entry for class {int(missing[0])}")
-    rgb = lut[label]
-    write_ppm(rgb.transpose(2, 0, 1).astype(np.float32), path)
+        known[c] = True
+    if label.size:
+        lo, hi = int(label.min()), int(label.max())
+        if lo < 0 or hi > 255:
+            raise DataError(f"palette has no entry for class {lo if lo < 0 else hi}")
+        missing = np.flatnonzero((np.bincount(label.ravel(), minlength=256) > 0) & ~known)
+        if missing.size:
+            raise DataError(f"palette has no entry for class {missing[0]}")
+    _write_p6(lut[label], path)
 
 
 def read_manifest(path) -> list[tuple[str, str]]:

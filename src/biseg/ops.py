@@ -26,7 +26,7 @@ from .errors import ArgumentError, DataError, ShapeError
 IGNORE = 255  # void label: no loss, no gradient, not counted in metrics
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # weight of the old running statistic per update
-_BAND_ELEMS = 1 << 20  # elements per conv im2col or prediction band (4 MiB in float32)
+_BAND_ELEMS = 1 << 20  # elements per conv im2col band or prediction chunk (4 MiB in float32)
 
 
 def conv_out_extent(extent: int, k: int, stride: int, pad: int) -> int:

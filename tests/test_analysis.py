@@ -8,7 +8,7 @@ import pytest
 from biseg import graph
 from biseg.analysis import count_model, verify_counts
 from biseg.backbone import BackboneConfig, backbone_specs
-from biseg.errors import GraphError
+from biseg.errors import GraphError, ShapeError
 from biseg.graph import LayerSpec, infer_shapes
 from biseg.network import NetConfig, build_network
 from biseg.tensor import Rng
@@ -107,6 +107,11 @@ class TestModelTotals:
         assert rep.rows == []
         assert rep.totals == (0, 0, 0)
         assert rep.conv_totals == (0, 0, 0)
+
+    @pytest.mark.parametrize("shape", [(1, 2, 3), (1, 3, 0, 8)])
+    def test_empty_model_checks_input_shapes(self, shape):
+        with pytest.raises(ShapeError, match="input 'x'"):
+            count_model([], {"x": shape})
 
     def test_stacked_convs_double_single_row(self):
         one = count_model([_conv("c1", "x", "y", 4, 4)], {"x": (1, 4, 8, 8)})

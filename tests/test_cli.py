@@ -479,6 +479,20 @@ class TestCliErrors:
             assert rc == 3, (damage, i)
             assert capsys.readouterr().err.startswith("error[data]: ")
 
+    def test_nan_weight_exit_3(self, workspace, tmp_path, capsys):
+        """A NaN weight makes NaN logits, which prediction rejects."""
+        blob = bytearray(workspace["ckpt"].read_bytes())
+        (name_len,) = struct.unpack_from("<H", blob, 10)
+        rank = blob[13 + name_len]
+        struct.pack_into("<f", blob, 14 + name_len + 4 * rank, math.nan)  # first payload value
+        ckpt = tmp_path / "nan.bsnt"
+        ckpt.write_bytes(bytes(blob))
+        rc = main(["infer", "--ckpt", str(ckpt), "--config", str(workspace["config"]),
+                   "--out", str(tmp_path / "o"), str(workspace["data"] / "img_0000.ppm")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: ") and "NaN" in err
+
     def test_checkpoint_config_mismatch_exit_2(self, workspace, tmp_path, capsys):
         other = tmp_path / "other.cfg"
         other.write_text(TINY_LINES + "seed = 9\n")

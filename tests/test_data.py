@@ -139,6 +139,23 @@ class TestPalette:
         with pytest.raises(DataError):
             write_color_mask(lbl, default_palette(3), tmp_path / "mask.ppm")
 
+    @pytest.mark.parametrize("bad", [-1, 3, 256, 1 << 40])
+    def test_color_mask_rejects_class_outside_palette(self, tmp_path, bad):
+        lbl = np.array([[0, 1], [bad, IGNORE]], dtype=np.int64)
+        with pytest.raises(DataError, match=f"class {bad}$"):
+            write_color_mask(lbl, default_palette(3), tmp_path / "mask.ppm")
+
+    def test_color_mask_bytes_match_float_image(self, tmp_path):
+        """A cropped int32 view renders as write_ppm renders the same colours."""
+        pal = default_palette(19)
+        lbl = (Rng(5).uniform(2 * 24 * 40) * 19).astype(np.int32).reshape(2, 24, 40)
+        lbl[0, :3, :5] = IGNORE
+        view = lbl[0, :21, :37]
+        write_color_mask(view, pal, tmp_path / "mask.ppm")
+        rgb = np.array([pal[c] for c in view.ravel()], dtype=np.float32).reshape(21, 37, 3)
+        write_ppm(rgb.transpose(2, 0, 1), tmp_path / "ref.ppm")
+        assert (tmp_path / "mask.ppm").read_bytes() == (tmp_path / "ref.ppm").read_bytes()
+
 
 class TestManifest:
     def test_relative_paths_resolve(self, tmp_path):

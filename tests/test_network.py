@@ -1,13 +1,14 @@
 """Two-path network assembly: paths, attention, fusion, loss, ablations."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from biseg import ops
+from biseg import network, ops
 from biseg.backbone import BackboneConfig, GraphBuilder, backbone_specs
-from biseg.errors import ArgumentError, ShapeError
+from biseg.errors import ArgumentError, DataError, ShapeError
 from biseg.graph import (
     GraphRun,
     ParamStore,
@@ -505,6 +506,81 @@ class TestPredict:
         assert ops.band_rows(64, 2 * 5 * 64) == rows
         pred = predict_full_res(Tensor(logits), 64, 64)
         assert pred.dtype == np.int32 and (pred == ref).all()
+
+
+def _boundary_cells(logits):
+    """Cells of the edge-padded low-res argmax whose four corners disagree."""
+    amax = np.pad(np.argmax(logits, axis=1), ((0, 0), (1, 1), (1, 1)), mode="edge")
+    tl = amax[:, :-1, :-1]
+    return (tl != amax[:, :-1, 1:]) | (tl != amax[:, 1:, :-1]) | (tl != amax[:, 1:, 1:])
+
+
+class TestPredictCells:
+    def test_uniform_cells_with_ties_match_oracle(self):
+        """Four class blocks whose winners tie exactly with higher ids."""
+        h8, w8 = 6, 8
+        kmap = np.zeros((h8, w8), dtype=np.int64)
+        kmap[:3, :4], kmap[:3, 4:], kmap[3:, 4:] = 1, 3, 2
+        ties = {0: (1, 2, 3), 1: (3,), 2: (3,), 3: ()}
+        # quarter steps keep every blend exact in float32 and float64 alike
+        logits = np.round(Rng(40).uniform(4 * h8 * w8) * -8 - 4) * 0.25
+        logits = logits.astype(np.float32).reshape(1, 4, h8, w8)
+        for (y, x), k in np.ndenumerate(kmap):
+            logits[0, (k, *ties[k]), y, x] = 1.0
+        boundary = _boundary_cells(logits)[0]
+        assert not boundary[[0, 0, -1, -1], [0, -1, 0, -1]].any()  # clamped corner cells
+        assert not boundary[0, 1:3].any() and not boundary[-1, 5:7].any()  # clamped edges
+        assert boundary.any() and not boundary.all()
+        up = naive_bilinear_upsample(logits.astype(np.float64), 8)
+        assert ((up == up.max(axis=1, keepdims=True)).sum(axis=1) == 4).any()  # 4-way ties
+        pred = predict_full_res(Tensor(logits), 8 * h8, 8 * w8)
+        assert (pred == np.argmax(up, axis=1)).all()
+
+    def test_all_boundary_matches_upsample_argmax(self):
+        logits = Rng(42).normal(2 * 19 * 10 * 12).astype(np.float32).reshape(2, 19, 10, 12)
+        assert _boundary_cells(logits)[:, 1:-1, 1:-1].all()
+        pred = predict_full_res(Tensor(logits), 80, 96)
+        assert pred.shape == (2, 80, 96) and pred.dtype == np.int32
+        assert (pred[0] != pred[1]).any()
+        assert (pred == np.argmax(ops.bilinear_upsample(logits, 8), axis=1)).all()
+
+    @pytest.mark.parametrize("cells", [1, 3, None])
+    def test_chunked_equals_unchunked(self, monkeypatch, cells):
+        logits = Rng(43).normal(2 * 5 * 6 * 7).astype(np.float32).reshape(2, 5, 6, 7)
+        ref = predict_full_res(Tensor(logits), 48, 56)
+        total = int(_boundary_cells(logits).sum())
+        sizes = []
+        real = network._boundary_classes
+
+        def spy(x, b, *args):
+            sizes.append(b.size)
+            return real(x, b, *args)
+
+        monkeypatch.setattr(network, "_boundary_classes", spy)
+        monkeypatch.setattr(ops, "_BAND_ELEMS", (cells or total) * 5 * 64)
+        pred = predict_full_res(Tensor(logits), 48, 56)
+        assert sum(sizes) == total and max(sizes) == (cells or total)
+        assert (pred == ref).all()
+
+    def test_peak_memory_within_banded_upsample(self):
+        """The banded x8 upsample this replaced peaked at 19474760 traced
+        bytes on these logits, its int32 mask (8355840 bytes) included."""
+        logits = Tensor(Rng(41).normal(19 * 136 * 240).astype(np.float32).reshape(1, 19, 136, 240))
+        assert _boundary_cells(logits.data)[:, 1:-1, 1:-1].mean() > 0.99
+        tracemalloc.start()
+        try:
+            predict_full_res(logits, 1088, 1920)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 19474760
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_rejected(self, bad):
+        logits = np.zeros((1, 3, 4, 4), dtype=np.float32)
+        logits[0, 1, 2, 3] = bad
+        with pytest.raises(DataError):
+            predict_full_res(Tensor(logits), 32, 32)
 
 
 class TestAblations:
