@@ -148,9 +148,3 @@ def receptive_field(cfg: BackboneConfig) -> dict[int, int]:
     states = rf_walk(specs, ("x",))
     return {stride: states[name].rf for stride, name in taps.items()}
 
-
-def rf_center_of(cfg: BackboneConfig, stride: int, index_h: int, index_w: int):
-    """Input-space center and state for one output location of a tap."""
-    specs, taps = backbone_specs(cfg)
-    st = rf_walk(specs, ("x",))[taps[stride]]
-    return (st.start + index_h * st.jump, st.start + index_w * st.jump), st

@@ -101,20 +101,32 @@ def _read_header(data: bytes, magic: bytes, path: str):
     return w, h, pos + 1
 
 
-def read_ppm(path) -> Tensor:
-    """Binary P6 image -> (1,3,h,w) float32 tensor with values in [0,255]."""
+def _read_raster(path, channels: int) -> np.ndarray:
+    """Binary P6 (3 channels) or P5 (1 channel) file -> (h,w,channels) uint8."""
     path = os.fspath(path)
     with open(path, "rb") as fh:
         data = fh.read()
-    w, h, off = _read_header(data, b"P6", path)
-    need = 3 * w * h
+    w, h, off = _read_header(data, b"P6" if channels == 3 else b"P5", path)
+    need = channels * w * h
     if len(data) - off < need:
         raise FormatError(
             f"{path}: raster needs {need} bytes, file has {len(data) - off}",
             len(data),
         )
-    raster = np.frombuffer(data, dtype=np.uint8, count=need, offset=off)
-    chw = raster.reshape(h, w, 3).transpose(2, 0, 1)
+    return np.frombuffer(data, dtype=np.uint8, count=need, offset=off).reshape(h, w, channels)
+
+
+def _write_raster(pix: np.ndarray, path) -> None:
+    """Write an (h,w,3) uint8 array as binary P6, or an (h,w) one as P5."""
+    h, w = pix.shape[:2]
+    with open(os.fspath(path), "wb") as fh:
+        fh.write(b"%s\n%d %d\n255\n" % (b"P6" if pix.ndim == 3 else b"P5", w, h))
+        fh.write(pix.tobytes())
+
+
+def read_ppm(path) -> Tensor:
+    """Binary P6 image -> (1,3,h,w) float32 tensor with values in [0,255]."""
+    chw = _read_raster(path, 3).transpose(2, 0, 1)
     return Tensor(chw[None].astype(np.float32))
 
 
@@ -127,30 +139,12 @@ def write_ppm(image: Tensor | np.ndarray, path) -> None:
         arr = arr[0]
     if arr.ndim != 3 or arr.shape[0] != 3:
         raise ArgumentError(f"write_ppm expects 3 channels, got shape {arr.shape}")
-    _write_p6(np.clip(np.rint(arr), 0, 255).astype(np.uint8).transpose(1, 2, 0), path)
-
-
-def _write_p6(pix: np.ndarray, path) -> None:
-    """Write an (h,w,3) uint8 array as binary P6."""
-    h, w, _ = pix.shape
-    with open(os.fspath(path), "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (w, h))
-        fh.write(pix.tobytes())
+    _write_raster(np.clip(np.rint(arr), 0, 255).astype(np.uint8).transpose(1, 2, 0), path)
 
 
 def read_pgm(path) -> np.ndarray:
     """Binary P5 label map -> (h,w) uint8 array."""
-    path = os.fspath(path)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    w, h, off = _read_header(data, b"P5", path)
-    need = w * h
-    if len(data) - off < need:
-        raise FormatError(
-            f"{path}: raster needs {need} bytes, file has {len(data) - off}",
-            len(data),
-        )
-    return np.frombuffer(data, dtype=np.uint8, count=need, offset=off).reshape(h, w).copy()
+    return _read_raster(path, 1)[:, :, 0].copy()
 
 
 def write_pgm(label: np.ndarray, path) -> None:
@@ -159,10 +153,7 @@ def write_pgm(label: np.ndarray, path) -> None:
         raise ArgumentError(f"write_pgm expects a 2-d map, got shape {label.shape}")
     if label.min() < 0 or label.max() > 255:
         raise DataError("label values must fit in a byte")
-    h, w = label.shape
-    with open(os.fspath(path), "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (w, h))
-        fh.write(label.astype(np.uint8).tobytes())
+    _write_raster(label.astype(np.uint8), path)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +197,7 @@ def write_color_mask(label: np.ndarray, palette: dict, path) -> None:
         missing = np.flatnonzero((np.bincount(label.ravel(), minlength=256) > 0) & ~known)
         if missing.size:
             raise DataError(f"palette has no entry for class {missing[0]}")
-    _write_p6(lut[label], path)
+    _write_raster(lut[label], path)
 
 
 def read_manifest(path) -> list[tuple[str, str]]:
@@ -334,23 +325,6 @@ SHAPES_PER_SCENE = (2, 4)
 _NOISE_SPAN = 12
 _BG_COLOR = (46, 46, 46)
 _CLASS_COLORS = {1: (204, 62, 62), 2: (62, 92, 208)}
-
-
-def expected_class_fraction(num_classes: int, h: int, w: int) -> dict[int, float]:
-    """Mean pixel fraction per shape class, ignoring occlusion."""
-    m2 = min(h, w) ** 2
-    lo, hi = RECT_SIDE_FRAC
-    rect_area = ((lo + hi) / 2.0) ** 2 * m2
-    lo, hi = CIRCLE_RADIUS_FRAC
-    circ_area = np.pi * (hi**3 - lo**3) / (3.0 * (hi - lo)) * m2
-    n_mean = (SHAPES_PER_SCENE[0] + SHAPES_PER_SCENE[1]) / 2.0
-    kinds = 2 if num_classes >= 3 else 1
-    out = {}
-    if num_classes >= 2:
-        out[1] = n_mean / kinds * rect_area / (h * w)
-    if num_classes >= 3:
-        out[2] = n_mean / kinds * circ_area / (h * w)
-    return out
 
 
 def _paint_noise(rng: Rng, h: int, w: int) -> np.ndarray:

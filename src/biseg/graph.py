@@ -736,8 +736,8 @@ def save_checkpoint(store: ParamStore, path, iteration: int = 0, config_hash: in
 
 def load_checkpoint(path) -> Checkpoint:
     """Parse a save_checkpoint file. Any departure from the layout, including
-    a name that is not UTF-8 or repeated, or bytes after the trailer, raises
-    FormatError."""
+    a name that is not UTF-8 or repeated, a NaN or infinite weight, or bytes
+    after the trailer, raises FormatError."""
     with open(path, "rb") as f:
         blob = f.read()
 
@@ -772,8 +772,14 @@ def load_checkpoint(path) -> Checkpoint:
         pos += 4 * rank
         numel = math.prod(dims)
         payload = need(pos, 4 * numel, f"payload of {name!r}")
+        value = np.frombuffer(payload, dtype="<f4")
+        finite = np.isfinite(value)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            raise FormatError(f"tensor {name!r} holds a NaN or infinite weight "
+                              f"({value[first]})", offset=pos + 4 * first)
         pos += 4 * numel
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        tensors[name] = value.reshape(dims).copy()
     iteration, config_hash = struct.unpack("<QQ", need(pos, 16, "trailer"))
     if pos + 16 != len(blob):
         raise FormatError(f"{len(blob) - pos - 16} unexpected bytes after the trailer",

@@ -335,46 +335,52 @@ class CeLoss:
     kept: int
 
 
-def _check_labels(labels: np.ndarray, num_classes: int):
-    if labels.ndim != 3:
-        raise ShapeError("labels must be rank-3 (n, h, w)")
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray, keep_fraction: float,
+                   min_kept: int) -> CeLoss:
+    """The one CE body: mean over the k pixels bootstrap_ce_loss keeps.
+
+    (1.0, 0) keeps every valid pixel, which is softmax_ce_loss. If every
+    pixel is ignored the loss is 0 with a zero gradient and valid is 0.
+    """
+    if logits.ndim != 4:
+        raise ShapeError("logits must be rank-4 (n, C, h, w)")
+    n, num_classes, h, w = logits.shape
+    if labels.shape != (n, h, w):
+        raise ShapeError(f"labels shape {labels.shape} does not match logits {logits.shape}")
     lab = labels.astype(np.int64, copy=False)
-    bad = (lab != IGNORE) & ((lab < 0) | (lab >= num_classes))
+    valid = lab != IGNORE
+    bad = valid & ((lab < 0) | (lab >= num_classes))
     if bad.any():
         where = np.argwhere(bad)[0]
         raise DataError(
             f"label {int(lab[tuple(where)])} at {tuple(int(v) for v in where)} "
             f"outside [0, {num_classes}) and not ignore={IGNORE}"
         )
-
-
-def _pixel_ce(logits: np.ndarray, labels: np.ndarray):
-    """Per-pixel CE loss (float64), probabilities, and the valid mask."""
-    if logits.ndim != 4:
-        raise ShapeError("logits must be rank-4 (n, C, h, w)")
-    n, num_classes, h, w = logits.shape
-    if labels.shape != (n, h, w):
-        raise ShapeError(f"labels shape {labels.shape} does not match logits {logits.shape}")
-    _check_labels(labels, num_classes)
-    lab = labels.astype(np.int64, copy=False)
-    valid = lab != IGNORE
-    z = np.subtract(logits, logits.max(axis=1, keepdims=True), dtype=np.float64)
-    probs = np.exp(z)
-    denom = probs.sum(axis=1)
-    probs /= denom[:, None]
-    safe = np.where(valid, lab, 0)
+    n_valid = int(valid.sum())
+    if n_valid == 0:
+        return CeLoss(0.0, np.zeros_like(logits), 0, 0)
+    safe = np.where(valid, lab, 0)[:, None]
+    # One float64 array holds the shifted logits, then the probabilities,
+    # then the gradient; the label's shifted logit is read out first.
+    p = np.subtract(logits, logits.max(axis=1, keepdims=True), dtype=np.float64)
+    z_label = np.take_along_axis(p, safe, axis=1)[:, 0]
+    np.exp(p, out=p)
+    denom = p.sum(axis=1)
+    p /= denom[:, None]
     # log_softmax at the label only: z - log(denom), one pixel at a time
-    picked = np.take_along_axis(z, safe[:, None], axis=1)[:, 0] - np.log(denom)
-    pixel_loss = np.where(valid, -picked, 0.0)
-    return pixel_loss, probs, valid, safe
-
-
-def _ce_from_mask(logits, probs, safe, kept_mask, denom_count):
-    """Shared assembly: the logit gradient, written into probs."""
-    picked = np.take_along_axis(probs, safe[:, None], axis=1)
-    np.put_along_axis(probs, safe[:, None], picked - 1.0, axis=1)
-    probs *= (kept_mask.astype(np.float64) / float(denom_count))[:, None]
-    return probs.astype(logits.dtype, copy=False)
+    pixel_loss = np.where(valid, -(z_label - np.log(denom)), 0.0)
+    k = min(max(min_kept, int(keep_fraction * n_valid)), n_valid)
+    if k == n_valid:
+        kept = valid
+    else:
+        flat = np.where(valid, pixel_loss, -np.inf).reshape(-1)
+        kept = np.zeros(flat.size, dtype=bool)
+        kept[np.argpartition(flat, flat.size - k)[flat.size - k :]] = True
+        kept = kept.reshape(valid.shape)
+    loss = float(pixel_loss[kept].sum() / k)
+    np.put_along_axis(p, safe, np.take_along_axis(p, safe, axis=1) - 1.0, axis=1)
+    p *= (kept.astype(np.float64) / float(k))[:, None]
+    return CeLoss(loss, p.astype(logits.dtype, copy=False), n_valid, k)
 
 
 def softmax_ce_loss(logits: np.ndarray, labels: np.ndarray) -> CeLoss:
@@ -383,13 +389,7 @@ def softmax_ce_loss(logits: np.ndarray, labels: np.ndarray) -> CeLoss:
     The mean divides by the count of non-ignored pixels. If every pixel is
     ignored the loss is 0 with a zero gradient and valid is 0.
     """
-    pixel_loss, probs, valid, safe = _pixel_ce(logits, labels)
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        return CeLoss(0.0, np.zeros_like(logits), 0, 0)
-    loss = float(pixel_loss[valid].sum() / n_valid)
-    grad = _ce_from_mask(logits, probs, safe, valid, n_valid)
-    return CeLoss(loss, grad, n_valid, n_valid)
+    return _cross_entropy(logits, labels, 1.0, 0)
 
 
 def bootstrap_ce_loss(
@@ -408,23 +408,7 @@ def bootstrap_ce_loss(
         raise ArgumentError(f"keep_fraction {keep_fraction} outside (0, 1]")
     if min_kept < 0:
         raise ArgumentError("min_kept must be non-negative")
-    pixel_loss, probs, valid, safe = _pixel_ce(logits, labels)
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        return CeLoss(0.0, np.zeros_like(logits), 0, 0)
-    k = max(min_kept, int(keep_fraction * n_valid))
-    k = min(k, n_valid)
-    if k == n_valid:
-        kept_mask = valid
-    else:
-        flat = np.where(valid, pixel_loss, -np.inf).reshape(-1)
-        kept_idx = np.argpartition(flat, flat.size - k)[flat.size - k :]
-        kept_flat = np.zeros(flat.size, dtype=bool)
-        kept_flat[kept_idx] = True
-        kept_mask = kept_flat.reshape(valid.shape)
-    loss = float(pixel_loss[kept_mask].sum() / k)
-    grad = _ce_from_mask(logits, probs, safe, kept_mask, k)
-    return CeLoss(loss, grad, n_valid, k)
+    return _cross_entropy(logits, labels, keep_fraction, min_kept)
 
 
 def nearest_downsample_labels(labels: np.ndarray, factor: int) -> np.ndarray:

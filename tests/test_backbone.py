@@ -9,7 +9,6 @@ from biseg.backbone import (
     backbone_specs,
     check_input_extents,
     receptive_field,
-    rf_center_of,
     rf_walk,
 )
 from biseg.errors import ArgumentError, ShapeError
@@ -174,7 +173,8 @@ class TestReceptiveField:
         rows = np.where(gx.any(axis=1))[0]
         cols = np.where(gx.any(axis=0))[0]
         theory = receptive_field(cfg)[32]
-        (center_h, center_w), st = rf_center_of(cfg, 32, idx, idx)
+        st = rf_walk(specs, ("x",))[tap]
+        center_h = center_w = st.start + idx * st.jump
         assert st.rf == theory
         assert abs((rows[-1] - rows[0] + 1) - theory) <= 2
         assert abs((cols[-1] - cols[0] + 1) - theory) <= 2

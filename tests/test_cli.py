@@ -480,7 +480,7 @@ class TestCliErrors:
             assert capsys.readouterr().err.startswith("error[data]: ")
 
     def test_nan_weight_exit_3(self, workspace, tmp_path, capsys):
-        """A NaN weight makes NaN logits, which prediction rejects."""
+        """A NaN weight is rejected when the checkpoint loads."""
         blob = bytearray(workspace["ckpt"].read_bytes())
         (name_len,) = struct.unpack_from("<H", blob, 10)
         rank = blob[13 + name_len]

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from biseg.data import (
+    CIRCLE_RADIUS_FRAC,
     IGNORE,
+    RECT_SIDE_FRAC,
+    SHAPES_PER_SCENE,
     AugmentConfig,
     ConfusionMatrix,
     Sample,
     SegDataset,
     augment,
     default_palette,
-    expected_class_fraction,
     miou,
     read_manifest,
     read_pgm,
@@ -270,6 +272,19 @@ class TestAugment:
             AugmentConfig(crop_h=0)
 
 
+def _expected_class_fraction(h, w):
+    """Mean pixel fraction of classes 1 (rectangles) and 2 (circles) in
+    three-class scenes, ignoring occlusion: half the shapes are of each kind,
+    with sides and radii uniform over their ranges."""
+    m2 = min(h, w) ** 2
+    lo, hi = RECT_SIDE_FRAC
+    rect_area = ((lo + hi) / 2.0) ** 2 * m2
+    lo, hi = CIRCLE_RADIUS_FRAC
+    circ_area = np.pi * (hi**3 - lo**3) / (3.0 * (hi - lo)) * m2
+    per_kind = (SHAPES_PER_SCENE[0] + SHAPES_PER_SCENE[1]) / 2.0 / 2
+    return {1: per_kind * rect_area / (h * w), 2: per_kind * circ_area / (h * w)}
+
+
 class TestSynth:
     def test_deterministic(self):
         a = synth_shapes(3, 32, 32, 3, seed=5)
@@ -306,7 +321,7 @@ class TestSynth:
         for s in samples:
             for c in counts:
                 counts[c] += int((s.label == c).sum())
-        expect = expected_class_fraction(3, h, w)
+        expect = _expected_class_fraction(h, w)
         for c in counts:
             observed = counts[c] / (100 * h * w)
             assert observed > 0

@@ -1,5 +1,6 @@
 """Graph executor, parameter store, SGD schedule, and checkpoint format."""
 
+import math
 import struct
 import sys
 import threading
@@ -846,6 +847,20 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="truncated") as exc:
             load_checkpoint(path)
         assert exc.value.offset == at + len(huge)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_weight_rejected(self, tmp_path, bad):
+        store = self._store()
+        path = tmp_path / "model.bsnt"
+        save_checkpoint(store, path)
+        blob = bytearray(path.read_bytes())
+        (name_len,) = struct.unpack_from("<H", blob, 10)
+        at = 14 + name_len + 4 * blob[13 + name_len] + 4 * 5  # sixth payload value
+        struct.pack_into("<f", blob, at, bad)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="'conv.weight' holds a NaN") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == at
 
     def test_non_utf8_name_rejected(self, tmp_path):
         store = self._store()
