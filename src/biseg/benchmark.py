@@ -5,7 +5,8 @@ random input is allocated once, the model runs untimed warmup iterations,
 and then the timed iterations run network_forward as `biseg infer` does
 (the inference plan, its per-call BN fold included), optionally followed by
 the x8 upsample and argmax of the end-to-end path. The garbage collector is
-paused inside the timed region and the input is reused.
+paused inside the timed region and the input is reused. One more, untimed
+pass after the timed ones gives the tracemalloc peak of a pass.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import os
 import platform
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,7 @@ class BenchRow:
     median_ms: float
     p95_ms: float
     fps: float
+    peak_mib: float            # tracemalloc peak of one pass, in MiB
 
 
 @dataclass
@@ -51,7 +54,7 @@ class BenchReport:
 
     def text_table(self) -> str:
         header = (f"{'size':>12}{'padded':>12}{'mean ms':>12}"
-                  f"{'median ms':>12}{'p95 ms':>12}{'fps':>10}")
+                  f"{'median ms':>12}{'p95 ms':>12}{'fps':>10}{'peak MiB':>10}")
         lines = [f"# {self.environment}",
                  f"# config_hash {self.config_hash:#018x}"
                  f"{'  (end-to-end)' if self.e2e else '  (forward only)'}",
@@ -61,7 +64,7 @@ class BenchReport:
                 f"{r.nominal[0]}x{r.nominal[1]:<6}".rjust(12)
                 + f"{r.padded[0]}x{r.padded[1]:<6}".rjust(12)
                 + f"{r.mean_ms:>12.3f}{r.median_ms:>12.3f}"
-                + f"{r.p95_ms:>12.3f}{r.fps:>10.3f}"
+                + f"{r.p95_ms:>12.3f}{r.fps:>10.3f}{r.peak_mib:>10.1f}"
             )
         return "\n".join(lines)
 
@@ -74,7 +77,7 @@ class BenchReport:
                 {
                     "nominal": list(r.nominal), "padded": list(r.padded),
                     "mean_ms": r.mean_ms, "median_ms": r.median_ms,
-                    "p95_ms": r.p95_ms, "fps": r.fps,
+                    "p95_ms": r.p95_ms, "fps": r.fps, "peak_mib": r.peak_mib,
                 }
                 for r in self.rows
             ],
@@ -128,6 +131,12 @@ def run_bench(cfg: EngineConfig, store: ParamStore | None = None,
         finally:
             if gc_was_enabled:
                 gc.enable()
+        tracemalloc.start()
+        try:
+            one_pass()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         mean_ms = float(times_ms.mean())
         row = BenchRow(
             nominal=(w, h), padded=(pw, ph),
@@ -135,10 +144,12 @@ def run_bench(cfg: EngineConfig, store: ParamStore | None = None,
             median_ms=float(np.median(times_ms)),
             p95_ms=float(np.percentile(times_ms, 95.0)),
             fps=1000.0 / mean_ms,
+            peak_mib=peak / (1 << 20),
         )
         rows.append(row)
         if echo is not None:
-            echo(f"{w}x{h}: mean {row.mean_ms:.2f} ms  fps {row.fps:.2f}")
+            echo(f"{w}x{h}: mean {row.mean_ms:.2f} ms  fps {row.fps:.2f}  "
+                 f"peak {row.peak_mib:.1f} MiB")
     return BenchReport(
         rows=rows, environment=environment_descriptor(),
         config_hash=config_hash(cfg), e2e=e2e,

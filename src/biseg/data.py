@@ -197,7 +197,7 @@ def write_color_mask(label: np.ndarray, palette: dict, path) -> None:
         missing = np.flatnonzero((np.bincount(label.ravel(), minlength=256) > 0) & ~known)
         if missing.size:
             raise DataError(f"palette has no entry for class {missing[0]}")
-    _write_raster(lut[label], path)
+    _write_raster(np.take(lut, label, axis=0), path)
 
 
 def read_manifest(path) -> list[tuple[str, str]]:

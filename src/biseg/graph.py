@@ -8,6 +8,10 @@ wherever a value fans out. Inference runs a plan over the same specs:
 fold_bn merges each BN into the conv before it, and a forward given the
 values it must return drops each other layer output after its last use
 and runs the branches from the graph inputs concurrently on one dict.
+That forward also runs each find_chains() chain (dense convs with kernel
+> 1 and their ReLUs, each the sole consumer of the value before it)
+depth-first in bands of output rows, so the chain's inner values are
+never created; the spec list itself, and every other run, is unchanged.
 
 Everything the engine knows about a layer kind sits in its LayerKind record
 in KINDS: arity, parameters, shape rule, forward and backward kernels,
@@ -87,7 +91,8 @@ class LayerKind:
     shape(spec, ins) -> output shape, or ShapeError / ArgumentError without
         the layer's name (infer_shapes adds it); the only operand check
     forward(spec, xs, p, mode) -> output; p maps suffix -> stored array
-    backward(spec, xs, y, gy, p, mode) -> (input grads, {suffix: grad})
+    backward(spec, xs, y, gy, p, mode) -> (input grads, {suffix: grad}); conv's
+        also takes input_grad=False, which gives None for the input grad
     cost(ins, out, param_shapes) -> (params, macs, flops) from shapes alone,
         so the static table (spec shapes) and the executor's counter (live
         array shapes) evaluate it on independent inputs
@@ -196,8 +201,8 @@ def _upsample_shape(spec, ins):
     return (n, c, h * spec.factor, w * spec.factor)
 
 
-def _conv_bwd(spec, xs, y, gy, p, mode):
-    gx, gw, gb = ops.conv2d_backward(xs[0], _conv(spec, p), gy)
+def _conv_bwd(spec, xs, y, gy, p, mode, input_grad=True):
+    gx, gw, gb = ops.conv2d_backward(xs[0], _conv(spec, p), gy, input_grad)
     return (gx,), ({"weight": gw, "bias": gb} if spec.bias else {"weight": gw})
 
 
@@ -455,6 +460,37 @@ class OpCounter:
         self.rows[name] = (prev[0] + macs, prev[1] + flops)
 
 
+def _chainable(spec: LayerSpec) -> bool:
+    return spec.kind == "conv" and spec.groups == 1 and spec.kernel > 1
+
+
+def find_chains(specs, keep) -> dict[str, tuple[LayerSpec, ...]]:
+    """The conv chains a freeing forward runs depth-first, keyed by member name.
+
+    A chain is two or more dense convs with kernel > 1, each followed by an
+    optional relu, in which each member is the sole consumer of the value
+    before it and no value but the last is in keep. ops.conv_chain_forward
+    runs it in bands of output rows, so its inner values are never created.
+    """
+    users: dict[str, list[LayerSpec]] = {}
+    for spec in specs:
+        for name in spec.inputs:
+            users.setdefault(name, []).append(spec)
+    chains: dict[str, tuple[LayerSpec, ...]] = {}
+    for spec in specs:
+        if spec.name in chains or not _chainable(spec):
+            continue
+        chain = [spec]
+        while chain[-1].output not in keep and len(users.get(chain[-1].output, ())) == 1:
+            nxt = users[chain[-1].output][0]
+            if not (_chainable(nxt) or (nxt.kind == "relu" and chain[-1].kind == "conv")):
+                break
+            chain.append(nxt)
+        if sum(s.kind == "conv" for s in chain) > 1:
+            chains.update(dict.fromkeys((s.name for s in chain), tuple(chain)))
+    return chains
+
+
 def split_branches(specs, input_names) -> tuple[list[list[LayerSpec]], list[LayerSpec]]:
     """Split specs into the independent branches rooted at the graph inputs.
 
@@ -494,6 +530,8 @@ class GraphRun:
         self.freed = False  # the last forward dropped values after their last use
         self._params: dict[str, dict[str, np.ndarray]] = {}  # layer -> {suffix: array}
         self._input_names: tuple[str, ...] = ()
+        self._shapes: dict[str, tuple] = {}
+        self._chains: dict[str, tuple[LayerSpec, ...]] = {}
 
     def forward(self, inputs: dict, outputs=None, counter: OpCounter | None = None) -> dict:
         """Run every spec; returns the value dict.
@@ -505,12 +543,13 @@ class GraphRun:
         last consumer (graph inputs stay with the caller) and only the named
         values are returned; such a run cannot be followed by backward. The
         split_branches() branches share one value dict and run at the same
-        time, the first on the calling thread, then the tail.
+        time, the first on the calling thread, then the tail; each
+        find_chains() chain runs whole where its first member stands.
         """
         for name, x in inputs.items():
             if not (isinstance(x, np.ndarray) and np.issubdtype(x.dtype, np.floating)):
                 raise ArgumentError(f"input {name!r} must be a floating-point array")
-        infer_shapes(self.specs, {name: x.shape for name, x in inputs.items()})
+        self._shapes = infer_shapes(self.specs, {name: x.shape for name, x in inputs.items()})
         self._input_names = tuple(inputs.keys())
         if outputs is None:
             groups, tail = [self.specs], []
@@ -518,8 +557,11 @@ class GraphRun:
             groups, tail = split_branches(self.specs, inputs.keys())
         order = [spec for group in (*groups, tail) for spec in group]
         dead: dict[str, list[str]] = {spec.name: [] for spec in order}
+        self._chains = {}
         if outputs is not None:
             keep = {*outputs, *inputs}
+            self._chains = find_chains(order, keep)
+            never = {s.output for chain in self._chains.values() for s in chain[:-1]}
             last_use = dict.fromkeys(inputs)
             for spec in order:  # execution order: every branch before the tail
                 last_use.update(dict.fromkeys((*spec.inputs, spec.output), spec.name))
@@ -527,7 +569,7 @@ class GraphRun:
             if missing:
                 raise GraphError(f"requested values {sorted(missing)} are never produced")
             for name, at in last_use.items():
-                if name not in keep:
+                if name not in keep and name not in never:
                     dead[at].append(name)
         vals = dict(inputs)
         futures = [_BRANCH_POOL.submit(self._run, group, vals, dead, counter)
@@ -543,31 +585,62 @@ class GraphRun:
         self.freed = outputs is not None
         return self.values
 
+    def _load(self, spec: LayerSpec) -> dict[str, np.ndarray]:
+        p = self._params[spec.name] = {
+            d.suffix: self.store.get(f"{spec.name}.{d.suffix}").value
+            for d in KINDS[spec.kind].params(spec)}
+        return p
+
     def _run(self, specs, vals: dict, dead: dict, counter: OpCounter | None) -> None:
-        """Run specs in order on vals, dropping dead[spec.name] after each."""
+        """Run specs in order on vals, dropping dead[spec.name] after each.
+
+        A chain runs whole at its first member; the others are skipped.
+        """
         for spec in specs:
-            kind = KINDS[spec.kind]
-            xs = [vals[name] for name in spec.inputs]
-            p = self._params[spec.name] = {
-                d.suffix: self.store.get(f"{spec.name}.{d.suffix}").value
-                for d in kind.params(spec)}
-            reuse = kind.inplace is not None and spec.inputs[0] in dead[spec.name]
-            out = (kind.inplace if reuse else kind.forward)(spec, xs, p, self.mode)
-            if counter is not None:
-                # Measured from the arrays involved, not from the spec.
-                _, macs, flops = kind.cost(
-                    [x.shape for x in xs], out.shape, {k: v.shape for k, v in p.items()})
-                counter.record(spec.name, macs, flops)
-            vals[spec.output] = out
+            chain = self._chains.get(spec.name)
+            if chain is None:
+                kind = KINDS[spec.kind]
+                xs = [vals[name] for name in spec.inputs]
+                p = self._load(spec)
+                reuse = kind.inplace is not None and spec.inputs[0] in dead[spec.name]
+                out = (kind.inplace if reuse else kind.forward)(spec, xs, p, self.mode)
+                if counter is not None:
+                    # Measured from the arrays involved, not from the spec.
+                    _, macs, flops = kind.cost(
+                        [x.shape for x in xs], out.shape, {k: v.shape for k, v in p.items()})
+                    counter.record(spec.name, macs, flops)
+                vals[spec.output] = out
+            elif spec is chain[0]:
+                vals[chain[-1].output] = self._run_chain(chain, vals, counter)
             for name in dead[spec.name]:
                 del vals[name]
 
-    def backward(self, seed_grads: dict) -> tuple[dict, dict]:
+    def _run_chain(self, chain, vals: dict, counter: OpCounter | None) -> np.ndarray:
+        """ops.conv_chain_forward over a find_chains() chain. Its inner
+        values never exist, so a counter gets each member's cost from the
+        shapes infer_shapes gave them."""
+        layers = []
+        for spec in chain:
+            p = self._load(spec)
+            if spec.kind == "conv":
+                layers.append((_conv(spec, p), False))
+            else:
+                layers[-1] = (layers[-1][0], True)
+            if counter is not None:
+                _, macs, flops = KINDS[spec.kind].cost(
+                    [self._shapes[name] for name in spec.inputs], self._shapes[spec.output],
+                    {k: v.shape for k, v in p.items()})
+                counter.record(spec.name, macs, flops)
+        return ops.conv_chain_forward(vals[chain[0].inputs[0]], layers)
+
+    def backward(self, seed_grads: dict, input_grads: bool = True) -> tuple[dict, dict]:
         """Reverse pass from value-name -> grad seeds.
 
         Returns (param_grads, input_grads). Parameter grads cover every
         trainable entry touched by the graph; values with no incoming grad
-        contribute zeros.
+        contribute zeros. With input_grads=False the graph inputs get no
+        gradient (an empty dict is returned for them) and a conv reading a
+        graph input skips its input gradient.
         """
         if not self.values:
             raise GraphError("backward called before forward")
@@ -588,20 +661,26 @@ class GraphRun:
             if gy is None:
                 gy = np.zeros_like(y)
             xs = [self.values[name] for name in spec.inputs]
+            extra = {}
+            if not input_grads and spec.kind == "conv" and spec.inputs[0] in self._input_names:
+                extra = {"input_grad": False}
             in_grads, p_grads = KINDS[spec.kind].backward(
-                spec, xs, y, gy, self._params[spec.name], self.mode)
+                spec, xs, y, gy, self._params[spec.name], self.mode, **extra)
             for suffix, g in p_grads.items():
                 param_grads[f"{spec.name}.{suffix}"] = g
             for name, g in zip(spec.inputs, in_grads):
+                if g is None:
+                    continue
                 if name in vgrads:
                     vgrads[name] += g
                 else:
                     vgrads[name] = g
-        input_grads = {
+        if not input_grads:
+            return param_grads, {}
+        return param_grads, {
             name: vgrads.get(name, np.zeros_like(self.values[name]))
             for name in self._input_names
         }
-        return param_grads, input_grads
 
 
 def run_forward(specs, store: ParamStore, inputs: dict, mode: str = "infer",
@@ -619,19 +698,20 @@ class ForwardBackward:
 
 
 def forward_backward(specs, store: ParamStore, inputs: dict, loss_fn,
-                     mode: str = "train") -> ForwardBackward:
+                     mode: str = "train", input_grads: bool = True) -> ForwardBackward:
     """Forward pass, loss evaluation, reverse pass.
 
     loss_fn(values) must return (loss: float, seed_grads: {value: grad},
     terms: dict of reported scalars). Every trainable parameter of the graph
     receives a gradient (zero where the loss does not reach it): the reverse
     pass visits every layer, seeding unreached outputs with zeros.
+    input_grads=False skips the graph inputs' gradients (GraphRun.backward).
     """
     run = GraphRun(specs, store, mode)
     values = run.forward(inputs)
     loss, seed_grads, terms = loss_fn(values)
-    param_grads, input_grads = run.backward(seed_grads)
-    return ForwardBackward(loss, terms, param_grads, input_grads, values)
+    param_grads, in_grads = run.backward(seed_grads, input_grads)
+    return ForwardBackward(loss, terms, param_grads, in_grads, values)
 
 
 # ---------------------------------------------------------------------------

@@ -76,31 +76,90 @@ def band_rows(rows: int, per_row: int) -> int:
     return min(rows, max(1, _BAND_ELEMS // per_row))
 
 
-def _conv_fwd_dense(xp, w, stride, oh, ow):
-    """Dense conv as matmuls that write NCHW directly.
+def conv_rows(x: np.ndarray, p: Conv2dParams, r0: int, r1: int, row0: int = 0,
+              h: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Output rows [r0, r1) of a dense conv (no bias), from unpadded input rows.
 
-    A 1x1 stride-1 conv is one matmul over the flattened pixels. Otherwise
-    the input is unrolled (im2col) one band of output rows at a time, so the
-    columns never exceed _BAND_ELEMS elements, and each band is one matmul.
+    x holds input rows [row0, row0 + x.shape[2]) of an h-row input (by
+    default x is the whole input); they must cover every row the output rows
+    read. The input is unrolled (im2col) one band of output rows at a time,
+    so the columns never exceed _BAND_ELEMS elements, and each band is one
+    matmul. Only the input rows a band reads are copied into a zero slab,
+    which supplies the padding. out, if given, is the (n, c_out, r1 - r0, ow)
+    destination and must keep each channel's rows contiguous.
     """
-    n, c_in = xp.shape[0], xp.shape[1]
-    c_out, _, kh, kw = w.shape
-    w2 = w.reshape(c_out, -1)
-    y = np.empty((n, c_out, oh, ow), dtype=xp.dtype)
-    flat = y.reshape(n, c_out, oh * ow)
-    if kh == kw == 1 and stride == 1:
-        np.matmul(w2, xp.reshape(n, c_in, oh * ow), out=flat)
-        return y
+    n, c_in, _, wx = x.shape
+    h = x.shape[2] if h is None else h
+    c_out, _, kh, kw = p.weight.shape
+    s, pad = p.stride, p.padding
+    ow = conv_out_extent(wx, kw, s, pad)
+    w2 = p.weight.reshape(c_out, -1)
+    if out is None:
+        out = np.empty((n, c_out, r1 - r0, ow), dtype=x.dtype)
+    flat = out.reshape(n, c_out, -1)
     per_row = n * w2.shape[1] * ow  # column elements per output row
-    rows = band_rows(oh, per_row)
-    buf = np.empty(per_row * rows, dtype=xp.dtype)
-    for r0 in range(0, oh, rows):
-        r = min(rows, oh - r0)
+    rows = band_rows(r1 - r0, per_row)
+    buf = np.empty(per_row * rows, dtype=x.dtype)
+    if pad:
+        slab = np.zeros((n, c_in, (rows - 1) * s + kh, wx + 2 * pad), dtype=x.dtype)
+    for b0 in range(r0, r1, rows):
+        r = min(rows, r1 - b0)
+        top, k = b0 * s - pad, (r - 1) * s + kh  # the band reads padded rows [top, top + k)
+        if pad:
+            lo = max(top, 0)
+            hi = max(min(top + k, h), lo)
+            band = slab[:, :, :k]
+            band[:, :, : lo - top] = 0
+            band[:, :, lo - top : hi - top, pad : pad + wx] = x[:, :, lo - row0 : hi - row0]
+            band[:, :, hi - top :] = 0
+        else:
+            band = x[:, :, top - row0 : top - row0 + k]
         cols = buf[: per_row * r].reshape(n, c_in, kh, kw, r, ow)
         for ki in range(kh):
             for kj in range(kw):
-                cols[:, :, ki, kj] = _tap(xp[:, :, r0 * stride :], ki, kj, stride, r, ow)
-        np.matmul(w2, cols.reshape(n, -1, r * ow), out=flat[:, :, r0 * ow : (r0 + r) * ow])
+                cols[:, :, ki, kj] = _tap(band, ki, kj, s, r, ow)
+        np.matmul(w2, cols.reshape(n, -1, r * ow),
+                  out=flat[:, :, (b0 - r0) * ow : (b0 - r0 + r) * ow])
+    return out
+
+
+def conv_chain_forward(x: np.ndarray, layers) -> np.ndarray:
+    """Dense convs in sequence, run depth-first one band of final rows at a time.
+
+    layers lists (Conv2dParams, relu) pairs; each conv's bias and, where relu
+    is set, a ReLU are applied in place. For each band of the last conv's
+    output rows, every earlier layer computes just the rows the next one
+    reads, halo included (recomputed by the neighbouring band), so no
+    intermediate map exists in full. Each output element is the dot product
+    of the same weight row and im2col column as in conv2d_forward, so the
+    result equals conv2d_forward and relu applied layer by layer, bit for
+    bit, wherever BLAS rounds a matmul column independently of how many
+    columns share the call: with OpenBLAS, at every network input size
+    checked and whenever bands are one row.
+    """
+    hs, ws = [x.shape[2]], [x.shape[3]]  # each layer's input extents, then the output's
+    for p, _relu in layers:
+        k = p.weight.shape[2]
+        hs.append(conv_out_extent(hs[-1], k, p.stride, p.padding))
+        ws.append(conv_out_extent(ws[-1], k, p.stride, p.padding))
+    last = layers[-1][0]
+    y = np.empty((x.shape[0], last.weight.shape[0], hs[-1], ws[-1]), dtype=x.dtype)
+    rows = band_rows(hs[-1], x.shape[0] * last.weight[0].size * ws[-1])
+    for a in range(0, hs[-1], rows):
+        spans = [(a, min(a + rows, hs[-1]))]  # rows each layer computes, built last first
+        for i in range(len(layers) - 1, 0, -1):
+            p, (lo, hi) = layers[i][0], spans[0]
+            spans.insert(0, (max(lo * p.stride - p.padding, 0),
+                             min((hi - 1) * p.stride - p.padding + p.weight.shape[2], hs[i])))
+        src, row0 = x, 0
+        for i, ((p, relu), (lo, hi)) in enumerate(zip(layers, spans)):
+            out = y[:, :, lo:hi] if i == len(layers) - 1 else None
+            src = conv_rows(src, p, lo, hi, row0, hs[i], out)
+            if p.bias is not None:
+                src += p.bias.reshape(1, -1, 1, 1)
+            if relu:
+                np.maximum(src, 0, out=src)
+            row0 = lo
     return y
 
 
@@ -114,55 +173,69 @@ def _conv_fwd_depthwise(xp, w, stride, oh, ow):
 
 
 def conv2d_forward(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
+    """Dense convs are matmuls that write NCHW directly: a 1x1 stride-1 conv
+    is one matmul over the flattened pixels, any other runs conv_rows over
+    all output rows. Depthwise convs accumulate the taps of a padded copy."""
     kh, kw = p.weight.shape[2:]
     oh = conv_out_extent(x.shape[2], kh, p.stride, p.padding)
     ow = conv_out_extent(x.shape[3], kw, p.stride, p.padding)
-    xp = _pad_hw(x, p.padding)
-    kernel = _conv_fwd_dense if p.groups == 1 else _conv_fwd_depthwise
-    y = kernel(xp, p.weight, p.stride, oh, ow)
+    if p.groups != 1:
+        y = _conv_fwd_depthwise(_pad_hw(x, p.padding), p.weight, p.stride, oh, ow)
+    elif kh == kw == 1 and p.stride == 1:
+        n, c_in, c_out = x.shape[0], x.shape[1], p.weight.shape[0]
+        y = np.empty((n, c_out, oh, ow), dtype=x.dtype)
+        np.matmul(p.weight.reshape(c_out, c_in), _pad_hw(x, p.padding).reshape(n, c_in, -1),
+                  out=y.reshape(n, c_out, -1))
+    else:
+        y = conv_rows(x, p, 0, oh)
     if p.bias is not None:
         y += p.bias.reshape(1, -1, 1, 1)
     return y
 
 
-def _conv_bwd_dense(xp, w, gy, stride):
-    n, c_in = xp.shape[0], xp.shape[1]
-    c_out, _, kh, kw = w.shape
+def _conv_bwd_dense(xp, w, gy, stride, gxp):
     oh, ow = gy.shape[2], gy.shape[3]
     gw = np.zeros_like(w)
-    gxp = np.zeros_like(xp)
-    for ki in range(kh):
-        for kj in range(kw):
+    for ki in range(w.shape[2]):
+        for kj in range(w.shape[3]):
             xs = _tap(xp, ki, kj, stride, oh, ow)
             gw[:, :, ki, kj] = np.tensordot(gy, xs, axes=([0, 2, 3], [0, 2, 3]))
-            contrib = np.tensordot(gy, w[:, :, ki, kj], axes=([1], [0]))  # (n, oh, ow, c_in)
-            _tap(gxp, ki, kj, stride, oh, ow)[...] += contrib.transpose(0, 3, 1, 2)
-    return gxp, gw
+            if gxp is not None:
+                contrib = np.tensordot(gy, w[:, :, ki, kj], axes=([1], [0]))  # (n, oh, ow, c_in)
+                _tap(gxp, ki, kj, stride, oh, ow)[...] += contrib.transpose(0, 3, 1, 2)
+    return gw
 
 
-def _conv_bwd_depthwise(xp, w, gy, stride):
+def _conv_bwd_depthwise(xp, w, gy, stride, gxp):
     c = xp.shape[1]
     oh, ow = gy.shape[2], gy.shape[3]
     gw = np.zeros_like(w)
-    gxp = np.zeros_like(xp)
     for ki in range(w.shape[2]):
         for kj in range(w.shape[3]):
             xs = _tap(xp, ki, kj, stride, oh, ow)
             gw[:, 0, ki, kj] = (gy * xs).sum(axis=(0, 2, 3))
-            _tap(gxp, ki, kj, stride, oh, ow)[...] += gy * w[:, 0, ki, kj].reshape(1, c, 1, 1)
-    return gxp, gw
+            if gxp is not None:
+                _tap(gxp, ki, kj, stride, oh, ow)[...] += gy * w[:, 0, ki, kj].reshape(1, c, 1, 1)
+    return gw
 
 
 def conv2d_backward(
-    x: np.ndarray, p: Conv2dParams, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Gradients (d_input, d_weight, d_bias) for conv2d_forward."""
+    x: np.ndarray, p: Conv2dParams, grad_out: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """Gradients (d_input, d_weight, d_bias) for conv2d_forward.
+
+    input_grad=False skips the input gradient (d_input is None); the
+    weight and bias gradients are computed exactly as with it.
+    """
     xp = _pad_hw(x, p.padding)
+    gxp = np.zeros_like(xp) if input_grad else None
     kernel = _conv_bwd_dense if p.groups == 1 else _conv_bwd_depthwise
-    gxp, gw = kernel(xp, p.weight, grad_out, p.stride)
+    gw = kernel(xp, p.weight, grad_out, p.stride, gxp)
+    gb = grad_out.sum(axis=(0, 2, 3)) if p.bias is not None else None
+    if gxp is None:
+        return None, gw, gb
     pad = p.padding
     gx = gxp if pad == 0 else gxp[:, :, pad:-pad, pad:-pad]
-    gb = grad_out.sum(axis=(0, 2, 3)) if p.bias is not None else None
     return np.ascontiguousarray(gx), gw, gb
 
 

@@ -114,7 +114,8 @@ def run_training(cfg: EngineConfig, out_dir, dataset: SegDataset | None = None,
             images, loss_labels = _load_batch(dataset, picks, cfg)
             lr = graph.poly_lr(cfg.sgd, it)
             fb = graph.forward_backward(
-                net.specs, store, {net.input: images}, loss_fn, mode="train"
+                net.specs, store, {net.input: images}, loss_fn, mode="train",
+                input_grads=False,
             )
             if not math.isfinite(fb.loss):
                 raise NumericAbort(

@@ -322,8 +322,9 @@ class TestCliHappyPath:
             assert abs(row["fps"] * row["mean_ms"] - 1000.0) < 1e-9
             assert row["padded"][0] % 32 == 0 and row["padded"][1] % 32 == 0
             assert row["mean_ms"] > 0
+            assert row["peak_mib"] > 0  # tracemalloc peak of one untimed pass
         text = capsys.readouterr().out
-        assert "mean ms" in text and "config_hash" in text
+        assert "mean ms" in text and "peak MiB" in text and "config_hash" in text
         cpus = f"cpus {os.cpu_count()} usable {len(os.sched_getaffinity(0))}"
         assert report["environment"].endswith(cpus)
 

@@ -25,6 +25,7 @@ from biseg.graph import (
     LayerSpec,
     ParamStore,
     SgdConfig,
+    find_chains,
     fold_bn,
     forward_backward,
     infer_shapes,
@@ -469,6 +470,129 @@ class TestFreeingForward:
         calls.clear()
         GraphRun(specs, store).forward({"x": x}, outputs=("y", "a"))
         assert calls[0][1] is None  # a requested value is never overwritten
+
+
+class TestChains:
+    """A freeing forward runs each run of dense 3x3 convs (with optional
+    ReLUs) whose inner values have one consumer as one banded chain."""
+
+    def _graph(self):
+        specs = [
+            conv_spec("c1", "x", "a", 2, 4, stride=2, bias=True),
+            unary("relu", "r1", "a", "b"),
+            conv_spec("c2", "b", "c", 4, 4),
+            conv_spec("c3", "c", "d", 4, 3, stride=2, bias=True),
+            unary("relu", "r3", "d", "e"),
+            conv_spec("c4", "e", "out", 3, 2, k=1, padding=0),
+        ]
+        store = ParamStore()
+        init_params(specs, store, Rng(40))
+        for name, entry in store.items():
+            if name.endswith(".bias"):
+                entry.value[...] = Rng(41).normal(entry.value.size)
+        return specs, store
+
+    def _input(self, n=1):
+        return Rng(42 + n).normal(n * 2 * 13 * 11).astype(np.float32).reshape(n, 2, 13, 11)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("one_row_bands", [True, False])
+    def test_chain_matches_the_unchained_run(self, n, one_row_bands, monkeypatch):
+        specs, store = self._graph()
+        chain = tuple(specs[:5])
+        assert find_chains(specs, {"x", "out"}) == dict.fromkeys(
+            ("c1", "r1", "c2", "c3", "r3"), chain)
+        if one_row_bands:
+            monkeypatch.setattr(ops, "_BAND_ELEMS", 1)
+        x = self._input(n)
+        ref_counter = OpCounter()
+        full = run_forward(specs, store, {"x": x}, counter=ref_counter)
+        calls = []
+        orig = ops.conv_chain_forward
+
+        def spy_chain(x, layers):
+            calls.append([relu for _p, relu in layers])
+            return orig(x, layers)
+
+        monkeypatch.setattr(ops, "conv_chain_forward", spy_chain)
+        counter = OpCounter()
+        got = GraphRun(specs, store).forward({"x": x}, outputs=("out",), counter=counter)
+        assert calls == [[True, False, True]]
+        assert np.array_equal(got["out"], full["out"])
+        assert counter.rows == ref_counter.rows  # every member is still counted
+
+    def test_fan_out_ends_a_chain(self):
+        specs = [
+            conv_spec("c1", "x", "a", 2, 3),
+            unary("relu", "r1", "a", "b"),
+            conv_spec("c2", "b", "c", 3, 3),
+            conv_spec("c3", "b", "d", 3, 3),
+            binary("add", "s", "c", "d", "y"),
+        ]
+        assert find_chains(specs, {"x", "y"}) == {}
+        specs = [conv_spec("c1", "x", "a", 2, 2), conv_spec("c2", "a", "c", 2, 2),
+                 binary("add", "s", "a", "c", "y")]  # c1's output also feeds s
+        assert find_chains(specs, {"x", "y"}) == {}
+
+    def test_requested_value_is_not_fused(self):
+        specs, store = self._graph()
+        chains = find_chains(specs, {"x", "out", "b"})
+        assert set(chains) == {"c2", "c3", "r3"} and chains["c2"] == tuple(specs[2:5])
+        # A requested value may end a chain: it is produced in full anyway.
+        assert find_chains(specs, {"x", "out", "c"}) == dict.fromkeys(
+            ("c1", "r1", "c2"), tuple(specs[:3]))
+        x = self._input()
+        full = run_forward(specs, store, {"x": x})
+        got = GraphRun(specs, store).forward({"x": x}, outputs=("out", "b"))
+        assert all(np.array_equal(got[k], full[k]) for k in ("out", "b"))
+
+    def test_depthwise_and_pointwise_convs_never_chain(self):
+        specs = [
+            conv_spec("c1", "x", "a", 4, 4),
+            conv_spec("dw", "a", "b", 4, 4, groups=4),
+            conv_spec("c2", "b", "c", 4, 4),
+            conv_spec("pw", "c", "d", 4, 4, k=1, padding=0),
+            conv_spec("c3", "d", "e", 4, 4),
+        ]
+        assert find_chains(specs, {"x", "e"}) == {}
+
+    def test_training_forward_never_chains(self, monkeypatch):
+        specs, store = self._graph()
+
+        def no_chain(x, layers):
+            raise AssertionError("a forward that keeps every value ran a chain")
+
+        monkeypatch.setattr(ops, "conv_chain_forward", no_chain)
+        x = self._input(2)
+        run = GraphRun(specs, store, mode="train")
+        values = run.forward({"x": x})
+        assert {"a", "b", "c", "d", "e"} <= set(values)
+        param_grads, input_grads = run.backward({"out": np.ones_like(values["out"])})
+        assert set(param_grads) == {name for name, _e in store.items()}
+        assert input_grads["x"].shape == x.shape
+
+    def test_backward_without_input_grads(self, monkeypatch):
+        """input_grads=False: the conv reading the graph input skips its
+        input gradient, and every parameter gradient is unchanged."""
+        specs, store = self._graph()
+        x = self._input(2)
+        seen = []
+        orig = ops.conv2d_backward
+
+        def spy_backward(x, p, gy, input_grad=True):
+            seen.append(input_grad)
+            return orig(x, p, gy, input_grad)
+
+        def loss_fn(values):
+            return float(values["out"].sum()), {"out": np.ones_like(values["out"])}, {}
+
+        ref = forward_backward(specs, store, {"x": x}, loss_fn)
+        monkeypatch.setattr(ops, "conv2d_backward", spy_backward)
+        got = forward_backward(specs, store, {"x": x}, loss_fn, input_grads=False)
+        assert seen == [True, True, True, False]  # c4, c3, c2, then c1 reads x
+        assert got.input_grads == {} and sorted(got.param_grads) == sorted(ref.param_grads)
+        for name, g in ref.param_grads.items():
+            assert np.array_equal(got.param_grads[name], g), name
 
 
 class TestBranches:

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from biseg.errors import ArgumentError, DataError, ShapeError
 from biseg.graph import (
     GraphRun,
     ParamStore,
+    find_chains,
     fold_bn,
     forward_backward,
     init_params,
@@ -337,6 +339,28 @@ class TestInferencePlan:
             assert tail[0].name == "ffm.cat"
             assert len(specs) == sum(map(len, groups)) + len(tail)
 
+    def test_default_plan_chains_the_spatial_path_and_the_stem(self):
+        net = build_network(NetConfig(), train=False)
+        specs, _params = fold_bn(net.specs, _init_store(NetConfig()))
+        chains = find_chains(specs, {net.input, net.main_logits})
+        ends = {chain[0].name: chain[-1].name for chain in chains.values()}
+        assert ends == {"sp.l1.conv": "sp.l3.relu", "cp.stem1.conv": "cp.stem2.relu"}
+        assert len(chains) == 10  # three conv+relu pairs and two
+
+    @pytest.mark.parametrize("row", ["default", *ablation_configs(NetConfig())])
+    @pytest.mark.parametrize("n, h, w", [(1, 96, 160), (2, 160, 96)])
+    def test_chained_plan_matches_unchained_bitwise(self, row, n, h, w, monkeypatch):
+        """One-row bands: every chain band recomputes its halo rows, at the
+        top edge, in the middle and at the bottom edge."""
+        monkeypatch.setattr(ops, "_BAND_ELEMS", 1)
+        cfg = NetConfig() if row == "default" else ablation_configs(NetConfig())[row]
+        net = build_network(cfg, train=False)
+        specs, params = fold_bn(net.specs, _trained_like_store(cfg, 58))
+        x = Rng(59).normal(n * 3 * h * w, std=40.0).astype(np.float32).reshape(n, 3, h, w)
+        ref = GraphRun(specs, params).forward({"x": x})[net.main_logits]
+        got = GraphRun(specs, params).forward({"x": x}, outputs=[net.main_logits])
+        assert np.array_equal(got[net.main_logits], ref)
+
     def test_two_infer_calls_bitwise_equal(self):
         store = _trained_like_store(TINY, 54)
         before = {k: e.value.copy() for k, e in store.items()}
@@ -602,6 +626,25 @@ class TestLossMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * logits.size * 8
+
+
+class TestPlanMemory:
+    def test_peak_below_the_spatial_path_first_output(self):
+        """The infer plan never holds sp.l1's output in full: its whole traced
+        peak stays below that one array. Holding it, with sp.l2's padded copy
+        of it, the plan peaked at 2.3x its size here."""
+        cfg = replace(TINY, sp_channels=NetConfig().sp_channels)
+        store = _init_store(cfg, 60)
+        h, w = 1088, 1920
+        x = _rand_input(1, h, w, seed=61)
+        sp_l1_bytes = cfg.sp_channels[0] * (h // 2) * (w // 2) * 4
+        tracemalloc.start()
+        try:
+            network_forward(x, store, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sp_l1_bytes
 
 
 class TestAblations:

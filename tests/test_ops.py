@@ -14,7 +14,9 @@ from biseg.ops import (
     bilinear_upsample_backward,
     conv2d_backward,
     conv2d_forward,
+    conv_chain_forward,
     conv_out_extent,
+    conv_rows,
     global_avg_pool,
     global_avg_pool_backward,
     nearest_downsample_labels,
@@ -75,6 +77,7 @@ CONV_CASES = [
     (1, 5, 7, 6, 3, 1, 1, 0, 1, True),    # 1x1 stride 1: one matmul into NCHW
     (2, 4, 9, 7, 6, 1, 2, 0, 1, False),   # 1x1 stride 2 (projection shortcut)
     (2, 3, 11, 10, 4, 3, 2, 1, 1, True),  # strided RGB stem, odd extents, batch 2
+    (1, 3, 11, 9, 4, 3, 2, 0, 1, False),  # 3x3 stride 2 without padding, odd extents
 ]
 
 
@@ -109,6 +112,42 @@ class TestConvForward:
         out = conv2d_forward(x, Conv2dParams(weight, bias, stride, pad))
         ref = naive_conv2d(x, weight, bias, stride, pad)
         assert np.allclose(out, ref, rtol=1e-5, atol=1e-5)
+        # conv_rows on the top, a middle and the bottom row ranges, from the
+        # whole input and from a slab holding just the input rows they read.
+        p = Conv2dParams(weight, None, stride, pad)
+        ref = naive_conv2d(x, weight, None, stride, pad)
+        oh = ref.shape[2]
+        for r0, r1 in {(0, 1), (0, min(3, oh)), (oh // 2, oh // 2 + 1), (max(oh - 3, 0), oh),
+                       (oh - 1, oh)}:
+            lo = max(r0 * stride - pad, 0)
+            hi = min((r1 - 1) * stride - pad + k, h)
+            for got in (conv_rows(x, p, r0, r1),
+                        conv_rows(x[:, :, lo:hi].copy(), p, r0, r1, row0=lo, h=h)):
+                assert got.shape == (n, c_out, r1 - r0, ow)
+                assert np.allclose(got, ref[:, :, r0:r1], rtol=1e-5, atol=1e-5), (r0, r1)
+
+    @pytest.mark.parametrize("one_row_bands", [True, False])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_chain_equals_layer_by_layer(self, one_row_bands, n, monkeypatch):
+        """The chain gives the result of the convs run one after another, bit
+        for bit, with one-row bands (top, middle and bottom rows recomputed
+        by their neighbours) and with one band: stride 2 and 1, padding 1
+        and 0, with and without bias or ReLU, odd extents."""
+        if one_row_bands:
+            monkeypatch.setattr(ops, "_BAND_ELEMS", 1)
+        rng = Rng(91 + n)
+        x = _randn(rng, n, 3, 23, 19)
+        layers = [(Conv2dParams(_randn(rng, 6, 3, 3, 3), _randn(rng, 6), 2, 1), True),
+                  (Conv2dParams(_randn(rng, 5, 6, 3, 3), None, 1, 1), False),
+                  (Conv2dParams(_randn(rng, 4, 5, 3, 3), _randn(rng, 4), 2, 0), True),
+                  (Conv2dParams(_randn(rng, 7, 4, 3, 3), _randn(rng, 7), 1, 1), True)]
+        ref = x
+        for p, use_relu in layers:
+            ref = conv2d_forward(ref, p)
+            if use_relu:
+                ref = relu(ref)
+        got = conv_chain_forward(x, layers)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
     def test_identity_1x1(self):
         rng = Rng(2)
@@ -167,6 +206,21 @@ class TestConvBackward:
             return conv2d_backward(x, p2, probe.reshape(out.shape))[1]
 
         assert check_grad(loss_of_w, grad_of_w, weight, eps=1e-5) < 1e-6
+
+    @pytest.mark.parametrize("case", CONV_CASES)
+    def test_input_grad_skipped(self, case):
+        """input_grad=False returns no input gradient and the same weight
+        and bias gradients, bit for bit."""
+        n, c_in, h, w, c_out, k, stride, pad, groups, use_bias = case
+        rng = Rng(hash(case) & 0xFFFF)
+        x = _randn(rng, n, c_in, h, w)
+        p = Conv2dParams(_randn(rng, c_out, c_in // groups, k, k),
+                         _randn(rng, c_out) if use_bias else None, stride, pad, groups)
+        gy = _randn(rng, *conv2d_forward(x, p).shape)
+        _, gw, gb = conv2d_backward(x, p, gy)
+        gx2, gw2, gb2 = conv2d_backward(x, p, gy, input_grad=False)
+        assert gx2 is None and np.array_equal(gw, gw2)
+        assert (gb is None and gb2 is None) or np.array_equal(gb, gb2)
 
     def test_bias_grad_is_spatial_sum(self):
         rng = Rng(7)
