@@ -19,6 +19,7 @@ from .config import (
     TrainConfig,
     config_hash,
     load_config,
+    model_hash,
     parse_config,
     serialize_config,
 )

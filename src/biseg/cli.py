@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analysis, benchmark, graph, network, train
 from .backbone import INPUT_CHANNELS, STRIDE_TILE
-from .config import EngineConfig, config_hash, load_config, parse_size
+from .config import EngineConfig, load_config, model_hash, parse_size
 from .data import default_palette, read_ppm, synth_shapes, write_color_mask, write_dataset, write_pgm
 from .errors import (
     ArgumentError,
@@ -44,12 +44,12 @@ def _load_cfg(path: str | None) -> EngineConfig:
 
 def _restore_store(cfg: EngineConfig, ckpt_path: str) -> ParamStore:
     ckpt = graph.load_checkpoint(ckpt_path)
-    chash = config_hash(cfg)
-    if ckpt.config_hash != chash:
+    mhash = model_hash(cfg)
+    if ckpt.config_hash != mhash:
         raise ConfigError(
-            f"checkpoint {ckpt_path} was written under config hash "
-            f"{ckpt.config_hash:#x}, current config hashes to {chash:#x}; "
-            "pass the matching --config"
+            f"checkpoint {ckpt_path} was written under model hash "
+            f"{ckpt.config_hash:#x}, the model.* keys of the current config hash to "
+            f"{mhash:#x}; pass the matching --config"
         )
     net = network.build_network(cfg.model, train=True)
     store = ParamStore()

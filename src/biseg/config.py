@@ -5,7 +5,8 @@ prefixes (model.*, model.backbone.*, train.*, aug.*, bench.*). A JSON file
 with the same nesting is accepted as an alternative input. Serialization
 always emits the full schema in a fixed order with canonical value
 formatting, so parse -> serialize -> parse is the identity and the blake2b
-hash of the serialized text identifies a configuration exactly.
+hash of the serialized text identifies a configuration exactly; the hash
+of its model.* lines identifies the model a checkpoint belongs to.
 """
 
 from __future__ import annotations
@@ -278,7 +279,18 @@ def load_config(path) -> EngineConfig:
     return parse_config(text, source=str(path))
 
 
+def _digest(text: str) -> int:
+    return int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "little")
+
+
 def config_hash(cfg: EngineConfig) -> int:
     """64-bit identity of the canonical serialization."""
-    digest = hashlib.blake2b(serialize_config(cfg).encode("utf-8"), digest_size=8)
-    return int.from_bytes(digest.digest(), "little")
+    return _digest(serialize_config(cfg))
+
+
+def model_hash(cfg: EngineConfig) -> int:
+    """64-bit identity of the model.* lines of the canonical serialization:
+    the keys a checkpoint's tensors depend on. Checkpoints carry it, so
+    training-only keys (manifest, iteration budget, ...) can differ."""
+    lines = serialize_config(cfg).splitlines(keepends=True)
+    return _digest("".join(line for line in lines if line.startswith("model.")))

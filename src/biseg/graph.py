@@ -11,7 +11,10 @@ and runs the branches from the graph inputs concurrently on one dict.
 That forward also runs each find_chains() chain (dense convs with kernel
 > 1 and their ReLUs, each the sole consumer of the value before it)
 depth-first in bands of output rows, so the chain's inner values are
-never created; the spec list itself, and every other run, is unchanged.
+never created, and once the branches have joined it splits each banded
+dense conv's rows over two threads; the spec list itself, and every other
+run, is unchanged. A GraphRun works out that schedule once per set of
+input shapes.
 
 Everything the engine knows about a layer kind sits in its LayerKind record
 in KINDS: arity, parameters, shape rule, forward and backward kernels,
@@ -90,7 +93,8 @@ class LayerKind:
 
     shape(spec, ins) -> output shape, or ShapeError / ArgumentError without
         the layer's name (infer_shapes adds it); the only operand check
-    forward(spec, xs, p, mode) -> output; p maps suffix -> stored array
+    forward(spec, xs, p, mode) -> output; p maps suffix -> stored array;
+        conv's also takes pool=, an executor for half of its banded rows
     backward(spec, xs, y, gy, p, mode) -> (input grads, {suffix: grad}); conv's
         also takes input_grad=False, which gives None for the input grad
     cost(ins, out, param_shapes) -> (params, macs, flops) from shapes alone,
@@ -155,8 +159,9 @@ def _bn_defs(spec):  # running statistics are stored, not trained
             ParamDef("running_var", c, _ones, trainable=False, decay=False))
 
 
-def _conv(spec, p):
-    return ops.Conv2dParams(p["weight"], p.get("bias"), spec.stride, spec.padding, spec.groups)
+def _conv(spec, p, pool=None):
+    return ops.Conv2dParams(p["weight"], p.get("bias"), spec.stride, spec.padding, spec.groups,
+                            pool)
 
 
 def _bn(p, mode):
@@ -250,7 +255,8 @@ def _rf_join(spec, states):  # joins take the branch maximum
 KINDS: dict[str, LayerKind] = {
     "conv": LayerKind(
         arity=1, params=_conv_defs, shape=_conv_shape,
-        forward=lambda spec, xs, p, mode: ops.conv2d_forward(xs[0], _conv(spec, p)),
+        forward=lambda spec, xs, p, mode, pool=None: ops.conv2d_forward(
+            xs[0], _conv(spec, p, pool)),
         backward=_conv_bwd, cost=_conv_cost, rf=_rf_conv),
     "bn": LayerKind(
         arity=1, params=_bn_defs, shape=_bn_shape,
@@ -356,15 +362,29 @@ class ParamEntry:
 
 
 class ParamStore:
-    """Ordered name -> ParamEntry map; iteration order is insertion order."""
+    """Ordered name -> ParamEntry map; iteration order is insertion order.
+
+    plans caches what is derived from the stored values (network_forward's
+    folded inference plan, per NetConfig) for the current version. bump()
+    starts a new version and empties it: add, restore_into, sgd_step and a
+    train-mode forward (which moves the BN running statistics) call it, and
+    so must any other code that writes a value in place.
+    """
 
     def __init__(self):
         self._entries: dict[str, ParamEntry] = {}
+        self.version = 0
+        self.plans: dict = {}
+
+    def bump(self) -> None:
+        self.version += 1
+        self.plans.clear()
 
     def add(self, name: str, value: np.ndarray, trainable: bool = True, decay: bool = True):
         if name in self._entries:
             raise ConsistencyError(f"parameter {name!r} registered twice")
         self._entries[name] = ParamEntry(value=value, trainable=trainable, decay=decay)
+        self.bump()
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
@@ -411,7 +431,8 @@ def fold_bn(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
     with s = gamma / sqrt(running_var + BN_EPS). Only valid in infer mode,
     where BN is that affine map. The returned store shares the arrays of
     every untouched layer with the given one and holds fresh folded arrays,
-    so it reflects the store as it is at the time of the call.
+    so it reflects the store as it is at the time of the call; network_forward
+    folds once per store version and keeps the result in store.plans.
     """
     consumers: dict[str, list[LayerSpec]] = {}
     for spec in specs:
@@ -512,13 +533,54 @@ def split_branches(specs, input_names) -> tuple[list[list[LayerSpec]], list[Laye
     return list(groups.values()), tail
 
 
-# Branches after the first run here. A branch never waits on another, so a
-# fixed pool cannot deadlock; its threads start on the first submit.
+class _Schedule(NamedTuple):
+    """How a forward runs a spec list on inputs of given shapes."""
+
+    shapes: dict        # value name -> shape, from infer_shapes
+    groups: list        # branches run at the same time (all specs in one when none is freed)
+    tail: list          # specs run after every branch, splitting banded dense convs
+    dead: dict          # spec name -> values dropped after it
+    chains: dict        # find_chains() result, empty when no value is freed
+
+
+def _schedule(specs, input_shapes: dict, outputs=None) -> _Schedule:
+    """The forward schedule: without outputs, every spec in order with every
+    value kept; with outputs, split_branches() branches and tail, the
+    find_chains() chains and each value's last use."""
+    shapes = infer_shapes(specs, input_shapes)
+    if outputs is None:
+        return _Schedule(shapes, [specs], [], {spec.name: [] for spec in specs}, {})
+    groups, tail = split_branches(specs, input_shapes.keys())
+    order = [spec for group in (*groups, tail) for spec in group]
+    keep = {*outputs, *input_shapes}
+    chains = find_chains(order, keep)
+    never = {s.output for chain in chains.values() for s in chain[:-1]}
+    last_use = dict.fromkeys(input_shapes)
+    for spec in order:  # execution order: every branch before the tail
+        last_use.update(dict.fromkeys((*spec.inputs, spec.output), spec.name))
+    missing = keep - last_use.keys()
+    if missing:
+        raise GraphError(f"requested values {sorted(missing)} are never produced")
+    dead: dict[str, list[str]] = {spec.name: [] for spec in order}
+    for name, at in last_use.items():
+        if name not in keep and name not in never:
+            dead[at].append(name)
+    return _Schedule(shapes, groups, tail, dead, chains)
+
+
+# Branches after the first, and the second half of each banded dense conv
+# in the tail, run here. No task waits on another task, so a fixed pool
+# cannot deadlock; its threads start on the first submit.
 _BRANCH_POOL = ThreadPoolExecutor(thread_name_prefix="biseg-branch")
 
 
 class GraphRun:
-    """One forward (and optional backward) execution of a spec sequence."""
+    """One forward (and optional backward) execution of a spec sequence.
+
+    Its _schedule() for each set of input shapes (and outputs) is kept, so a
+    GraphRun held across calls, such as network_forward's plan, works it
+    out once.
+    """
 
     def __init__(self, specs, store: ParamStore, mode: str = "infer"):
         if mode not in ("train", "infer"):
@@ -530,60 +592,48 @@ class GraphRun:
         self.freed = False  # the last forward dropped values after their last use
         self._params: dict[str, dict[str, np.ndarray]] = {}  # layer -> {suffix: array}
         self._input_names: tuple[str, ...] = ()
-        self._shapes: dict[str, tuple] = {}
-        self._chains: dict[str, tuple[LayerSpec, ...]] = {}
+        self._schedules: dict[tuple, _Schedule] = {}
 
     def forward(self, inputs: dict, outputs=None, counter: OpCounter | None = None) -> dict:
         """Run every spec; returns the value dict.
 
         The inputs must be floating-point arrays; infer_shapes checks the
-        graph against their shapes once, before any layer runs. Without
-        outputs the specs run in order and every value is kept. With
-        outputs (value names), every other layer output is dropped after its
-        last consumer (graph inputs stay with the caller) and only the named
-        values are returned; such a run cannot be followed by backward. The
+        graph against their shapes before any layer runs. Without outputs
+        the specs run in order and every value is kept. With outputs (value
+        names), every other layer output is dropped after its last consumer
+        (graph inputs stay with the caller) and only the named values are
+        returned; such a run cannot be followed by backward. The
         split_branches() branches share one value dict and run at the same
-        time, the first on the calling thread, then the tail; each
-        find_chains() chain runs whole where its first member stands.
+        time, the first on the calling thread, then the tail, whose banded
+        dense convs run half their rows on the pool; each find_chains()
+        chain runs whole where its first member stands. A train-mode
+        forward bumps the store's version: BN moves its running statistics.
         """
         for name, x in inputs.items():
             if not (isinstance(x, np.ndarray) and np.issubdtype(x.dtype, np.floating)):
                 raise ArgumentError(f"input {name!r} must be a floating-point array")
-        self._shapes = infer_shapes(self.specs, {name: x.shape for name, x in inputs.items()})
+        key = (tuple((name, x.shape) for name, x in inputs.items()),
+               None if outputs is None else tuple(outputs))
+        plan = self._schedules.get(key)
+        if plan is None:
+            plan = self._schedules[key] = _schedule(
+                self.specs, {name: x.shape for name, x in inputs.items()}, outputs)
+        if self.mode == "train":
+            self.store.bump()
         self._input_names = tuple(inputs.keys())
-        if outputs is None:
-            groups, tail = [self.specs], []
-        else:
-            groups, tail = split_branches(self.specs, inputs.keys())
-        order = [spec for group in (*groups, tail) for spec in group]
-        dead: dict[str, list[str]] = {spec.name: [] for spec in order}
-        self._chains = {}
-        if outputs is not None:
-            keep = {*outputs, *inputs}
-            self._chains = find_chains(order, keep)
-            never = {s.output for chain in self._chains.values() for s in chain[:-1]}
-            last_use = dict.fromkeys(inputs)
-            for spec in order:  # execution order: every branch before the tail
-                last_use.update(dict.fromkeys((*spec.inputs, spec.output), spec.name))
-            missing = keep - last_use.keys()
-            if missing:
-                raise GraphError(f"requested values {sorted(missing)} are never produced")
-            for name, at in last_use.items():
-                if name not in keep and name not in never:
-                    dead[at].append(name)
         vals = dict(inputs)
-        futures = [_BRANCH_POOL.submit(self._run, group, vals, dead, counter)
-                   for group in groups[1:]]
+        futures = [_BRANCH_POOL.submit(self._run, group, vals, plan, counter)
+                   for group in plan.groups[1:]]
         try:
-            self._run(groups[0], vals, dead, counter)
+            self._run(plan.groups[0], vals, plan, counter)
         finally:
             wait(futures)
         for future in futures:
             future.result()
-        self._run(tail, vals, dead, counter)
-        self.values = vals if outputs is None else {name: vals[name] for name in outputs}
-        self.freed = outputs is not None
-        return self.values
+        self._run(plan.tail, vals, plan, counter, _BRANCH_POOL)
+        out = vals if outputs is None else {name: vals[name] for name in outputs}
+        self.values, self.freed = out, outputs is not None
+        return out
 
     def _load(self, spec: LayerSpec) -> dict[str, np.ndarray]:
         p = self._params[spec.name] = {
@@ -591,19 +641,22 @@ class GraphRun:
             for d in KINDS[spec.kind].params(spec)}
         return p
 
-    def _run(self, specs, vals: dict, dead: dict, counter: OpCounter | None) -> None:
-        """Run specs in order on vals, dropping dead[spec.name] after each.
+    def _run(self, specs, vals: dict, plan: _Schedule, counter: OpCounter | None,
+             pool=None) -> None:
+        """Run specs in order on vals, dropping plan.dead[spec.name] after
+        each; a conv gets pool to split its banded rows over.
 
         A chain runs whole at its first member; the others are skipped.
         """
         for spec in specs:
-            chain = self._chains.get(spec.name)
+            chain = plan.chains.get(spec.name)
             if chain is None:
                 kind = KINDS[spec.kind]
                 xs = [vals[name] for name in spec.inputs]
                 p = self._load(spec)
-                reuse = kind.inplace is not None and spec.inputs[0] in dead[spec.name]
-                out = (kind.inplace if reuse else kind.forward)(spec, xs, p, self.mode)
+                reuse = kind.inplace is not None and spec.inputs[0] in plan.dead[spec.name]
+                extra = {"pool": pool} if pool is not None and spec.kind == "conv" else {}
+                out = (kind.inplace if reuse else kind.forward)(spec, xs, p, self.mode, **extra)
                 if counter is not None:
                     # Measured from the arrays involved, not from the spec.
                     _, macs, flops = kind.cost(
@@ -611,11 +664,12 @@ class GraphRun:
                     counter.record(spec.name, macs, flops)
                 vals[spec.output] = out
             elif spec is chain[0]:
-                vals[chain[-1].output] = self._run_chain(chain, vals, counter)
-            for name in dead[spec.name]:
+                vals[chain[-1].output] = self._run_chain(chain, vals, plan, counter)
+            for name in plan.dead[spec.name]:
                 del vals[name]
 
-    def _run_chain(self, chain, vals: dict, counter: OpCounter | None) -> np.ndarray:
+    def _run_chain(self, chain, vals: dict, plan: _Schedule,
+                   counter: OpCounter | None) -> np.ndarray:
         """ops.conv_chain_forward over a find_chains() chain. Its inner
         values never exist, so a counter gets each member's cost from the
         shapes infer_shapes gave them."""
@@ -628,7 +682,7 @@ class GraphRun:
                 layers[-1] = (layers[-1][0], True)
             if counter is not None:
                 _, macs, flops = KINDS[spec.kind].cost(
-                    [self._shapes[name] for name in spec.inputs], self._shapes[spec.output],
+                    [plan.shapes[name] for name in spec.inputs], plan.shapes[spec.output],
                     {k: v.shape for k, v in p.items()})
                 counter.record(spec.name, macs, flops)
         return ops.conv_chain_forward(vals[chain[0].inputs[0]], layers)
@@ -759,6 +813,7 @@ def sgd_step(store: ParamStore, grads: dict, lr: float, cfg: SgdConfig) -> None:
     """One in-place update over all trainable entries, in insertion order."""
     if lr < 0:
         raise ArgumentError("lr must be non-negative")
+    store.bump()
     for name, entry in store.items():
         if not entry.trainable:
             continue
@@ -872,6 +927,7 @@ def restore_into(store: ParamStore, ckpt: Checkpoint) -> None:
 
     The file and the store must hold the same names, with the same shapes.
     """
+    store.bump()
     for name, _entry in store.items():
         if name not in ckpt.tensors:
             raise ConsistencyError(f"checkpoint lacks parameter {name!r}")

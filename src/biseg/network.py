@@ -248,9 +248,11 @@ def network_forward(x: Tensor, store: ParamStore, cfg: NetConfig,
                     mode: str = "infer") -> ForwardArtifacts:
     """Run the network; aux logits are produced only in train mode.
 
-    In infer mode the graph runs as a plan: BN folded into the convs (from
-    the store as it is now, on every call) and each layer output but the
-    logits dropped after its last consumer.
+    In infer mode the graph runs as a plan: BN folded into the convs and
+    each layer output but the logits dropped after its last consumer. The
+    plan (a GraphRun of the folded specs, which keeps its schedule per input
+    shape) is built once per store version and NetConfig and kept in
+    store.plans, so a write to the store's values must bump its version.
     """
     _n, c, h, w = x.data.shape
     if c != INPUT_CHANNELS:
@@ -259,8 +261,10 @@ def network_forward(x: Tensor, store: ParamStore, cfg: NetConfig,
     net = build_network(cfg, train=(mode == "train"))
     inputs = {net.input: x.data}
     if mode == "infer":
-        specs, params = graph.fold_bn(net.specs, store)
-        values = graph.GraphRun(specs, params, mode).forward(inputs, outputs=[net.main_logits])
+        plan = store.plans.get(cfg)
+        if plan is None:
+            plan = store.plans[cfg] = graph.GraphRun(*graph.fold_bn(net.specs, store))
+        values = plan.forward(inputs, outputs=[net.main_logits])
     else:
         values = graph.run_forward(net.specs, store, inputs, mode=mode)
     return ForwardArtifacts(

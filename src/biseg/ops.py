@@ -1,10 +1,13 @@
 """Forward and backward kernels on rank-4 NCHW numpy arrays.
 
 Convolution is cross-correlation (no kernel flip) with zero padding:
-out_extent = floor((extent + 2*pad - k) / stride) + 1. Bilinear resampling
-uses half-pixel centers (source = (dst + 0.5) / factor - 0.5) with edge
-clamping. Every kernel follows the dtype of its inputs, so the production
-float32 path and the float64 verification path share one implementation.
+out_extent = floor((extent + 2*pad - k) / stride) + 1. Dense convs are
+matmuls over im2col bands; depthwise convs accumulate the taps of a padded
+copy, each tap one contiguous slice of a stride-phase plane. Bilinear
+resampling uses half-pixel centers (source = (dst + 0.5) / factor - 0.5)
+with edge clamping. Every kernel follows the dtype of its inputs, so the
+production float32 path and the float64 verification path share one
+implementation.
 
 The layer kernels assume operands that fit (rank 4, parameters and output
 gradients of the shapes the layer implies): the graph checks them once per
@@ -17,6 +20,7 @@ bookkeeping about ignored pixels; label IGNORE (255) marks void pixels.
 
 from __future__ import annotations
 
+from concurrent.futures import Executor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +31,7 @@ IGNORE = 255  # void label: no loss, no gradient, not counted in metrics
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # weight of the old running statistic per update
 _BAND_ELEMS = 1 << 20  # elements per conv im2col band or prediction chunk (4 MiB in float32)
+_DW_BLOCK = 1 << 15  # elements per depthwise channel block (128 KiB in float32)
 
 
 def conv_out_extent(extent: int, k: int, stride: int, pad: int) -> int:
@@ -45,7 +50,8 @@ class Conv2dParams:
     """Weight (c_out, c_in/groups, k_h, k_w), optional bias (c_out,).
 
     groups is 1 (dense) or c_in = c_out (depthwise); no other grouping is
-    supported.
+    supported. pool, if given, runs the second half of the output rows of a
+    dense conv that conv_rows computes in more than one band.
     """
 
     weight: np.ndarray
@@ -53,6 +59,7 @@ class Conv2dParams:
     stride: int = 1
     padding: int = 0
     groups: int = 1
+    pool: Executor | None = None
 
 
 def _pad_hw(x: np.ndarray, pad: int) -> np.ndarray:
@@ -163,31 +170,88 @@ def conv_chain_forward(x: np.ndarray, layers) -> np.ndarray:
     return y
 
 
-def _conv_fwd_depthwise(xp, w, stride, oh, ow):
-    n, c = xp.shape[0], xp.shape[1]
-    acc = np.zeros((n, c, oh, ow), dtype=xp.dtype)
-    for ki in range(w.shape[2]):
-        for kj in range(w.shape[3]):
-            acc += _tap(xp, ki, kj, stride, oh, ow) * w[:, 0, ki, kj].reshape(1, c, 1, 1)
-    return acc
+def _phase_span(extent: int, pad: int, a: int, s: int, m: int) -> tuple[int, int, int]:
+    """Indices [i0, i1) below m of stride phase a whose padded position
+    i*s + a is an input position, and the input position of i0."""
+    i0 = max(0, -(-(pad - a) // s))
+    return i0, min(m, -(-(extent + pad - a) // s)), i0 * s + a - pad
+
+
+def _conv_fwd_depthwise(x: np.ndarray, p: Conv2dParams, oh: int, ow: int) -> np.ndarray:
+    """Depthwise conv, bias included, by shifted slices of stride-phase planes.
+
+    The padded input is copied once into s*s zeroed planes: plane (a, b)
+    holds padded pixel (i*s + a, j*s + b) at (i, j), is wq = ow + (k-1)//s
+    columns wide and has one spare row. Output (r, q) of tap (ki, kj) reads
+    plane (ki % s, kj % s) at (r + ki // s, q + kj // s), so over rows of
+    wq columns the tap is one contiguous slice of that flattened plane; the
+    wq - ow extra columns are cropped once at the end. Per block of
+    channels the taps are added in (ki, kj) order into a zeroed buffer,
+    each product passing through one reused buffer, then the bias: the
+    same float operations, in the same order, as summing tap products.
+    """
+    n, c, h, w = x.shape
+    k, s = p.weight.shape[2], p.stride
+    hq, wq = oh + (k - 1) // s + 1, ow + (k - 1) // s
+    planes = np.zeros((s, s, n, c, hq, wq), dtype=x.dtype)
+    for a in range(s):
+        i0, i1, r0 = _phase_span(h, p.padding, a, s, hq)
+        for b in range(s):
+            j0, j1, q0 = _phase_span(w, p.padding, b, s, wq)
+            if i1 > i0 and j1 > j0:
+                planes[a, b, :, :, i0:i1, j0:j1] = x[:, :, r0::s, q0::s][..., : i1 - i0, : j1 - j0]
+    flat = planes.reshape(s, s, n, c, hq * wq)
+    span = oh * wq
+    y = np.empty((n, c, oh, ow), dtype=x.dtype)
+    block = min(c, max(1, _DW_BLOCK // (n * span)))
+    acc = np.empty((n, block, span), dtype=x.dtype)
+    tmp = np.empty_like(acc)
+    for c0 in range(0, c, block):
+        c1 = min(c, c0 + block)
+        a, t = acc[:, : c1 - c0], tmp[:, : c1 - c0]
+        a.fill(0)
+        for ki in range(k):
+            for kj in range(k):
+                off = (ki // s) * wq + kj // s
+                np.multiply(flat[ki % s, kj % s, :, c0:c1, off : off + span],
+                            p.weight[c0:c1, 0, ki, kj, None], out=t)
+                a += t
+        if p.bias is not None:
+            a += p.bias[c0:c1, None]
+        y[:, c0:c1] = a.reshape(n, c1 - c0, oh, wq)[..., :ow]
+    return y
 
 
 def conv2d_forward(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
     """Dense convs are matmuls that write NCHW directly: a 1x1 stride-1 conv
     is one matmul over the flattened pixels, any other runs conv_rows over
-    all output rows. Depthwise convs accumulate the taps of a padded copy."""
+    all output rows; with p.pool, the bands from the middle on run there
+    while this thread runs the first half. Depthwise convs accumulate the
+    taps of a padded copy."""
     kh, kw = p.weight.shape[2:]
     oh = conv_out_extent(x.shape[2], kh, p.stride, p.padding)
     ow = conv_out_extent(x.shape[3], kw, p.stride, p.padding)
     if p.groups != 1:
-        y = _conv_fwd_depthwise(_pad_hw(x, p.padding), p.weight, p.stride, oh, ow)
-    elif kh == kw == 1 and p.stride == 1:
-        n, c_in, c_out = x.shape[0], x.shape[1], p.weight.shape[0]
-        y = np.empty((n, c_out, oh, ow), dtype=x.dtype)
+        return _conv_fwd_depthwise(x, p, oh, ow)
+    n, c_in, c_out = x.shape[0], x.shape[1], p.weight.shape[0]
+    y = np.empty((n, c_out, oh, ow), dtype=x.dtype)
+    if kh == kw == 1 and p.stride == 1:
         np.matmul(p.weight.reshape(c_out, c_in), _pad_hw(x, p.padding).reshape(n, c_in, -1),
                   out=y.reshape(n, c_out, -1))
     else:
-        y = conv_rows(x, p, 0, oh)
+        rows = band_rows(oh, n * p.weight[0].size * ow)
+        mid = -(-oh // rows // 2) * rows  # first row of the second half of the bands
+        if p.pool is None or mid >= oh:
+            conv_rows(x, p, 0, oh, out=y)
+        else:
+            # Each half bands from its first row, so the two make the same
+            # matmul calls as one conv_rows over every row.
+            half = p.pool.submit(conv_rows, x, p, mid, oh, out=y[:, :, mid:])
+            try:
+                conv_rows(x, p, 0, mid, out=y[:, :, :mid])
+            finally:
+                wait([half])
+            half.result()
     if p.bias is not None:
         y += p.bias.reshape(1, -1, 1, 1)
     return y
@@ -210,12 +274,14 @@ def _conv_bwd_depthwise(xp, w, gy, stride, gxp):
     c = xp.shape[1]
     oh, ow = gy.shape[2], gy.shape[3]
     gw = np.zeros_like(w)
+    prod = np.empty_like(gy)  # each tap's products, in turn
     for ki in range(w.shape[2]):
         for kj in range(w.shape[3]):
-            xs = _tap(xp, ki, kj, stride, oh, ow)
-            gw[:, 0, ki, kj] = (gy * xs).sum(axis=(0, 2, 3))
+            np.multiply(gy, _tap(xp, ki, kj, stride, oh, ow), out=prod)
+            gw[:, 0, ki, kj] = prod.sum(axis=(0, 2, 3))
             if gxp is not None:
-                _tap(gxp, ki, kj, stride, oh, ow)[...] += gy * w[:, 0, ki, kj].reshape(1, c, 1, 1)
+                np.multiply(gy, w[:, 0, ki, kj].reshape(1, c, 1, 1), out=prod)
+                _tap(gxp, ki, kj, stride, oh, ow)[...] += prod
     return gw
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph, network
-from .config import EngineConfig, config_hash
+from .config import EngineConfig, model_hash
 from .data import ConfusionMatrix, MiouResult, SegDataset, augment, miou, sample_rng
 from .errors import DataError, NumericAbort
 from .graph import ParamStore
@@ -82,7 +82,8 @@ def run_training(cfg: EngineConfig, out_dir, dataset: SegDataset | None = None,
     """Train for cfg.sgd.max_iter iterations; returns the trained store.
 
     The dataset defaults to cfg.train.manifest. Artifacts written under
-    out_dir: loss_log.csv, optional cadence checkpoints, and final.bsnt.
+    out_dir: loss_log.csv, optional cadence checkpoints, and final.bsnt;
+    checkpoints carry config.model_hash(cfg).
     """
     if dataset is None:
         if not cfg.train.manifest:
@@ -102,7 +103,7 @@ def run_training(cfg: EngineConfig, out_dir, dataset: SegDataset | None = None,
         terms = {"lp": jl.main, "l2": aux[0], "l3": aux[1]}
         return jl.total, jl.seed_grads, terms
 
-    chash = config_hash(cfg)
+    mhash = model_hash(cfg)
     log_path = os.path.join(out_dir, "loss_log.csv")
     rows: list[str] = []
     ckpts: list[str] = []
@@ -132,11 +133,11 @@ def run_training(cfg: EngineConfig, out_dir, dataset: SegDataset | None = None,
             every = cfg.train.checkpoint_every
             if every and (it + 1) % every == 0 and (it + 1) < cfg.sgd.max_iter:
                 path = os.path.join(out_dir, f"ckpt_{it + 1:06d}.bsnt")
-                graph.save_checkpoint(store, path, iteration=it + 1, config_hash=chash)
+                graph.save_checkpoint(store, path, iteration=it + 1, config_hash=mhash)
                 ckpts.append(path)
     final_path = os.path.join(out_dir, "final.bsnt")
     graph.save_checkpoint(store, final_path, iteration=cfg.sgd.max_iter,
-                          config_hash=chash)
+                          config_hash=mhash)
     return TrainResult(store=store, log_rows=rows, log_path=log_path,
                        checkpoint_paths=ckpts, final_path=final_path)
 

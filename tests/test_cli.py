@@ -17,6 +17,7 @@ from biseg.config import (
     EngineConfig,
     config_hash,
     load_config,
+    model_hash,
     parse_config,
     serialize_config,
 )
@@ -172,6 +173,13 @@ class TestConfigForms:
         b = config_hash(parse_config("seed = 1\n"))
         assert a == config_hash(EngineConfig())
         assert a != b
+
+    def test_model_hash_tracks_model_keys_only(self):
+        base = model_hash(EngineConfig())
+        assert model_hash(parse_config("seed = 1\ntrain.max_iter = 301\n"
+                                       "train.manifest = x.txt\naug.crop_h = 64\n")) == base
+        assert model_hash(parse_config("model.num_classes = 4\n")) != base
+        assert model_hash(parse_config("model.backbone.stem_channels = 16\n")) != base
 
     def test_file_round_trip(self, tmp_path):
         cfg = tiny_config()
@@ -496,7 +504,7 @@ class TestCliErrors:
 
     def test_checkpoint_config_mismatch_exit_2(self, workspace, tmp_path, capsys):
         other = tmp_path / "other.cfg"
-        other.write_text(TINY_LINES + "seed = 9\n")
+        other.write_text(tiny_config_text(**{"model.num_classes": 4}))
         rc = main(["infer", "--ckpt", str(workspace["ckpt"]),
                    "--config", str(other), "--out", str(tmp_path / "o"),
                    str(workspace["data"] / "img_0000.ppm")])
@@ -504,6 +512,18 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("error[config]: ")
         assert "hash" in err
+
+    @pytest.mark.parametrize("key, value", [("train.manifest", "/moved/manifest.txt"),
+                                            ("train.max_iter", 301), ("seed", 9)])
+    def test_checkpoint_loads_when_only_other_keys_differ(self, workspace, tmp_path,
+                                                          key, value):
+        """Checkpoints carry the hash of the model.* keys only."""
+        other = tmp_path / "other.cfg"
+        other.write_text(tiny_config_text(**{key: value}))
+        rc = main(["infer", "--ckpt", str(workspace["ckpt"]),
+                   "--config", str(other), "--out", str(tmp_path / "o"),
+                   str(workspace["data"] / "img_0000.ppm")])
+        assert rc == 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_training_exit_4(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Two-path network assembly: paths, attention, fusion, loss, ablations."""
 
+import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -7,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from biseg import network, ops
+from biseg import graph, network, ops
 from biseg.backbone import BackboneConfig, GraphBuilder, backbone_specs
 from biseg.errors import ArgumentError, DataError, ShapeError
 from biseg.graph import (
@@ -121,6 +123,7 @@ class TestAttentionRefine:
         feat = Rng(5).normal(1 * 4 * 3 * 3).astype(np.float32).reshape(1, 4, 3, 3)
         _, _, store = _arm(feat, 6)  # allocate entries
         store.get("arm.conv.weight").value[...] = 0.0
+        store.bump()  # a write after a run on the same store starts a new version
         refined, gate, _ = _arm(feat, 6, store=store)
         assert (gate == 0.5).all()
         assert np.allclose(refined, 0.5 * feat, rtol=0, atol=1e-7)
@@ -385,6 +388,96 @@ class TestInferencePlan:
         monkeypatch.setattr(ops, "conv2d_forward", spy_conv)
         network_forward(_rand_input(1, 64, 64, seed=56), _init_store(TINY, 57), TINY)
         assert seen["alive"] is False
+
+    def test_folds_once_per_store_version(self, monkeypatch):
+        calls = []
+        fold = graph.fold_bn
+        monkeypatch.setattr(graph, "fold_bn", lambda *args: calls.append(1) or fold(*args))
+        store = _trained_like_store(TINY, 60)
+        x = _rand_input(1, 64, 64, seed=61)
+        logits = [network_forward(x, store, TINY).main_logits.data for _ in range(3)]
+        assert len(calls) == 1
+        assert all(np.array_equal(a, logits[0]) for a in logits)
+        network_forward(_rand_input(2, 32, 96, seed=62), store, TINY)  # a new shape, same plan
+        assert len(calls) == 1
+
+    def test_plan_follows_every_store_change(self):
+        """sgd_step, restore_into, a train-mode forward and add each start a
+        new store version, so the next infer call refolds."""
+        store = _trained_like_store(TINY, 63)
+        x = _rand_input(2, 64, 64, seed=64)
+        ckpt = graph.Checkpoint({k: e.value.copy() for k, e in store.items()}, 0, 0)
+
+        def sgd():
+            grads = {k: np.ones_like(e.value) for k, e in store.items() if e.trainable}
+            graph.sgd_step(store, grads, 0.01, graph.SgdConfig())
+
+        def write_then_add():  # a write in place is seen once the version moves
+            store.get("head.mix.bn.running_mean").value[...] += 1.0
+            store.add("extra.weight", np.zeros(1, np.float32))
+
+        last = network_forward(x, store, TINY).main_logits.data
+        for change in (sgd, lambda: graph.restore_into(store, ckpt),
+                       lambda: network_forward(x, store, TINY, mode="train"), write_then_add):
+            version = store.version
+            change()
+            assert store.version > version and not store.plans
+            now = network_forward(x, store, TINY).main_logits.data
+            assert not np.array_equal(now, last)
+            last = now
+
+    def test_concurrent_calls_share_the_plan(self):
+        """Threads calling network_forward on one store, more threads than
+        cores and a tiny switch interval, each get their own input's logits."""
+        store = _trained_like_store(TINY, 67)
+        xs = [_rand_input(1 + i % 2, 64, 32 + 32 * (i % 3), seed=68 + i) for i in range(4)]
+        want = [network_forward(x, store, TINY).main_logits.data for x in xs]
+        got = [[] for _ in xs]
+
+        def worker(i):
+            for _ in range(3):
+                got[i].append(network_forward(xs[i], store, TINY).main_logits.data)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(xs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for runs, ref in zip(got, want):
+            assert len(runs) == 3 and all(np.array_equal(a, ref) for a in runs)
+
+    @pytest.mark.parametrize("bands", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tail_conv_split_matches_unsplit_bitwise(self, bands, n, monkeypatch):
+        """head.mix (8 output rows at 64x96) in one band, two, and three
+        (rows [0, 6) here, [6, 8) on the pool)."""
+        per_row = n * 32 * 9 * 12  # im2col elements per head.mix output row
+        monkeypatch.setattr(ops, "_BAND_ELEMS", -(-8 // bands) * per_row)
+        calls = []
+        rows = ops.conv_rows
+
+        def spy_rows(x, p, r0, r1, *args, **kwargs):
+            if p.weight.shape == (8, 32, 3, 3):
+                calls.append((r0, r1, threading.current_thread() is threading.main_thread()))
+            return rows(x, p, r0, r1, *args, **kwargs)
+
+        monkeypatch.setattr(ops, "conv_rows", spy_rows)
+        net = build_network(TINY, train=False)
+        specs, params = fold_bn(net.specs, _trained_like_store(TINY, 65))
+        x = Rng(66).normal(n * 3 * 64 * 96, std=40.0).astype(np.float32).reshape(n, 3, 64, 96)
+        ref = GraphRun(specs, params).forward({"x": x})[net.main_logits]
+        calls.clear()
+        got = GraphRun(specs, params).forward({"x": x}, outputs=[net.main_logits])
+        assert np.array_equal(got[net.main_logits], ref)
+        mid = {1: 8, 2: 4, 3: 6}[bands]
+        assert sorted(calls) == ([(0, 8, True)] if bands == 1
+                                 else [(0, mid, True), (mid, 8, False)])
 
 
 def _fake_net(n_aux=2):

@@ -172,6 +172,75 @@ class TestConvForward:
             conv2d_forward(x, Conv2dParams(w))
 
 
+def _tap_sum_depthwise(x, p):
+    """Depthwise forward as each tap's products, added in turn over a padded
+    copy, then the bias: the kernel must give this bit for bit."""
+    k, s = p.weight.shape[2], p.stride
+    oh = conv_out_extent(x.shape[2], k, s, p.padding)
+    ow = conv_out_extent(x.shape[3], k, s, p.padding)
+    xp = np.pad(x, ((0, 0), (0, 0), (p.padding,) * 2, (p.padding,) * 2))
+    acc = np.zeros((x.shape[0], x.shape[1], oh, ow), dtype=x.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            tap = xp[:, :, ki : ki + (oh - 1) * s + 1 : s, kj : kj + (ow - 1) * s + 1 : s]
+            acc += tap * p.weight[:, 0, ki, kj].reshape(1, -1, 1, 1)
+    if p.bias is not None:
+        acc += p.bias.reshape(1, -1, 1, 1)
+    return acc
+
+
+def _depthwise(x, p):
+    """The depthwise kernel itself: with one channel, conv2d_forward would
+    take the dense path."""
+    k = p.weight.shape[2]
+    return ops._conv_fwd_depthwise(x, p, conv_out_extent(x.shape[2], k, p.stride, p.padding),
+                                   conv_out_extent(x.shape[3], k, p.stride, p.padding))
+
+
+class TestDepthwiseForward:
+    """Shifted slices of stride-phase planes, one channel block at a time."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("n, c, h, w", [(1, 1, 7, 9), (2, 64, 5, 7), (16, 64, 5, 3),
+                                            (1, 728, 5, 5)])
+    def test_matches_oracle_and_tap_sum(self, stride, pad, n, c, h, w):
+        rng = Rng(17 * n + c + h + stride + pad)
+        x = _randn(rng, n, c, h, w)
+        x[:, :, ::2] = np.maximum(x[:, :, ::2], 0)  # zeros, as after a ReLU
+        p = Conv2dParams(_randn(rng, c, 1, 3, 3), _randn(rng, c) if pad else None,
+                         stride, pad, c)
+        got = _depthwise(x, p)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, _tap_sum_depthwise(x, p))
+        if c > 1:
+            assert np.array_equal(conv2d_forward(x, p), got)
+        ref = naive_conv2d(x, p.weight, p.bias, stride, pad, c)
+        assert np.allclose(got, ref, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("stride, pad", [(1, 1), (2, 1), (2, 0), (3, 2)])
+    def test_uneven_channel_blocks(self, stride, pad, monkeypatch):
+        """Blocks of 5 channels split 64 as 12 x 5 + 4; k = 5 reaches two
+        plane rows and columns past the output."""
+        rng = Rng(90 + stride + pad)
+        x = _randn(rng, 2, 64, 11, 9)
+        p = Conv2dParams(_randn(rng, 64, 1, 5, 5), _randn(rng, 64), stride, pad, 64)
+        whole = conv2d_forward(x, p)
+        oh, ow = whole.shape[2:]
+        span = oh * (ow + 4 // stride)  # elements per channel of one block
+        monkeypatch.setattr(ops, "_DW_BLOCK", 5 * 2 * span)
+        got = conv2d_forward(x, p)
+        assert np.array_equal(got, whole) and np.array_equal(got, _tap_sum_depthwise(x, p))
+
+    def test_float64_follows_input(self):
+        rng = Rng(95)
+        x = rng.normal(2 * 4 * 6 * 7).reshape(2, 4, 6, 7)
+        p = Conv2dParams(rng.normal(4 * 9).reshape(4, 1, 3, 3), rng.normal(4), 2, 1, 4)
+        got = conv2d_forward(x, p)
+        assert got.dtype == np.float64
+        assert np.abs(got - naive_conv2d(x, p.weight, p.bias, 2, 1, 4)).max() <= 1e-12
+
+
 class TestConvBackward:
     @pytest.mark.parametrize("case", [CONV_CASES[1], CONV_CASES[2], CONV_CASES[4], CONV_CASES[6]])
     def test_grad_finite_difference(self, case):
