@@ -3,10 +3,11 @@
 Each resolution is padded up to the stride tile (multiples of 32), a fixed
 random input is allocated once, the model runs untimed warmup iterations,
 and then the timed iterations run network_forward as `biseg infer` does
-(the inference plan, its per-call BN fold included), optionally followed by
-the x8 upsample and argmax of the end-to-end path. The garbage collector is
-paused inside the timed region and the input is reused. One more, untimed
-pass after the timed ones gives the tracemalloc peak of a pass.
+(the inference plan, folded by the first warmup pass and kept in
+store.plans), optionally followed by the end-to-end path's predict_full_res.
+The garbage collector is paused inside the timed region and the input is
+reused. One more, untimed pass after the timed ones gives the tracemalloc
+peak of a pass.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .backbone import STRIDE_TILE, BackboneConfig
@@ -85,8 +86,15 @@ def _parse_ints(s: str) -> tuple[int, ...]:
     return tuple(int(p.strip()) for p in s.split(",") if p.strip())
 
 
+def _parse_float(s: str) -> float:
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"not a finite number: {s.strip()!r}")
+    return v
+
+
 def _parse_floats(s: str) -> tuple[float, ...]:
-    return tuple(float(p.strip()) for p in s.split(",") if p.strip())
+    return tuple(_parse_float(p) for p in s.split(",") if p.strip())
 
 
 def parse_size(text: str) -> tuple[int, int]:
@@ -116,7 +124,7 @@ def _list_of(ok):
 # (parse text, format value, JSON value check); a JSON value that passes its
 # check is formatted to text and parsed like the key = value form.
 _INT = (int, str, _is_int)
-_FLOAT = (float, _fmt_float, _is_num)
+_FLOAT = (_parse_float, _fmt_float, _is_num)
 _BOOL = (_parse_bool, lambda v: "true" if v else "false", lambda v: isinstance(v, bool))
 _STR = (lambda s: s, lambda v: v, lambda v: isinstance(v, str))
 _INTS = (_parse_ints, lambda v: ",".join(str(x) for x in v), _list_of(_is_int))
@@ -276,6 +284,8 @@ def load_config(path) -> EngineConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 ({exc.reason})") from exc
     return parse_config(text, source=str(path))
 
 

@@ -205,19 +205,19 @@ def read_manifest(path) -> list[tuple[str, str]]:
     path = os.fspath(path)
     base = os.path.dirname(os.path.abspath(path))
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise DataError(
-                    f"{path}:{lineno}: manifest line must be 'image_path label_path'"
-                )
-            pairs.append(tuple(
-                p if os.path.isabs(p) else os.path.join(base, p) for p in parts
-            ))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: manifest is not UTF-8 ({exc.reason})") from exc
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: manifest line must be 'image_path label_path'")
+        pairs.append(tuple(p if os.path.isabs(p) else os.path.join(base, p) for p in parts))
     if not pairs:
         raise DataError(f"{path}: manifest lists no samples")
     return pairs

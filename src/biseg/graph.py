@@ -13,8 +13,9 @@ That forward also runs each find_chains() chain (dense convs with kernel
 depth-first in bands of output rows, so the chain's inner values are
 never created, and once the branches have joined it splits each banded
 dense conv's rows over two threads; the spec list itself, and every other
-run, is unchanged. A GraphRun works out that schedule once per set of
-input shapes.
+run, is unchanged. A GraphRun binds the specs to their parameter arrays
+once and keeps nothing of a call but the schedule for its input shapes:
+forward returns the values, backward(values, seeds) takes them back.
 
 Everything the engine knows about a layer kind sits in its LayerKind record
 in KINDS: arity, parameters, shape rule, forward and backward kernels,
@@ -365,19 +366,17 @@ class ParamStore:
     """Ordered name -> ParamEntry map; iteration order is insertion order.
 
     plans caches what is derived from the stored values (network_forward's
-    folded inference plan, per NetConfig) for the current version. bump()
-    starts a new version and empties it: add, restore_into, sgd_step and a
-    train-mode forward (which moves the BN running statistics) call it, and
-    so must any other code that writes a value in place.
+    folded inference plan, per NetConfig). bump() empties it: add,
+    restore_into, sgd_step and a train-mode forward (which moves the BN
+    running statistics) call it, and so must any other code that writes a
+    value in place.
     """
 
     def __init__(self):
         self._entries: dict[str, ParamEntry] = {}
-        self.version = 0
         self.plans: dict = {}
 
     def bump(self) -> None:
-        self.version += 1
         self.plans.clear()
 
     def add(self, name: str, value: np.ndarray, trainable: bool = True, decay: bool = True):
@@ -432,7 +431,7 @@ def fold_bn(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
     where BN is that affine map. The returned store shares the arrays of
     every untouched layer with the given one and holds fresh folded arrays,
     so it reflects the store as it is at the time of the call; network_forward
-    folds once per store version and keeps the result in store.plans.
+    keeps the result in store.plans until the store's next bump().
     """
     consumers: dict[str, list[LayerSpec]] = {}
     for spec in specs:
@@ -575,11 +574,10 @@ _BRANCH_POOL = ThreadPoolExecutor(thread_name_prefix="biseg-branch")
 
 
 class GraphRun:
-    """One forward (and optional backward) execution of a spec sequence.
-
-    Its _schedule() for each set of input shapes (and outputs) is kept, so a
-    GraphRun held across calls, such as network_forward's plan, works it
-    out once.
+    """A spec sequence bound to each spec's {suffix: array} in the store,
+    looked up once (sgd_step, restore_into and train-mode BN write those
+    arrays in place). A call adds only its _schedule(), kept per input
+    shapes and outputs, so threads may share one run: network_forward's plan.
     """
 
     def __init__(self, specs, store: ParamStore, mode: str = "infer"):
@@ -588,10 +586,10 @@ class GraphRun:
         self.specs = list(specs)
         self.store = store
         self.mode = mode
-        self.values: dict[str, np.ndarray] = {}
-        self.freed = False  # the last forward dropped values after their last use
-        self._params: dict[str, dict[str, np.ndarray]] = {}  # layer -> {suffix: array}
-        self._input_names: tuple[str, ...] = ()
+        self.params: dict[str, dict[str, np.ndarray]] = {  # layer -> {suffix: array}
+            spec.name: {d.suffix: store.get(f"{spec.name}.{d.suffix}").value
+                        for d in kind_of(spec).params(spec)}
+            for spec in self.specs}
         self._schedules: dict[tuple, _Schedule] = {}
 
     def forward(self, inputs: dict, outputs=None, counter: OpCounter | None = None) -> dict:
@@ -599,15 +597,15 @@ class GraphRun:
 
         The inputs must be floating-point arrays; infer_shapes checks the
         graph against their shapes before any layer runs. Without outputs
-        the specs run in order and every value is kept. With outputs (value
-        names), every other layer output is dropped after its last consumer
-        (graph inputs stay with the caller) and only the named values are
-        returned; such a run cannot be followed by backward. The
-        split_branches() branches share one value dict and run at the same
-        time, the first on the calling thread, then the tail, whose banded
-        dense convs run half their rows on the pool; each find_chains()
-        chain runs whole where its first member stands. A train-mode
-        forward bumps the store's version: BN moves its running statistics.
+        the specs run in order and every value, inputs too, is kept for
+        backward. With outputs (value names), every other layer output is
+        dropped after its last consumer (graph inputs stay with the caller)
+        and only the named values are returned. The split_branches()
+        branches share one value dict and run at the same time, the first
+        on the calling thread, then the tail, whose banded dense convs run
+        half their rows on the pool; each find_chains() chain runs whole
+        where its first member stands. A train-mode forward bumps the
+        store: BN moves its running statistics.
         """
         for name, x in inputs.items():
             if not (isinstance(x, np.ndarray) and np.issubdtype(x.dtype, np.floating)):
@@ -620,7 +618,6 @@ class GraphRun:
                 self.specs, {name: x.shape for name, x in inputs.items()}, outputs)
         if self.mode == "train":
             self.store.bump()
-        self._input_names = tuple(inputs.keys())
         vals = dict(inputs)
         futures = [_BRANCH_POOL.submit(self._run, group, vals, plan, counter)
                    for group in plan.groups[1:]]
@@ -631,15 +628,7 @@ class GraphRun:
         for future in futures:
             future.result()
         self._run(plan.tail, vals, plan, counter, _BRANCH_POOL)
-        out = vals if outputs is None else {name: vals[name] for name in outputs}
-        self.values, self.freed = out, outputs is not None
-        return out
-
-    def _load(self, spec: LayerSpec) -> dict[str, np.ndarray]:
-        p = self._params[spec.name] = {
-            d.suffix: self.store.get(f"{spec.name}.{d.suffix}").value
-            for d in KINDS[spec.kind].params(spec)}
-        return p
+        return vals if outputs is None else {name: vals[name] for name in outputs}
 
     def _run(self, specs, vals: dict, plan: _Schedule, counter: OpCounter | None,
              pool=None) -> None:
@@ -653,7 +642,7 @@ class GraphRun:
             if chain is None:
                 kind = KINDS[spec.kind]
                 xs = [vals[name] for name in spec.inputs]
-                p = self._load(spec)
+                p = self.params[spec.name]
                 reuse = kind.inplace is not None and spec.inputs[0] in plan.dead[spec.name]
                 extra = {"pool": pool} if pool is not None and spec.kind == "conv" else {}
                 out = (kind.inplace if reuse else kind.forward)(spec, xs, p, self.mode, **extra)
@@ -675,7 +664,7 @@ class GraphRun:
         shapes infer_shapes gave them."""
         layers = []
         for spec in chain:
-            p = self._load(spec)
+            p = self.params[spec.name]
             if spec.kind == "conv":
                 layers.append((_conv(spec, p), False))
             else:
@@ -687,39 +676,39 @@ class GraphRun:
                 counter.record(spec.name, macs, flops)
         return ops.conv_chain_forward(vals[chain[0].inputs[0]], layers)
 
-    def backward(self, seed_grads: dict, input_grads: bool = True) -> tuple[dict, dict]:
-        """Reverse pass from value-name -> grad seeds.
-
-        Returns (param_grads, input_grads). Parameter grads cover every
-        trainable entry touched by the graph; values with no incoming grad
-        contribute zeros. With input_grads=False the graph inputs get no
-        gradient (an empty dict is returned for them) and a conv reading a
-        graph input skips its input gradient.
+    def backward(self, values: dict, seed_grads: dict,
+                 input_grads: bool = True) -> tuple[dict, dict]:
+        """Reverse pass from value-name -> grad seeds over the values of a
+        forward that kept every value; the graph inputs are those no spec
+        produces. Returns (param_grads, input_grads). Parameter grads cover
+        every trainable entry touched by the graph; values with no incoming
+        grad contribute zeros. With input_grads=False the graph inputs get
+        no gradient (an empty dict) and a conv reading one skips it.
         """
-        if not self.values:
-            raise GraphError("backward called before forward")
-        if self.freed:
-            raise GraphError("backward needs a forward that keeps every value (outputs=None)")
+        produced = {spec.output for spec in self.specs}
+        if not produced.union(*(spec.inputs for spec in self.specs)) <= values.keys():
+            raise GraphError("backward needs the values of a forward that keeps every value")
+        input_names = [name for name in values if name not in produced]
         vgrads: dict[str, np.ndarray] = {}
         for name, g in seed_grads.items():
-            if name not in self.values:
+            if name not in values:
                 raise GraphError(f"gradient seeded for unknown value {name!r}")
-            if g.shape != self.values[name].shape:
+            if g.shape != values[name].shape:
                 raise ShapeError(f"seed grad for {name!r} has shape {g.shape}, "
-                                 f"expected {self.values[name].shape}")
+                                 f"expected {values[name].shape}")
             vgrads[name] = g.copy()
         param_grads: dict[str, np.ndarray] = {}
         for spec in reversed(self.specs):
-            y = self.values[spec.output]
+            y = values[spec.output]
             gy = vgrads.pop(spec.output, None)
             if gy is None:
                 gy = np.zeros_like(y)
-            xs = [self.values[name] for name in spec.inputs]
+            xs = [values[name] for name in spec.inputs]
             extra = {}
-            if not input_grads and spec.kind == "conv" and spec.inputs[0] in self._input_names:
+            if not input_grads and spec.kind == "conv" and spec.inputs[0] in input_names:
                 extra = {"input_grad": False}
             in_grads, p_grads = KINDS[spec.kind].backward(
-                spec, xs, y, gy, self._params[spec.name], self.mode, **extra)
+                spec, xs, y, gy, self.params[spec.name], self.mode, **extra)
             for suffix, g in p_grads.items():
                 param_grads[f"{spec.name}.{suffix}"] = g
             for name, g in zip(spec.inputs, in_grads):
@@ -731,10 +720,8 @@ class GraphRun:
                     vgrads[name] = g
         if not input_grads:
             return param_grads, {}
-        return param_grads, {
-            name: vgrads.get(name, np.zeros_like(self.values[name]))
-            for name in self._input_names
-        }
+        return param_grads, {name: vgrads.get(name, np.zeros_like(values[name]))
+                             for name in input_names}
 
 
 def run_forward(specs, store: ParamStore, inputs: dict, mode: str = "infer",
@@ -764,7 +751,7 @@ def forward_backward(specs, store: ParamStore, inputs: dict, loss_fn,
     run = GraphRun(specs, store, mode)
     values = run.forward(inputs)
     loss, seed_grads, terms = loss_fn(values)
-    param_grads, in_grads = run.backward(seed_grads, input_grads)
+    param_grads, in_grads = run.backward(values, seed_grads, input_grads)
     return ForwardBackward(loss, terms, param_grads, in_grads, values)
 
 

@@ -251,8 +251,8 @@ def network_forward(x: Tensor, store: ParamStore, cfg: NetConfig,
     In infer mode the graph runs as a plan: BN folded into the convs and
     each layer output but the logits dropped after its last consumer. The
     plan (a GraphRun of the folded specs, which keeps its schedule per input
-    shape) is built once per store version and NetConfig and kept in
-    store.plans, so a write to the store's values must bump its version.
+    shape) is built once per NetConfig and kept in store.plans until the
+    store's next bump(), which a write to the store's values must call.
     """
     _n, c, h, w = x.data.shape
     if c != INPUT_CHANNELS:

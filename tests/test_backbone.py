@@ -168,7 +168,7 @@ class TestReceptiveField:
         idx = 4
         seed = np.zeros_like(values[tap])
         seed[0, :, idx, idx] = 1.0
-        _, input_grads = run.backward({tap: seed})
+        _, input_grads = run.backward(values, {tap: seed})
         gx = np.abs(input_grads["x"]).sum(axis=(0, 1))
         rows = np.where(gx.any(axis=1))[0]
         cols = np.where(gx.any(axis=0))[0]

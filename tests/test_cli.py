@@ -13,6 +13,8 @@ import pytest
 from biseg import train as train_mod
 from biseg.cli import main
 from biseg.config import (
+    _FLOAT,
+    _FLOATS,
     _SCHEMA,
     EngineConfig,
     config_hash,
@@ -64,6 +66,9 @@ def tiny_config_text(**overrides) -> str:
 
 def tiny_config(**overrides) -> EngineConfig:
     return parse_config(tiny_config_text(**overrides))
+
+
+FLOAT_KEYS = [key for key, (_s, _f, conv) in _SCHEMA.items() if conv in (_FLOAT, _FLOATS)]
 
 
 class TestConfigForms:
@@ -154,6 +159,22 @@ class TestConfigForms:
                            '[[64, 32]]}, "model": {"sp_channels": [8, 8, 16]}}')
         assert cfg == parse_config("aug.mean = 1,2.5,3\nbench.resolutions = 64x32\n"
                                    "model.sp_channels = 8,8,16\n")
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_float_key_rejects_nan_and_inf(self, key):
+        """Both forms; a list key rejects a non-finite entry anywhere."""
+        listed = _SCHEMA[key][2] is _FLOATS
+        *sections, name = key.split(".")
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="finite"):
+                parse_config(f"{key} = {'1.0, ' if listed else ''}{bad}\n")
+            obj = {name: [1.0, bad] if listed else bad}
+            for section in reversed(sections):
+                obj = {section: obj}
+            with pytest.raises(ConfigError, match="finite"):
+                parse_config(json.dumps(obj))  # NaN / Infinity / -Infinity literals
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(f"{key} = 1e999\n")  # overflows to inf
 
     def test_semantic_errors_become_config_errors(self):
         with pytest.raises(ConfigError):
@@ -410,6 +431,32 @@ class TestCliErrors:
         for res in ("banana", "0x0", "640x0", "0x360", "\u00b2x2"):  # superscript two
             assert main(["analyze", "--res", res]) == 2, res
             assert capsys.readouterr().err.startswith("error[config]: ")
+
+    def test_nan_scale_exit_2(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(tiny_config_text(**{"aug.scales": "nan",
+                                           "train.manifest": workspace["manifest"]}))
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error[config]: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_config_exit_2(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(tiny_config_text(**{"train.manifest": workspace["manifest"]}).encode()
+                        + b"# caf\xe9\n")
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error[config]: ")
+
+    def test_non_utf8_manifest_exit_3(self, workspace, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_bytes(workspace["manifest"].read_bytes() + b"# \xff\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(tiny_config_text(**{"train.manifest": manifest}))
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error[data]: ")
 
     def test_missing_manifest_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

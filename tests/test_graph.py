@@ -311,28 +311,23 @@ class TestExecutor:
         store = ParamStore()
         x = np.array([[-1.0, 2.0], [3.0, -4.0]], dtype=np.float32).reshape(1, 1, 2, 2)
         run = GraphRun(specs, store, mode="infer")
-        run.forward({"x": x})
-        _, input_grads = run.backward({"y": np.ones((1, 1, 2, 2), dtype=np.float32)})
+        values = run.forward({"x": x})
+        _, input_grads = run.backward(values, {"y": np.ones((1, 1, 2, 2), dtype=np.float32)})
         expect = 2.0 * (x > 0)
         assert (input_grads["x"] == expect).all()
 
     def test_seed_for_unknown_value(self):
         specs = [unary("relu", "r1", "x", "y")]
         run = GraphRun(specs, ParamStore(), mode="infer")
-        run.forward({"x": np.ones((1, 1, 2, 2), dtype=np.float32)})
+        values = run.forward({"x": np.ones((1, 1, 2, 2), dtype=np.float32)})
         with pytest.raises(GraphError):
-            run.backward({"ghost": np.ones((1, 1, 2, 2), dtype=np.float32)})
+            run.backward(values, {"ghost": np.ones((1, 1, 2, 2), dtype=np.float32)})
 
     def test_seed_grad_shape_checked(self):
         run = GraphRun([unary("relu", "r1", "x", "y")], ParamStore(), mode="train")
-        run.forward({"x": np.ones((1, 1, 2, 2), dtype=np.float32)})
+        values = run.forward({"x": np.ones((1, 1, 2, 2), dtype=np.float32)})
         with pytest.raises(ShapeError, match=r"shape \(1, 1, 2, 3\), expected \(1, 1, 2, 2\)"):
-            run.backward({"y": np.ones((1, 1, 2, 3), dtype=np.float32)})
-
-    def test_backward_before_forward(self):
-        run = GraphRun([unary("relu", "r1", "x", "y")], ParamStore(), mode="infer")
-        with pytest.raises(GraphError):
-            run.backward({"y": np.ones((1, 1, 1, 1), dtype=np.float32)})
+            run.backward(values, {"y": np.ones((1, 1, 2, 3), dtype=np.float32)})
 
     def test_unreached_params_get_zero_grads(self):
         specs = [
@@ -432,16 +427,34 @@ class TestFreeingForward:
         monkeypatch.setattr(ops, "sigmoid", spy_sigmoid)
         GraphRun(specs, store).forward({"x": x})
         assert seen["alive"]
-        run = GraphRun(specs, store)
-        run.forward({"x": x}, outputs=("y",))
-        assert not seen["alive"] and set(run.values) == {"y"}
+        got = GraphRun(specs, store).forward({"x": x}, outputs=("y",))
+        assert not seen["alive"] and set(got) == {"y"}
 
     def test_backward_after_freeing_forward_raises(self):
+        """backward reads the values it is given, not the run's last
+        forward: a freeing forward's dict is refused even after a forward
+        that kept every value."""
         specs, store, x = self._graph()
         run = GraphRun(specs, store, mode="train")
-        y = run.forward({"x": x}, outputs=("y",))["y"]
+        freed = run.forward({"x": x}, outputs=("y",))
+        kept = run.forward({"x": x})
+        seeds = {"y": np.ones_like(kept["y"])}
         with pytest.raises(GraphError, match="keeps every value"):
-            run.backward({"y": np.ones_like(y)})
+            run.backward(freed, seeds)
+        assert run.backward(kept, seeds)[1]["x"].shape == x.shape
+
+    def test_forward_keeps_nothing_on_the_run(self):
+        """A run holds its specs, store, mode, bound parameters and
+        schedules; neither kind of forward sets anything else on it."""
+        specs, store, x = self._graph()
+        run = GraphRun(specs, store)
+        before = dict(vars(run))
+        assert before.keys() == {"specs", "store", "mode", "params", "_schedules"}
+        for outputs in (("y",), None):
+            run.forward({"x": x}, outputs=outputs)
+            after = vars(run)
+            assert after.keys() == before.keys()
+            assert all(after[k] is v for k, v in before.items())
 
     def test_unknown_output_rejected(self):
         specs, store, x = self._graph()
@@ -567,7 +580,7 @@ class TestChains:
         run = GraphRun(specs, store, mode="train")
         values = run.forward({"x": x})
         assert {"a", "b", "c", "d", "e"} <= set(values)
-        param_grads, input_grads = run.backward({"out": np.ones_like(values["out"])})
+        param_grads, input_grads = run.backward(values, {"out": np.ones_like(values["out"])})
         assert set(param_grads) == {name for name, _e in store.items()}
         assert input_grads["x"].shape == x.shape
 

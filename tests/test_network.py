@@ -402,8 +402,8 @@ class TestInferencePlan:
         assert len(calls) == 1
 
     def test_plan_follows_every_store_change(self):
-        """sgd_step, restore_into, a train-mode forward and add each start a
-        new store version, so the next infer call refolds."""
+        """sgd_step, restore_into, a train-mode forward and add each drop
+        the store's plans, so the next infer call refolds."""
         store = _trained_like_store(TINY, 63)
         x = _rand_input(2, 64, 64, seed=64)
         ckpt = graph.Checkpoint({k: e.value.copy() for k, e in store.items()}, 0, 0)
@@ -412,19 +412,27 @@ class TestInferencePlan:
             grads = {k: np.ones_like(e.value) for k, e in store.items() if e.trainable}
             graph.sgd_step(store, grads, 0.01, graph.SgdConfig())
 
-        def write_then_add():  # a write in place is seen once the version moves
+        def write_then_add():  # a write in place is seen once the plans are dropped
             store.get("head.mix.bn.running_mean").value[...] += 1.0
             store.add("extra.weight", np.zeros(1, np.float32))
 
         last = network_forward(x, store, TINY).main_logits.data
         for change in (sgd, lambda: graph.restore_into(store, ckpt),
                        lambda: network_forward(x, store, TINY, mode="train"), write_then_add):
-            version = store.version
             change()
-            assert store.version > version and not store.plans
+            assert not store.plans
             now = network_forward(x, store, TINY).main_logits.data
             assert not np.array_equal(now, last)
             last = now
+
+    def test_plan_keeps_no_logits(self):
+        """The cached plan holds nothing of a call: the logits die once the
+        caller drops them."""
+        store = _trained_like_store(TINY, 70)
+        art = network_forward(_rand_input(1, 64, 64, seed=71), store, TINY)
+        logits = weakref.ref(art.main_logits.data)
+        del art
+        assert store.plans and logits() is None
 
     def test_concurrent_calls_share_the_plan(self):
         """Threads calling network_forward on one store, more threads than

@@ -14,9 +14,11 @@ def _f32(values):
 
 
 def _binary(kind, a, b):
-    """Run one two-input layer over arrays a and b; returns (output, run)."""
+    """Run one two-input layer over arrays a and b; returns (output, grads),
+    where grads(gy) gives the input gradients for output gradient gy."""
     run = GraphRun([LayerSpec(kind, "l", ("a", "b"), "y")], ParamStore())
-    return run.forward({"a": _f32(a), "b": _f32(b)})["y"], run
+    values = run.forward({"a": _f32(a), "b": _f32(b)})
+    return values["y"], lambda gy: run.backward(values, {"y": gy})[1]
 
 
 class TestTensor:
@@ -131,8 +133,8 @@ class TestConcat:
         rng = Rng(5)
         a = rng.normal(2 * 2 * 3 * 3).reshape(2, 2, 3, 3)
         b = rng.normal(2 * 4 * 3 * 3).reshape(2, 4, 3, 3)
-        joined, run = _binary("concat", a, b)
-        _, grads = run.backward({"y": joined})
+        joined, backward = _binary("concat", a, b)
+        grads = backward(joined)
         assert (grads["a"] == _f32(a)).all() and (grads["b"] == _f32(b)).all()
 
     def test_spatial_mismatch(self):
