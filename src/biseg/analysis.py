@@ -1,9 +1,10 @@
 """Static efficiency accounting: parameters, MACs, and FLOPs per layer.
 
-Each kind's counting convention is the cost rule of its graph.KINDS entry,
-evaluated here on the spec's parameter shapes and graph.infer_shapes. The
-executor's OpCounter evaluates the same rule on the live arrays of a forward
-pass, so verify_counts compares two independent sets of shapes. Only conv
+Each kind's counting convention is the cost rule of its graph.KINDS entry.
+count_model evaluates it on the spec's parameter shapes and
+graph.infer_shapes; verify_counts evaluates the same rule on the arrays of a
+forward that keeps every value and on the store's parameter arrays, so it
+compares two independent sets of shapes. Only conv
 rows carry MACs, so "flops == 2*macs" holds exactly there. A conv-only
 total reproduces the stricter convention many tools use. Both MAC and FLOP
 totals are always reported because published efficiency figures rarely say
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph
-from .graph import LayerSpec, OpCounter, ParamStore
+from .graph import LayerSpec, ParamStore
 from .tensor import Rng
 
 
@@ -79,12 +80,12 @@ class CostReport:
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _row_for(spec: LayerSpec, in_shapes: list[tuple], out_shape: tuple) -> CostRow:
-    kind = graph.KINDS[spec.kind]
-    params, macs, flops = kind.cost(
-        in_shapes, out_shape, {d.suffix: d.shape for d in kind.params(spec)})
+def _cost_row(spec: LayerSpec, shapes: dict, param_shapes: dict) -> CostRow:
+    """spec's row from value name -> shape and parameter suffix -> shape."""
+    params, macs, flops = graph.KINDS[spec.kind].cost(
+        [shapes[i] for i in spec.inputs], shapes[spec.output], param_shapes)
     return CostRow(
-        name=spec.name, kind=spec.kind, output_shape=tuple(out_shape),
+        name=spec.name, kind=spec.kind, output_shape=tuple(shapes[spec.output]),
         params=int(params), macs=int(macs), flops=int(flops),
     )
 
@@ -100,11 +101,9 @@ def count_model(specs, input_shapes: dict) -> CostReport:
         shapes = graph.infer_shapes(specs, input_shapes)
     else:
         graph.check_input_shapes(input_shapes)
-    rows = []
-    for spec in specs:
-        rows.append(_row_for(
-            spec, [shapes[i] for i in spec.inputs], shapes[spec.output]
-        ))
+    rows = [_cost_row(spec, shapes,
+                      {d.suffix: d.shape for d in graph.KINDS[spec.kind].params(spec)})
+            for spec in specs]
     totals = (
         sum(r.params for r in rows), sum(r.macs for r in rows),
         sum(r.flops for r in rows),
@@ -149,11 +148,12 @@ class VerifyReport:
 
 
 def verify_counts(specs, input_shapes: dict, trials: int = 1, seed: int = 0) -> VerifyReport:
-    """Compare the static cost table against instrumented execution.
+    """Compare the static cost table against the arrays of a real forward.
 
-    Runs the graph on random inputs with the executor's op counter enabled
-    and demands exact per-row agreement on MACs and FLOPs. Use small shapes;
-    this actually executes the model.
+    Runs the graph on random inputs, keeping every value, evaluates each
+    spec's cost rule on the shapes of its input, output and parameter
+    arrays, and demands exact per-row agreement on MACs and FLOPs. Use
+    small shapes; this actually executes the model.
     """
     static = {r.name: (r.macs, r.flops) for r in count_model(specs, input_shapes).rows}
     mismatches: dict[str, VerifyMismatch] = {}
@@ -166,10 +166,11 @@ def verify_counts(specs, input_shapes: dict, trials: int = 1, seed: int = 0) -> 
             .reshape(shape).astype(np.float32)
             for name, shape in input_shapes.items()
         }
-        counter = OpCounter()
-        graph.run_forward(specs, store, inputs, mode="infer", counter=counter)
-        for name, expected in static.items():
-            got = counter.rows.get(name, (0, 0))
-            if got != expected and name not in mismatches:
-                mismatches[name] = VerifyMismatch(name=name, static=expected, measured=got)
+        run = graph.GraphRun(specs, store)
+        shapes = {name: value.shape for name, value in run.forward(inputs).items()}
+        for spec in specs:
+            row = _cost_row(spec, shapes, {k: v.shape for k, v in run.params[spec.name].items()})
+            got = (row.macs, row.flops)
+            if got != static[spec.name] and spec.name not in mismatches:
+                mismatches[spec.name] = VerifyMismatch(spec.name, static[spec.name], got)
     return VerifyReport(mismatches=list(mismatches.values()), trials=trials)

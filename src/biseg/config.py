@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 
 from .backbone import STRIDE_TILE, BackboneConfig
@@ -86,15 +85,8 @@ def _parse_ints(s: str) -> tuple[int, ...]:
     return tuple(int(p.strip()) for p in s.split(",") if p.strip())
 
 
-def _parse_float(s: str) -> float:
-    v = float(s)
-    if not math.isfinite(v):
-        raise ValueError(f"not a finite number: {s.strip()!r}")
-    return v
-
-
 def _parse_floats(s: str) -> tuple[float, ...]:
-    return tuple(_parse_float(p) for p in s.split(",") if p.strip())
+    return tuple(float(p) for p in s.split(",") if p.strip())
 
 
 def parse_size(text: str) -> tuple[int, int]:
@@ -124,7 +116,7 @@ def _list_of(ok):
 # (parse text, format value, JSON value check); a JSON value that passes its
 # check is formatted to text and parsed like the key = value form.
 _INT = (int, str, _is_int)
-_FLOAT = (_parse_float, _fmt_float, _is_num)
+_FLOAT = (float, _fmt_float, _is_num)
 _BOOL = (_parse_bool, lambda v: "true" if v else "false", lambda v: isinstance(v, bool))
 _STR = (lambda s: s, lambda v: v, lambda v: isinstance(v, str))
 _INTS = (_parse_ints, lambda v: ",".join(str(x) for x in v), _list_of(_is_int))

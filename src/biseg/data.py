@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DataError, FormatError
-from .ops import IGNORE, resize_bilinear
+from .ops import IGNORE, resize_bilinear, resize_nearest_labels
 from .tensor import Rng, Tensor
 
 DEFAULT_MEAN = (123.68, 116.78, 103.94)
@@ -48,12 +48,15 @@ class AugmentConfig:
     crop_w: int = 64
 
     def __post_init__(self):
+        # NaN fails every comparison, so the range checks reject it too.
+        if not np.isfinite(self.mean).all():
+            raise ArgumentError("mean entries must be finite")
         if len(self.mean) != 3:
             raise ArgumentError("mean must have three channel entries")
         if not 0.0 <= self.hflip_prob <= 1.0:
-            raise ArgumentError("hflip_prob must lie in [0, 1]")
-        if not self.scales or any(s <= 0 for s in self.scales):
-            raise ArgumentError("scales must be a non-empty positive sequence")
+            raise ArgumentError("hflip_prob must be finite and lie in [0, 1]")
+        if not self.scales or not all(0.0 < s < np.inf for s in self.scales):
+            raise ArgumentError("scales must be a non-empty sequence of positive finite numbers")
         if self.crop_h < 1 or self.crop_w < 1:
             raise ArgumentError("crop extents must be positive")
 
@@ -254,20 +257,8 @@ class SegDataset:
 
 
 # ---------------------------------------------------------------------------
-# Resizing and augmentation
+# Augmentation
 # ---------------------------------------------------------------------------
-
-
-def _nearest_index(src: int, dst: int) -> np.ndarray:
-    idx = np.floor((np.arange(dst, dtype=np.float64) + 0.5) * src / dst)
-    return np.clip(idx, 0, src - 1).astype(np.intp)
-
-
-def resize_nearest_labels(label: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    h, w = label.shape
-    if (h, w) == (out_h, out_w):
-        return label.copy()
-    return label[np.ix_(_nearest_index(h, out_h), _nearest_index(w, out_w))]
 
 
 def augment(sample: Sample, cfg: AugmentConfig, rng: Rng) -> Sample:

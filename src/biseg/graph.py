@@ -99,8 +99,8 @@ class LayerKind:
     backward(spec, xs, y, gy, p, mode) -> (input grads, {suffix: grad}); conv's
         also takes input_grad=False, which gives None for the input grad
     cost(ins, out, param_shapes) -> (params, macs, flops) from shapes alone,
-        so the static table (spec shapes) and the executor's counter (live
-        array shapes) evaluate it on independent inputs
+        so the static table (spec shapes) and analysis.verify_counts (the
+        shapes of the arrays a forward returns) evaluate it on independent inputs
     rf(spec, states) -> RfState; None where the receptive-field walk stops
     params(spec) -> ParamDefs in store order; none by default
     inplace(spec, xs, p, mode) -> forward that may overwrite xs[0]; the
@@ -421,6 +421,15 @@ def init_params(specs, store: ParamStore, rng: Rng) -> None:
                       trainable=d.trainable, decay=d.decay)
 
 
+def _consumers(specs) -> dict[str, list[LayerSpec]]:
+    """Value name -> the specs that read it, in spec order."""
+    users: dict[str, list[LayerSpec]] = {}
+    for spec in specs:
+        for name in spec.inputs:
+            users.setdefault(name, []).append(spec)
+    return users
+
+
 def fold_bn(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
     """Inference plan with every BN folded into the conv it follows.
 
@@ -433,10 +442,7 @@ def fold_bn(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
     so it reflects the store as it is at the time of the call; network_forward
     keeps the result in store.plans until the store's next bump().
     """
-    consumers: dict[str, list[LayerSpec]] = {}
-    for spec in specs:
-        for name in spec.inputs:
-            consumers.setdefault(name, []).append(spec)
+    consumers = _consumers(specs)
     out_specs, folded, absorbed = [], ParamStore(), set()
 
     def value(spec, suffix):
@@ -469,17 +475,6 @@ def fold_bn(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
 # ---------------------------------------------------------------------------
 
 
-class OpCounter:
-    """Instrumented-execution tally: per-layer (macs, flops) from live arrays."""
-
-    def __init__(self):
-        self.rows: dict[str, tuple[int, int]] = {}
-
-    def record(self, name: str, macs: int, flops: int):
-        prev = self.rows.get(name, (0, 0))
-        self.rows[name] = (prev[0] + macs, prev[1] + flops)
-
-
 def _chainable(spec: LayerSpec) -> bool:
     return spec.kind == "conv" and spec.groups == 1 and spec.kernel > 1
 
@@ -492,10 +487,7 @@ def find_chains(specs, keep) -> dict[str, tuple[LayerSpec, ...]]:
     before it and no value but the last is in keep. ops.conv_chain_forward
     runs it in bands of output rows, so its inner values are never created.
     """
-    users: dict[str, list[LayerSpec]] = {}
-    for spec in specs:
-        for name in spec.inputs:
-            users.setdefault(name, []).append(spec)
+    users = _consumers(specs)
     chains: dict[str, tuple[LayerSpec, ...]] = {}
     for spec in specs:
         if spec.name in chains or not _chainable(spec):
@@ -535,7 +527,6 @@ def split_branches(specs, input_names) -> tuple[list[list[LayerSpec]], list[Laye
 class _Schedule(NamedTuple):
     """How a forward runs a spec list on inputs of given shapes."""
 
-    shapes: dict        # value name -> shape, from infer_shapes
     groups: list        # branches run at the same time (all specs in one when none is freed)
     tail: list          # specs run after every branch, splitting banded dense convs
     dead: dict          # spec name -> values dropped after it
@@ -546,9 +537,9 @@ def _schedule(specs, input_shapes: dict, outputs=None) -> _Schedule:
     """The forward schedule: without outputs, every spec in order with every
     value kept; with outputs, split_branches() branches and tail, the
     find_chains() chains and each value's last use."""
-    shapes = infer_shapes(specs, input_shapes)
+    infer_shapes(specs, input_shapes)
     if outputs is None:
-        return _Schedule(shapes, [specs], [], {spec.name: [] for spec in specs}, {})
+        return _Schedule([specs], [], {spec.name: [] for spec in specs}, {})
     groups, tail = split_branches(specs, input_shapes.keys())
     order = [spec for group in (*groups, tail) for spec in group]
     keep = {*outputs, *input_shapes}
@@ -564,7 +555,7 @@ def _schedule(specs, input_shapes: dict, outputs=None) -> _Schedule:
     for name, at in last_use.items():
         if name not in keep and name not in never:
             dead[at].append(name)
-    return _Schedule(shapes, groups, tail, dead, chains)
+    return _Schedule(groups, tail, dead, chains)
 
 
 # Branches after the first, and the second half of each banded dense conv
@@ -592,7 +583,7 @@ class GraphRun:
             for spec in self.specs}
         self._schedules: dict[tuple, _Schedule] = {}
 
-    def forward(self, inputs: dict, outputs=None, counter: OpCounter | None = None) -> dict:
+    def forward(self, inputs: dict, outputs=None) -> dict:
         """Run every spec; returns the value dict.
 
         The inputs must be floating-point arrays; infer_shapes checks the
@@ -619,19 +610,18 @@ class GraphRun:
         if self.mode == "train":
             self.store.bump()
         vals = dict(inputs)
-        futures = [_BRANCH_POOL.submit(self._run, group, vals, plan, counter)
+        futures = [_BRANCH_POOL.submit(self._run, group, vals, plan)
                    for group in plan.groups[1:]]
         try:
-            self._run(plan.groups[0], vals, plan, counter)
+            self._run(plan.groups[0], vals, plan)
         finally:
             wait(futures)
         for future in futures:
             future.result()
-        self._run(plan.tail, vals, plan, counter, _BRANCH_POOL)
+        self._run(plan.tail, vals, plan, _BRANCH_POOL)
         return vals if outputs is None else {name: vals[name] for name in outputs}
 
-    def _run(self, specs, vals: dict, plan: _Schedule, counter: OpCounter | None,
-             pool=None) -> None:
+    def _run(self, specs, vals: dict, plan: _Schedule, pool=None) -> None:
         """Run specs in order on vals, dropping plan.dead[spec.name] after
         each; a conv gets pool to split its banded rows over.
 
@@ -642,38 +632,23 @@ class GraphRun:
             if chain is None:
                 kind = KINDS[spec.kind]
                 xs = [vals[name] for name in spec.inputs]
-                p = self.params[spec.name]
                 reuse = kind.inplace is not None and spec.inputs[0] in plan.dead[spec.name]
                 extra = {"pool": pool} if pool is not None and spec.kind == "conv" else {}
-                out = (kind.inplace if reuse else kind.forward)(spec, xs, p, self.mode, **extra)
-                if counter is not None:
-                    # Measured from the arrays involved, not from the spec.
-                    _, macs, flops = kind.cost(
-                        [x.shape for x in xs], out.shape, {k: v.shape for k, v in p.items()})
-                    counter.record(spec.name, macs, flops)
-                vals[spec.output] = out
+                vals[spec.output] = (kind.inplace if reuse else kind.forward)(
+                    spec, xs, self.params[spec.name], self.mode, **extra)
             elif spec is chain[0]:
-                vals[chain[-1].output] = self._run_chain(chain, vals, plan, counter)
+                vals[chain[-1].output] = self._run_chain(chain, vals)
             for name in plan.dead[spec.name]:
                 del vals[name]
 
-    def _run_chain(self, chain, vals: dict, plan: _Schedule,
-                   counter: OpCounter | None) -> np.ndarray:
-        """ops.conv_chain_forward over a find_chains() chain. Its inner
-        values never exist, so a counter gets each member's cost from the
-        shapes infer_shapes gave them."""
+    def _run_chain(self, chain, vals: dict) -> np.ndarray:
+        """ops.conv_chain_forward over a find_chains() chain."""
         layers = []
         for spec in chain:
-            p = self.params[spec.name]
             if spec.kind == "conv":
-                layers.append((_conv(spec, p), False))
+                layers.append((_conv(spec, self.params[spec.name]), False))
             else:
                 layers[-1] = (layers[-1][0], True)
-            if counter is not None:
-                _, macs, flops = KINDS[spec.kind].cost(
-                    [plan.shapes[name] for name in spec.inputs], plan.shapes[spec.output],
-                    {k: v.shape for k, v in p.items()})
-                counter.record(spec.name, macs, flops)
         return ops.conv_chain_forward(vals[chain[0].inputs[0]], layers)
 
     def backward(self, values: dict, seed_grads: dict,
@@ -724,9 +699,8 @@ class GraphRun:
                              for name in input_names}
 
 
-def run_forward(specs, store: ParamStore, inputs: dict, mode: str = "infer",
-                counter: OpCounter | None = None) -> dict:
-    return GraphRun(specs, store, mode).forward(inputs, counter=counter)
+def run_forward(specs, store: ParamStore, inputs: dict, mode: str = "infer") -> dict:
+    return GraphRun(specs, store, mode).forward(inputs)
 
 
 @dataclass
@@ -777,14 +751,16 @@ class SgdConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ArgumentError("base_lr must be positive")
+        # Each float check is written so that NaN, which fails every
+        # comparison, and the infinities fail it too.
+        if not 0.0 < self.base_lr < math.inf:
+            raise ArgumentError("base_lr must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
-            raise ArgumentError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ArgumentError("weight_decay must be non-negative")
-        if self.power <= 0:
-            raise ArgumentError("power must be positive")
+            raise ArgumentError("momentum must be finite and lie in [0, 1)")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ArgumentError("weight_decay must be non-negative and finite")
+        if not 0.0 < self.power < math.inf:
+            raise ArgumentError("power must be positive and finite")
         if self.max_iter < 1:
             raise ArgumentError("max_iter must be >= 1")
 

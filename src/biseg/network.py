@@ -71,8 +71,10 @@ class NetConfig:
             raise ArgumentError(f"context_fusion must be one of {_CONTEXT_FUSIONS}")
         if self.loss_mode not in _LOSS_MODES:
             raise ArgumentError(f"loss_mode must be one of {_LOSS_MODES}")
-        if self.aux_weight < 0:
-            raise ArgumentError("aux_weight must be non-negative")
+        if not 0.0 <= self.aux_weight < math.inf:  # NaN fails the comparison too
+            raise ArgumentError("aux_weight must be non-negative and finite")
+        if not 0.0 < self.bootstrap_keep <= 1.0:
+            raise ArgumentError("bootstrap_keep must be finite and lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -317,15 +319,14 @@ def joint_loss_on_values(values: dict, net: GraphDef, labels: np.ndarray,
         ce = _single_ce(up, labels, cfg)
         main_grad = ops.bilinear_upsample_backward(main.shape, 8, ce.grad)
     else:
-        ce = _single_ce(main, ops.nearest_downsample_labels(labels, 8), cfg)
+        ce = _single_ce(main, ops.resize_nearest_labels(labels, h8, w8), cfg)
         main_grad = ce.grad
     seeds = {net.main_logits: main_grad}
     aux_losses = []
     total = ce.loss
     for name in net.aux_logits:
         logits = values[name]
-        factor = (h8 * 8) // logits.shape[2]
-        aux_ce = _single_ce(logits, ops.nearest_downsample_labels(labels, factor), cfg)
+        aux_ce = _single_ce(logits, ops.resize_nearest_labels(labels, *logits.shape[2:]), cfg)
         aux_losses.append(aux_ce.loss)
         seeds[name] = cfg.aux_weight * aux_ce.grad
         total = total + cfg.aux_weight * aux_ce.loss

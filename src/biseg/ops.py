@@ -444,6 +444,21 @@ def resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return np.matmul(np.matmul(ah, x), aw.T)
 
 
+def _nearest_index(src: int, dst: int) -> np.ndarray:
+    idx = np.floor((np.arange(dst, dtype=np.float64) + 0.5) * src / dst)
+    return np.clip(idx, 0, src - 1).astype(np.intp)
+
+
+def resize_nearest_labels(labels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Resize (..., h, w) labels to (..., out_h, out_w): each output pixel
+    takes the source pixel under its half-pixel center, which for a
+    reduction by an integer factor f is the center pick d * f + f // 2."""
+    h, w = labels.shape[-2:]
+    if (h, w) == (out_h, out_w):
+        return labels.copy()
+    return labels[..., _nearest_index(h, out_h)[:, None], _nearest_index(w, out_w)]
+
+
 def bilinear_upsample(x: np.ndarray, factor: int) -> np.ndarray:
     if factor < 1:
         raise ArgumentError(f"upsample factor must be >= 1, got {factor}")
@@ -548,19 +563,3 @@ def bootstrap_ce_loss(
     if min_kept < 0:
         raise ArgumentError("min_kept must be non-negative")
     return _cross_entropy(logits, labels, keep_fraction, min_kept)
-
-
-def nearest_downsample_labels(labels: np.ndarray, factor: int) -> np.ndarray:
-    """Nearest-neighbor label reduction by an integer factor (center pick)."""
-    if labels.ndim != 3:
-        raise ShapeError("labels must be rank-3 (n, h, w)")
-    if factor < 1:
-        raise ArgumentError("factor must be >= 1")
-    if factor == 1:
-        return labels.copy()
-    n, h, w = labels.shape
-    if h % factor or w % factor:
-        raise ShapeError(f"label extent ({h},{w}) not divisible by factor {factor}")
-    ih = np.arange(h // factor) * factor + factor // 2
-    iw = np.arange(w // factor) * factor + factor // 2
-    return labels[:, ih][:, :, iw].copy()

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from biseg import graph
+from biseg import graph, ops
 from biseg.analysis import count_model, verify_counts
 from biseg.backbone import BackboneConfig, backbone_specs
 from biseg.errors import GraphError, ShapeError
@@ -301,8 +301,8 @@ class TestInstrumentedAgreement:
         assert "lay" in rep.describe()
 
     def test_wrong_shape_rule_is_caught(self, monkeypatch):
-        # The static side reads the kind's shape rule, the executor's counter
-        # reads live arrays only; an off-by-one shape rule must show up.
+        # The static side reads the kind's shape rule, the measured side the
+        # arrays a forward returns; an off-by-one shape rule must show up.
         specs = [
             _conv("c", "x", "a", 3, 4),
             _unary("upsample", "up", "a", "u", factor=2),
@@ -317,6 +317,18 @@ class TestInstrumentedAgreement:
         assert not report.ok
         assert report.mismatches[0].name == "up"
         assert "up" in report.describe()
+
+    def test_wrong_kernel_output_is_caught(self, monkeypatch):
+        # The measured side reads the arrays the kernels return: a kernel
+        # that drops a column on the last layer must show up under its name.
+        specs = [_conv("c", "x", "a", 3, 4), _unary("sigmoid", "s", "a", "y")]
+        assert verify_counts(specs, {"x": (1, 3, 8, 8)}).ok
+        sigmoid = ops.sigmoid
+        monkeypatch.setattr(ops, "sigmoid", lambda x: sigmoid(x)[..., :-1])
+        report = verify_counts(specs, {"x": (1, 3, 8, 8)})
+        assert [m.name for m in report.mismatches] == ["s"]
+        assert report.mismatches[0].measured == (0, 4 * 4 * 8 * 7)
+        assert "s:" in report.describe()
 
 
 class TestBackboneCalibration:

@@ -24,7 +24,7 @@ from biseg.config import (
     serialize_config,
 )
 from biseg.data import SegDataset, read_pgm, read_ppm, synth_shapes, write_ppm
-from biseg.errors import ConfigError, NumericAbort
+from biseg.errors import ArgumentError, ConfigError, NumericAbort
 from biseg.graph import SgdConfig
 from biseg.tensor import Rng, Tensor
 
@@ -175,6 +175,17 @@ class TestConfigForms:
                 parse_config(json.dumps(obj))  # NaN / Infinity / -Infinity literals
         with pytest.raises(ConfigError, match="finite"):
             parse_config(f"{key} = 1e999\n")  # overflows to inf
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_config_dataclass_rejects_non_finite_field(self, key, bad):
+        """Built directly, not through parse_config; a list field gets the
+        value in its first entry."""
+        section, fname, conv = _SCHEMA[key]
+        cls = type(getattr(EngineConfig(), section))
+        value = (bad, *getattr(cls(), fname)[1:]) if conv is _FLOATS else bad
+        with pytest.raises(ArgumentError, match="finite"):
+            cls(**{fname: value})
 
     def test_semantic_errors_become_config_errors(self):
         with pytest.raises(ConfigError):

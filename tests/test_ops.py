@@ -19,8 +19,8 @@ from biseg.ops import (
     conv_rows,
     global_avg_pool,
     global_avg_pool_backward,
-    nearest_downsample_labels,
     relu,
+    resize_nearest_labels,
     relu_backward,
     sigmoid,
     sigmoid_backward,
@@ -606,23 +606,22 @@ class TestUpsample:
 
 
 class TestLabelDownsample:
+    """resize_nearest_labels on (n, h, w) batches, as the joint loss calls it."""
+
     def test_center_pick(self):
-        lab = np.arange(16, dtype=np.int64).reshape(1, 4, 4)
-        out = nearest_downsample_labels(lab, 2)
-        assert out.shape == (1, 2, 2)
-        assert out.reshape(-1).tolist() == [5, 7, 13, 15]
+        lab = np.arange(32, dtype=np.int64).reshape(2, 4, 4)
+        out = resize_nearest_labels(lab, 2, 2)
+        assert out.shape == (2, 2, 2)
+        assert out.reshape(-1).tolist() == [5, 7, 13, 15, 21, 23, 29, 31]
 
     def test_factor_one(self):
         lab = np.arange(4).reshape(1, 2, 2)
-        out = nearest_downsample_labels(lab, 1)
+        out = resize_nearest_labels(lab, 2, 2)
         assert (out == lab).all() and out is not lab
 
     def test_preserves_values_only(self):
         rng = Rng(81)
         lab = (rng.uniform(1 * 16 * 16) * 3).astype(np.int64).reshape(1, 16, 16)
-        out = nearest_downsample_labels(lab, 4)
+        out = resize_nearest_labels(lab, 4, 4)
         assert set(np.unique(out)) <= set(np.unique(lab))
-
-    def test_non_divisible(self):
-        with pytest.raises(ShapeError):
-            nearest_downsample_labels(np.zeros((1, 5, 4), dtype=np.int64), 2)
+        assert (out == lab[:, 2::4, 2::4]).all()  # factor 4: the center pick d * 4 + 2
