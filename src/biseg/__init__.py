@@ -57,7 +57,6 @@ from .graph import (
     load_checkpoint,
     poly_lr,
     restore_into,
-    run_forward,
     save_checkpoint,
     sgd_step,
 )

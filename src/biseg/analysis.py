@@ -14,7 +14,7 @@ which one they are.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,14 +66,7 @@ class CostReport:
         obj = {
             "note": self.note,
             "inputs": {k: list(v) for k, v in self.input_shapes.items()},
-            "rows": [
-                {
-                    "name": r.name, "kind": r.kind,
-                    "output_shape": list(r.output_shape),
-                    "params": r.params, "macs": r.macs, "flops": r.flops,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "totals": dict(zip(("params", "macs", "flops"), self.totals)),
             "conv_totals": dict(zip(("params", "macs", "flops"), self.conv_totals)),
         }

@@ -18,7 +18,7 @@ import os
 import platform
 import time
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -70,20 +70,7 @@ class BenchReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        obj = {
-            "environment": self.environment,
-            "config_hash": self.config_hash,
-            "e2e": self.e2e,
-            "rows": [
-                {
-                    "nominal": list(r.nominal), "padded": list(r.padded),
-                    "mean_ms": r.mean_ms, "median_ms": r.median_ms,
-                    "p95_ms": r.p95_ms, "fps": r.fps, "peak_mib": r.peak_mib,
-                }
-                for r in self.rows
-            ],
-        }
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 def environment_descriptor() -> str:

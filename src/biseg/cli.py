@@ -21,6 +21,7 @@ from .data import default_palette, read_ppm, synth_shapes, write_color_mask, wri
 from .errors import (
     ArgumentError,
     ConfigError,
+    ConsistencyError,
     DataError,
     EngineError,
     FormatError,
@@ -54,7 +55,10 @@ def _restore_store(cfg: EngineConfig, ckpt_path: str) -> ParamStore:
     net = network.build_network(cfg.model, train=True)
     store = ParamStore()
     graph.init_params(net.specs, store, Rng(cfg.seed))
-    graph.restore_into(store, ckpt)
+    try:
+        graph.restore_into(store, ckpt)
+    except ConsistencyError as exc:  # the file's tensors are not the model's
+        raise FormatError(f"checkpoint {ckpt_path}: {exc}") from None
     return store
 
 

@@ -81,12 +81,20 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _items(s: str) -> list[str]:
+    """The comma-separated items of a list value; an empty value has none."""
+    items = [p.strip() for p in s.split(",")] if s.strip() else []
+    if "" in items:
+        raise ValueError(f"empty item in {s!r}")
+    return items
+
+
 def _parse_ints(s: str) -> tuple[int, ...]:
-    return tuple(int(p.strip()) for p in s.split(",") if p.strip())
+    return tuple(int(p) for p in _items(s))
 
 
 def _parse_floats(s: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in s.split(",") if p.strip())
+    return tuple(float(p) for p in _items(s))
 
 
 def parse_size(text: str) -> tuple[int, int]:
@@ -98,7 +106,7 @@ def parse_size(text: str) -> tuple[int, int]:
 
 
 def _parse_resolutions(s: str) -> tuple[tuple[int, int], ...]:
-    return tuple(parse_size(p.strip()) for p in s.split(",") if p.strip())
+    return tuple(parse_size(p) for p in _items(s))
 
 
 def _is_int(v) -> bool:

@@ -103,8 +103,6 @@ class LayerKind:
         shapes of the arrays a forward returns) evaluate it on independent inputs
     rf(spec, states) -> RfState; None where the receptive-field walk stops
     params(spec) -> ParamDefs in store order; none by default
-    inplace(spec, xs, p, mode) -> forward that may overwrite xs[0]; the
-        freeing executor uses it when xs[0] dies at this layer
     """
 
     arity: int
@@ -114,7 +112,6 @@ class LayerKind:
     cost: Callable
     rf: Callable | None
     params: Callable = lambda spec: ()
-    inplace: Callable | None = None
 
 
 def kind_of(spec: LayerSpec) -> LayerKind:
@@ -267,7 +264,6 @@ KINDS: dict[str, LayerKind] = {
                                    2 * math.prod(out))),
     "relu": LayerKind(
         arity=1, shape=_first, forward=lambda spec, xs, p, mode: ops.relu(xs[0]),
-        inplace=lambda spec, xs, p, mode: ops.relu(xs[0], out=xs[0]),
         backward=lambda spec, xs, y, gy, p, mode: ((ops.relu_backward(xs[0], gy),), {}),
         cost=_flops(1), rf=_first),
     "sigmoid": LayerKind(
@@ -630,11 +626,9 @@ class GraphRun:
         for spec in specs:
             chain = plan.chains.get(spec.name)
             if chain is None:
-                kind = KINDS[spec.kind]
                 xs = [vals[name] for name in spec.inputs]
-                reuse = kind.inplace is not None and spec.inputs[0] in plan.dead[spec.name]
                 extra = {"pool": pool} if pool is not None and spec.kind == "conv" else {}
-                vals[spec.output] = (kind.inplace if reuse else kind.forward)(
+                vals[spec.output] = KINDS[spec.kind].forward(
                     spec, xs, self.params[spec.name], self.mode, **extra)
             elif spec is chain[0]:
                 vals[chain[-1].output] = self._run_chain(chain, vals)
@@ -699,17 +693,12 @@ class GraphRun:
                              for name in input_names}
 
 
-def run_forward(specs, store: ParamStore, inputs: dict, mode: str = "infer") -> dict:
-    return GraphRun(specs, store, mode).forward(inputs)
-
-
 @dataclass
 class ForwardBackward:
     loss: float
     terms: dict
     param_grads: dict
     input_grads: dict
-    values: dict
 
 
 def forward_backward(specs, store: ParamStore, inputs: dict, loss_fn,
@@ -721,12 +710,14 @@ def forward_backward(specs, store: ParamStore, inputs: dict, loss_fn,
     receives a gradient (zero where the loss does not reach it): the reverse
     pass visits every layer, seeding unreached outputs with zeros.
     input_grads=False skips the graph inputs' gradients (GraphRun.backward).
+    The result holds no forward value, so keeping it does not keep the
+    step's activations alive.
     """
     run = GraphRun(specs, store, mode)
     values = run.forward(inputs)
     loss, seed_grads, terms = loss_fn(values)
     param_grads, in_grads = run.backward(values, seed_grads, input_grads)
-    return ForwardBackward(loss, terms, param_grads, in_grads, values)
+    return ForwardBackward(loss, terms, param_grads, in_grads)
 
 
 # ---------------------------------------------------------------------------

@@ -256,10 +256,7 @@ def network_forward(x: Tensor, store: ParamStore, cfg: NetConfig,
     shape) is built once per NetConfig and kept in store.plans until the
     store's next bump(), which a write to the store's values must call.
     """
-    _n, c, h, w = x.data.shape
-    if c != INPUT_CHANNELS:
-        raise ShapeError(f"network expects {INPUT_CHANNELS} channels, got {c}")
-    check_input_extents(h, w)
+    check_input_extents(*x.data.shape[2:])
     net = build_network(cfg, train=(mode == "train"))
     inputs = {net.input: x.data}
     if mode == "infer":
@@ -268,7 +265,7 @@ def network_forward(x: Tensor, store: ParamStore, cfg: NetConfig,
             plan = store.plans[cfg] = graph.GraphRun(*graph.fold_bn(net.specs, store))
         values = plan.forward(inputs, outputs=[net.main_logits])
     else:
-        values = graph.run_forward(net.specs, store, inputs, mode=mode)
+        values = graph.GraphRun(net.specs, store, mode).forward(inputs)
     return ForwardArtifacts(
         main_logits=Tensor(values[net.main_logits]),
         aux_logits=[Tensor(values[name]) for name in net.aux_logits],

@@ -264,7 +264,7 @@ class TestCriterion02Shapes:
         store = ParamStore()
         graph.init_params(net.specs, store, Rng(0))
         x = Rng(1).normal(3 * 64 * 64).reshape(1, 3, 64, 64).astype(np.float32)
-        values = graph.run_forward(net.specs, store, {"x": x}, mode="infer")
+        values = graph.GraphRun(net.specs, store, "infer").forward({"x": x})
         assert values["sp.l3.relu"].shape == (1, 16, 8, 8)
         assert values[net.main_logits].shape == (1, 3, 8, 8)
         _ok(2, "shape-contract", f"{len(self.SIZES)} input sizes")

@@ -12,7 +12,7 @@ from biseg.backbone import (
     rf_walk,
 )
 from biseg.errors import ArgumentError, ShapeError
-from biseg.graph import GraphRun, LayerSpec, ParamStore, infer_shapes, init_params, run_forward
+from biseg.graph import GraphRun, LayerSpec, ParamStore, infer_shapes, init_params
 from biseg.network import NetConfig, build_network, network_forward
 from biseg.tensor import Rng, Tensor
 
@@ -32,7 +32,7 @@ def _forward(cfg, h, w, seed=0, mode="infer"):
     """Backbone taps {stride: array} for a seeded random input."""
     specs, taps = backbone_specs(cfg)
     x = Rng(seed + 1).normal(3 * h * w).astype(np.float32).reshape(1, 3, h, w)
-    values = run_forward(specs, _init(cfg, seed), {"x": x}, mode=mode)
+    values = GraphRun(specs, _init(cfg, seed), mode).forward({"x": x})
     return {stride: values[name] for stride, name in taps.items()}
 
 

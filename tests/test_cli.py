@@ -15,6 +15,8 @@ from biseg.cli import main
 from biseg.config import (
     _FLOAT,
     _FLOATS,
+    _INTS,
+    _RES,
     _SCHEMA,
     EngineConfig,
     config_hash,
@@ -25,7 +27,7 @@ from biseg.config import (
 )
 from biseg.data import SegDataset, read_pgm, read_ppm, synth_shapes, write_ppm
 from biseg.errors import ArgumentError, ConfigError, NumericAbort
-from biseg.graph import SgdConfig
+from biseg.graph import ParamStore, SgdConfig, load_checkpoint, save_checkpoint
 from biseg.tensor import Rng, Tensor
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -69,6 +71,7 @@ def tiny_config(**overrides) -> EngineConfig:
 
 
 FLOAT_KEYS = [key for key, (_s, _f, conv) in _SCHEMA.items() if conv in (_FLOAT, _FLOATS)]
+LIST_KEYS = [key for key, (_s, _f, conv) in _SCHEMA.items() if conv in (_INTS, _FLOATS, _RES)]
 
 
 class TestConfigForms:
@@ -176,6 +179,16 @@ class TestConfigForms:
         with pytest.raises(ConfigError, match="finite"):
             parse_config(f"{key} = 1e999\n")  # overflows to inf
 
+    @pytest.mark.parametrize("key", LIST_KEYS)
+    def test_list_key_rejects_empty_item(self, key):
+        """A leading, trailing or doubled comma is an error, not a dropped item."""
+        text = dict(line.split(" = ", 1)
+                    for line in serialize_config(EngineConfig()).splitlines())[key]
+        first, _, rest = text.partition(",")
+        for bad in (f",{text}", f"{text},", f"{first},,{rest or first}"):
+            with pytest.raises(ConfigError, match=f"bad value for {key}: empty item"):
+                parse_config(f"{key} = {bad}\n")
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_config_dataclass_rejects_non_finite_field(self, key, bad):
@@ -205,6 +218,13 @@ class TestConfigForms:
         b = config_hash(parse_config("seed = 1\n"))
         assert a == config_hash(EngineConfig())
         assert a != b
+
+    def test_hashes_are_pinned(self):
+        """Checkpoints carry the model hash and infer refuses a mismatch, so a
+        change to the canonical serialization orphans every saved checkpoint."""
+        assert model_hash(load_config(CONFIGS / "default.cfg")) == 0x901C82C0C4D2F9BE
+        assert model_hash(load_config(CONFIGS / "overfit64.cfg")) == 0x2BC239EACAB8667B
+        assert config_hash(EngineConfig()) == 0x1488941C85B61E1E
 
     def test_model_hash_tracks_model_keys_only(self):
         base = model_hash(EngineConfig())
@@ -570,6 +590,26 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("error[config]: ")
         assert "hash" in err
+
+    @pytest.mark.parametrize("command", ["infer", "bench"])
+    @pytest.mark.parametrize("damage", ["missing", "reshaped"])
+    def test_checkpoint_tensors_not_the_model_exit_3(self, workspace, tmp_path, capsys,
+                                                     damage, command):
+        """The model hash matches, but one tensor is missing or reshaped."""
+        ckpt = load_checkpoint(workspace["ckpt"])
+        store = ParamStore()
+        for i, (name, value) in enumerate(ckpt.tensors.items()):
+            if i == 0 and damage == "missing":
+                continue
+            store.add(name, value.reshape(-1) if i == 0 else value)
+        path = tmp_path / f"{damage}.bsnt"
+        save_checkpoint(store, path, ckpt.iteration, ckpt.config_hash)
+        args = [command, "--ckpt", str(path), "--config", str(workspace["config"])]
+        if command == "infer":
+            args += ["--out", str(tmp_path / "o"), str(workspace["data"] / "img_0000.ppm")]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: ") and str(path) in err
 
     @pytest.mark.parametrize("key, value", [("train.manifest", "/moved/manifest.txt"),
                                             ("train.max_iter", 301), ("seed", 9)])

@@ -33,7 +33,6 @@ from biseg.graph import (
     load_checkpoint,
     poly_lr,
     restore_into,
-    run_forward,
     save_checkpoint,
     sgd_step,
     split_branches,
@@ -193,7 +192,7 @@ class TestEntryChecks:
         x = np.zeros(shape, np.float32)
         for call in (lambda: infer_shapes(specs, {"x": shape}),
                      lambda: count_model(specs, {"x": shape}),
-                     lambda: run_forward(specs, store, {"x": x}),
+                     lambda: GraphRun(specs, store).forward({"x": x}),
                      lambda: GraphRun(specs, store).forward({"x": x}, outputs=("y",))):
             with pytest.raises(ShapeError, match="input 'x'"):
                 call()
@@ -204,7 +203,7 @@ class TestEntryChecks:
         with pytest.raises(EngineError, match="'x'.*floating-point"):
             GraphRun(specs, store).forward({"x": xi}, outputs=("z",))
         with pytest.raises(EngineError, match="'x'.*floating-point"):
-            run_forward(specs, store, {"x": xi})
+            GraphRun(specs, store).forward({"x": xi})
 
     @pytest.mark.parametrize("factor", [0, -2])
     def test_upsample_factor_below_one(self, factor):
@@ -292,7 +291,7 @@ class TestExecutor:
         store = ParamStore()
         init_params(specs, store, Rng(1))
         x = Rng(2).normal(2 * 2 * 6 * 6).astype(np.float32).reshape(2, 2, 6, 6)
-        vals = run_forward(specs, store, {"x": x}, mode="infer")
+        vals = GraphRun(specs, store, "infer").forward({"x": x})
         manual = conv2d_forward(x, Conv2dParams(store.get("c1.weight").value, None, 1, 1, 1))
         bn = BatchNormParams(
             store.get("b1.gamma").value, store.get("b1.beta").value,
@@ -345,6 +344,29 @@ class TestExecutor:
         assert fb.param_grads["used.weight"].any()
         assert not fb.param_grads["spare.weight"].any()
 
+    def test_forward_backward_keeps_no_activation(self, monkeypatch):
+        """A caller that keeps the result, as the training loop does until
+        its next step, does not keep the step's activations alive."""
+        specs = self._chain()
+        store = ParamStore()
+        init_params(specs, store, Rng(11))
+        x = Rng(12).normal(1 * 2 * 6 * 6).astype(np.float32).reshape(1, 2, 6, 6)
+        seen = {}
+        orig = GraphRun.forward
+
+        def spy_forward(run, inputs, outputs=None):
+            values = orig(run, inputs, outputs)
+            seen["a"] = weakref.ref(values["a"])
+            return values
+
+        def loss_fn(values):
+            return float(values["y"].sum()), {"y": np.ones_like(values["y"])}, {}
+
+        monkeypatch.setattr(GraphRun, "forward", spy_forward)
+        fb = forward_backward(specs, store, {"x": x}, loss_fn)
+        assert seen["a"]() is None
+        assert fb.param_grads["c1.weight"].any()
+
     def test_conv_ce_end_to_end_gradient(self):
         specs = [conv_spec("c1", "x", "logits", 2, 3, bias=True)]
         store = ParamStore()
@@ -380,10 +402,10 @@ class TestExecutor:
         init_params(specs, store, Rng(9))
         x = (Rng(10).normal(1 * 2 * 4 * 4) * 2 + 1).astype(np.float32).reshape(1, 2, 4, 4)
         before = store.get("b1.running_mean").value.copy()
-        run_forward(specs, store, {"x": x}, mode="train")
+        GraphRun(specs, store, "train").forward({"x": x})
         assert (store.get("b1.running_mean").value != before).any()
         frozen = store.get("b1.running_mean").value.copy()
-        run_forward(specs, store, {"x": x}, mode="infer")
+        GraphRun(specs, store, "infer").forward({"x": x})
         assert (store.get("b1.running_mean").value == frozen).all()
 
 
@@ -403,7 +425,7 @@ class TestFreeingForward:
 
     def test_returns_only_named_values(self):
         specs, store, x = self._graph()
-        full = run_forward(specs, store, {"x": x})
+        full = GraphRun(specs, store).forward({"x": x})
         got = GraphRun(specs, store).forward({"x": x}, outputs=("y", "b"))
         assert sorted(got) == ["b", "y"]
         for name in got:
@@ -414,9 +436,9 @@ class TestFreeingForward:
         seen = {}
         relu, sigmoid = ops.relu, ops.sigmoid
 
-        def spy_relu(a, out=None):  # r1 is the last consumer of "a"
+        def spy_relu(a):  # r1 is the last consumer of "a"
             seen["a"] = weakref.ref(a)
-            return relu(a, out=out)
+            return relu(a)
 
         def spy_sigmoid(y):  # g1 runs last
             seen["alive"] = seen["a"]() is not None
@@ -460,28 +482,15 @@ class TestFreeingForward:
         with pytest.raises(GraphError, match="never produced"):
             GraphRun(specs, store).forward({"x": x}, outputs=("ghost",))
 
-    def test_relu_writes_into_a_dying_input(self, monkeypatch):
+    def test_freeing_forward_keeps_inputs_and_requested_values(self):
         specs, store, x = self._graph()
         specs.append(unary("relu", "r2", "x", "rx"))  # reads the graph input
-        calls = []
-        orig = ops.relu
-
-        def spy_relu(a, out=None):
-            calls.append((a, out))
-            return orig(a, out=out)
-
-        monkeypatch.setattr(ops, "relu", spy_relu)
-        full = run_forward(specs, store, {"x": x})
-        assert all(out is None for _a, out in calls)
-        calls.clear()
-        got = GraphRun(specs, store).forward({"x": x}, outputs=("y", "rx"))
-        outs = {a is x: (a, out) for a, out in calls}  # r2 runs as its own branch
-        assert outs[False][1] is outs[False][0]  # "a" dies at r1
-        assert outs[True][1] is None  # a graph input is never overwritten
-        assert (got["y"] == full["y"]).all() and (got["rx"] == full["rx"]).all()
-        calls.clear()
-        GraphRun(specs, store).forward({"x": x}, outputs=("y", "a"))
-        assert calls[0][1] is None  # a requested value is never overwritten
+        x0 = x.copy()
+        full = GraphRun(specs, store).forward({"x": x})
+        for outputs in (("y", "rx"), ("y", "a")):
+            got = GraphRun(specs, store).forward({"x": x}, outputs=outputs)
+            assert (x == x0).all()
+            assert all((got[name] == full[name]).all() for name in outputs)
 
 
 class TestChains:
@@ -517,7 +526,7 @@ class TestChains:
         if one_row_bands:
             monkeypatch.setattr(ops, "_BAND_ELEMS", 1)
         x = self._input(n)
-        full = run_forward(specs, store, {"x": x})
+        full = GraphRun(specs, store).forward({"x": x})
         calls = []
         orig = ops.conv_chain_forward
 
@@ -551,7 +560,7 @@ class TestChains:
         assert find_chains(specs, {"x", "out", "c"}) == dict.fromkeys(
             ("c1", "r1", "c2"), tuple(specs[:3]))
         x = self._input()
-        full = run_forward(specs, store, {"x": x})
+        full = GraphRun(specs, store).forward({"x": x})
         got = GraphRun(specs, store).forward({"x": x}, outputs=("out", "b"))
         assert all(np.array_equal(got[k], full[k]) for k in ("out", "b"))
 
@@ -635,7 +644,7 @@ class TestBranches:
 
     def test_bitwise_equal_to_sequential(self):
         specs, store, x = self._graph()
-        full = run_forward(specs, store, {"x": x})
+        full = GraphRun(specs, store).forward({"x": x})
         got = GraphRun(specs, store).forward({"x": x}, outputs=("z", "qb", "x"))
         assert sorted(got) == ["qb", "x", "z"]  # qb is produced inside a branch
         for name in got:
@@ -656,7 +665,7 @@ class TestBranches:
         init_params(specs, store, Rng(37))
         x = Rng(38).normal(2 * 2 * 6 * 5).astype(np.float32).reshape(2, 2, 6, 5)
         assert [s.name for s in split_branches(specs, ["x"])[1]] == ["cat", "f", "s"]
-        full = run_forward(specs, store, {"x": x})
+        full = GraphRun(specs, store).forward({"x": x})
         inputs, before = {"x": x}, x.copy()
         got = GraphRun(specs, store).forward(inputs, outputs=("z", "p"))
         assert sorted(got) == ["p", "z"]
@@ -709,7 +718,7 @@ class TestBranches:
             return orig(*args)
 
         monkeypatch.setattr(ops, "conv2d_forward", spy_conv)
-        full = run_forward(specs, store, {"x": x})
+        full = GraphRun(specs, store).forward({"x": x})
         got = GraphRun(specs, store).forward({"x": x}, outputs=("y",))
         assert threads == {threading.current_thread()}
         assert got["y"].tobytes() == full["y"].tobytes()
@@ -728,7 +737,7 @@ class TestBranches:
         store = ParamStore()
         init_params(specs, store, Rng(35))
         x = Rng(36).normal(2 * 7 * 7).astype(np.float32).reshape(1, 2, 7, 7)
-        ref = run_forward(specs, store, {"x": x})["s4"]
+        ref = GraphRun(specs, store).forward({"x": x})["s4"]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -770,12 +779,12 @@ class TestFoldBn:
         specs = self._chain()
         store = _bn_chain_store(specs, 40)
         x = Rng(41).normal(2 * 3 * 6 * 6).reshape(2, 3, 6, 6)
-        ref = run_forward(specs, store, {"x": x})["f"]
+        ref = GraphRun(specs, store).forward({"x": x})["f"]
         folded, params = fold_bn(specs, store)
         assert [s.kind for s in folded] == ["conv", "relu", "conv", "conv"]
         assert folded[0].output == "b" and folded[0].bias and folded[2].output == "e"
         assert folded[3] is specs[5]
-        got = run_forward(folded, params, {"x": x})["f"]
+        got = GraphRun(folded, params).forward({"x": x})["f"]
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_store_untouched_and_refolded_each_call(self):

@@ -19,7 +19,6 @@ from biseg.graph import (
     fold_bn,
     forward_backward,
     init_params,
-    run_forward,
     split_branches,
 )
 from biseg.network import (
@@ -76,7 +75,7 @@ def _run_sub(build, inputs, seed, store=None, mode="infer"):
     if store is None:
         store = ParamStore()
         init_params(g.specs, store, Rng(seed))
-    return run_forward(g.specs, store, inputs, mode=mode), out, store
+    return GraphRun(g.specs, store, mode).forward(inputs), out, store
 
 
 class TestSpatialPath:
@@ -147,7 +146,7 @@ class TestContextPath:
         store = ParamStore()
         init_params(g.specs, store, Rng(10))
         x = _rand_input(1, 64, 64, seed=11)
-        values = run_forward(g.specs, store, {"x": x.data}, mode="infer")
+        values = GraphRun(g.specs, store, "infer").forward({"x": x.data})
         feat32 = values[backbone_specs(TINY_BB, prefix="cp.", input_name="x")[1][32]]
         pooled = global_avg_pool(feat32)
         ctx = conv2d_forward(pooled, Conv2dParams(store.get("cp.gp.conv.weight").value))
@@ -173,7 +172,7 @@ class TestContextPath:
     def test_arm_gates_recorded(self):
         store = _init_store(TINY)
         net = build_network(TINY, train=False)
-        values = run_forward(net.specs, store, {"x": _rand_input(1, 64, 64).data})
+        values = GraphRun(net.specs, store).forward({"x": _rand_input(1, 64, 64).data})
         for name, c in (("cp.arm32.gate", 32), ("cp.arm16.gate", 16)):
             gate = values[name]
             assert gate.shape == (1, c, 1, 1)
@@ -203,7 +202,7 @@ class TestFeatureFusion:
         store.get("ffm.gate1.bias").value[...] = 0.0
         store.get("ffm.gate2.weight").value[...] = 0.0
         store.get("ffm.gate2.bias").value[...] = 0.0
-        values = run_forward(g.specs, store, {"sp": sp, "cp": cp}, mode="infer")
+        values = GraphRun(g.specs, store, "infer").forward({"sp": sp, "cp": cp})
         f = values["ffm.fuse.relu"]
         assert np.allclose(values["ffm.out"], 1.5 * f, rtol=1e-6, atol=1e-7)
 
@@ -213,7 +212,7 @@ class TestFeatureFusion:
         ffm_specs(g, TINY, "sp", "cp", 16, 16)
         store = ParamStore()
         init_params(g.specs, store, Rng(17))
-        values = run_forward(g.specs, store, {"sp": sp, "cp": cp}, mode="infer")
+        values = GraphRun(g.specs, store, "infer").forward({"sp": sp, "cp": cp})
         f = values["ffm.fuse.relu"]
         out = values["ffm.out"]
         assert (f >= 0).all()
@@ -240,7 +239,7 @@ class TestFullForward:
         art = network_forward(x, store, TINY, mode="train")
         assert art.main_logits.data.shape == (2, 3, 8, 8)
         assert [t.data.shape for t in art.aux_logits] == [(2, 3, 4, 4), (2, 3, 2, 2)]
-        values = run_forward(build_network(TINY).specs, store, {"x": x.data}, mode="train")
+        values = GraphRun(build_network(TINY).specs, store, "train").forward({"x": x.data})
         assert values["ffm.out"].shape == (2, 32, 8, 8)
 
     def test_infer_mode_has_no_aux(self):
@@ -306,7 +305,7 @@ class TestInferencePlan:
         net = build_network(cfg, train=False)
         store = _trained_like_store(cfg, 50).as_dtype(np.float64)
         x = Rng(51).normal(3 * 64 * 64, std=40.0).reshape(1, 3, 64, 64)
-        ref = run_forward(net.specs, store, {"x": x})
+        ref = GraphRun(net.specs, store).forward({"x": x})
         keep = (net.main_logits,)
         specs, params = fold_bn(net.specs, store)
         assert not any(s.kind == "bn" for s in specs)
@@ -325,7 +324,7 @@ class TestInferencePlan:
         specs, params = fold_bn(net.specs, store)
         plan = GraphRun(specs, params).forward({"x": x.data}, outputs=keep)
         assert (art.main_logits.data == plan[net.main_logits]).all()
-        unfolded = run_forward(net.specs, store, {"x": x.data})[net.main_logits]
+        unfolded = GraphRun(net.specs, store).forward({"x": x.data})[net.main_logits]
         assert np.abs(art.main_logits.data - unfolded).max() <= 1e-4 * np.abs(unfolded).max()
 
     @pytest.mark.parametrize("row", ["full", "cp"])
@@ -592,7 +591,7 @@ class TestJointLoss:
         store = _init_store(TINY, 26)
         net = build_network(TINY, train=True)
         x = _rand_input(1, 64, 64, seed=27)
-        values = run_forward(net.specs, store, {net.input: x.data}, mode="train")
+        values = GraphRun(net.specs, store, "train").forward({net.input: x.data})
         labels = (Rng(28).uniform(64 * 64) * 3).astype(np.int64).reshape(1, 64, 64)
         jl = joint_loss_on_values(values, net, labels, TINY)
         assert jl.total == pytest.approx(jl.main + jl.aux[0] + jl.aux[1], rel=1e-7)
