@@ -1,21 +1,24 @@
 """Engine configuration: one tree, two file syntaxes, one canonical form.
 
-The native format is line-oriented UTF-8 "key = value" with dotted section
-prefixes (model.*, model.backbone.*, train.*, aug.*, bench.*). A JSON file
-with the same nesting is accepted as an alternative input. Serialization
-always emits the full schema in a fixed order with canonical value
-formatting, so parse -> serialize -> parse is the identity and the blake2b
-hash of the serialized text identifies a configuration exactly; the hash
-of its model.* lines identifies the model a checkpoint belongs to.
+The config dataclasses are the schema: a leaf field of EngineConfig is a key
+named by its dotted field path (sgd fields take the train. prefix) and read
+by the codec its type selects, so a new field is a new key. Text is UTF-8
+"key = value" lines; JSON with the same nesting may not repeat a key, hold
+a line break in a string or nest too deep to read. Serialization emits every
+key in field order with canonical formatting, so parse -> serialize -> parse
+is the identity and the blake2b hash of the text identifies a configuration;
+the hash of its model.* lines identifies the model a checkpoint belongs to.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field
 
-from .backbone import STRIDE_TILE, BackboneConfig
+from .backbone import STRIDE_TILE
 from .data import AugmentConfig
 from .errors import ArgumentError, ConfigError
 from .graph import SgdConfig
@@ -24,8 +27,8 @@ from .network import NetConfig
 
 @dataclass(frozen=True)
 class TrainConfig:
-    manifest: str = ""
     batch_size: int = 8
+    manifest: str = ""
     checkpoint_every: int = 0  # 0 means final checkpoint only
 
     def __post_init__(self):
@@ -132,76 +135,55 @@ _FLOATS = (_parse_floats, lambda v: ",".join(_fmt_float(x) for x in v), _list_of
 _RES = (_parse_resolutions, lambda v: ",".join(f"{w}x{h}" for w, h in v),
         _list_of(lambda p: _list_of(_is_int)(p) and len(p) == 2))
 
-# key -> (section, field, (parse, format, JSON check)); order here is the canonical
-# serialization order.
-_SCHEMA: dict[str, tuple[str, str, tuple]] = {
-    "seed": ("", "seed", _INT),
-    "model.num_classes": ("model", "num_classes", _INT),
-    "model.sp_channels": ("model", "sp_channels", _INTS),
-    "model.cp_channels": ("model", "cp_channels", _INT),
-    "model.ffm_channels": ("model", "ffm_channels", _INT),
-    "model.ffm_reduction": ("model", "ffm_reduction", _INT),
-    "model.head_channels": ("model", "head_channels", _INT),
-    "model.use_spatial_path": ("model", "use_spatial_path", _BOOL),
-    "model.fusion": ("model", "fusion", _STR),
-    "model.use_global_pool": ("model", "use_global_pool", _BOOL),
-    "model.use_arm": ("model", "use_arm", _BOOL),
-    "model.context_fusion": ("model", "context_fusion", _STR),
-    "model.aux_weight": ("model", "aux_weight", _FLOAT),
-    "model.loss_mode": ("model", "loss_mode", _STR),
-    "model.bootstrap_keep": ("model", "bootstrap_keep", _FLOAT),
-    "model.bootstrap_min_kept": ("model", "bootstrap_min_kept", _INT),
-    "model.loss_at_full": ("model", "loss_at_full", _BOOL),
-    "model.backbone.stem_channels": ("model.backbone", "stem_channels", _INT),
-    "model.backbone.stage_channels": ("model.backbone", "stage_channels", _INTS),
-    "model.backbone.blocks_per_stage": ("model.backbone", "blocks_per_stage", _INTS),
-    "train.base_lr": ("sgd", "base_lr", _FLOAT),
-    "train.momentum": ("sgd", "momentum", _FLOAT),
-    "train.weight_decay": ("sgd", "weight_decay", _FLOAT),
-    "train.power": ("sgd", "power", _FLOAT),
-    "train.max_iter": ("sgd", "max_iter", _INT),
-    "train.batch_size": ("train", "batch_size", _INT),
-    "train.manifest": ("train", "manifest", _STR),
-    "train.checkpoint_every": ("train", "checkpoint_every", _INT),
-    "aug.mean": ("aug", "mean", _FLOATS),
-    "aug.hflip_prob": ("aug", "hflip_prob", _FLOAT),
-    "aug.scales": ("aug", "scales", _FLOATS),
-    "aug.crop_h": ("aug", "crop_h", _INT),
-    "aug.crop_w": ("aug", "crop_w", _INT),
-    "bench.resolutions": ("bench", "resolutions", _RES),
-    "bench.warmup_iters": ("bench", "warmup_iters", _INT),
-    "bench.timed_iters": ("bench", "timed_iters", _INT),
+# A field's type selects its codec; a field of any other type fails at import.
+_CODECS = {
+    int: _INT, float: _FLOAT, bool: _BOOL, str: _STR,
+    tuple[int, int, int]: _INTS, tuple[float, float, float]: _FLOATS,
+    tuple[float, ...]: _FLOATS, tuple[tuple[int, int], ...]: _RES,
 }
+# Sections whose keys take a prefix other than their own field path.
+_PREFIXES = {"sgd": "train"}
 
-def _flatten(cfg: EngineConfig) -> dict[str, object]:
+# key -> (section, field, (parse, format, JSON check)); insertion order is the
+# dataclass field order, depth first, and is the canonical serialization order.
+_SCHEMA: dict[str, tuple[str, str, tuple]] = {}
+
+
+def _derive(cls, section: str) -> tuple:
+    """Add the leaf fields of config dataclass cls, found at attribute path
+    section, to _SCHEMA; return its tree (cls, ((field, key or subtree), ...))."""
+    hints = typing.get_type_hints(cls)
+    prefix = _PREFIXES.get(section, section)
+    members = []
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        if dataclasses.is_dataclass(kind):
+            members.append((f.name, _derive(kind, f"{section}.{f.name}".lstrip("."))))
+            continue
+        key = f"{prefix}.{f.name}".lstrip(".")
+        if kind not in _CODECS:
+            raise TypeError(f"{cls.__name__}.{f.name}: no codec for {kind}")
+        _SCHEMA[key] = (section, f.name, _CODECS[kind])
+        members.append((f.name, key))
+    return cls, tuple(members)
+
+
+_TREE = _derive(EngineConfig, "")
+
+
+def _flatten(obj, tree=_TREE) -> dict[str, object]:
     flat = {}
-    for key, (section, fname, _conv) in _SCHEMA.items():
-        obj = cfg
-        if section:
-            for part in section.split("."):
-                obj = getattr(obj, part)
-        flat[key] = getattr(obj, fname)
+    for name, member in tree[1]:
+        if isinstance(member, str):
+            flat[member] = getattr(obj, name)
+        else:
+            flat.update(_flatten(getattr(obj, name), member))
     return flat
 
 
-def _build(flat: dict[str, object]) -> EngineConfig:
-    by_section: dict[str, dict] = {}
-    for key, value in flat.items():
-        section, fname, _conv = _SCHEMA[key]
-        by_section.setdefault(section, {})[fname] = value
-    try:
-        backbone = BackboneConfig(**by_section.get("model.backbone", {}))
-        model = NetConfig(backbone=backbone, **by_section.get("model", {}))
-        return EngineConfig(
-            model=model,
-            sgd=SgdConfig(**by_section.get("sgd", {})),
-            train=TrainConfig(**by_section.get("train", {})),
-            aug=AugmentConfig(**by_section.get("aug", {})),
-            bench=BenchConfig(**by_section.get("bench", {})),
-            **by_section.get("", {}),
-        )
-    except ArgumentError as exc:
-        raise ConfigError(str(exc)) from exc
+def _build(flat: dict[str, object], tree=_TREE):
+    cls, members = tree
+    return cls(**{name: flat[m] if isinstance(m, str) else _build(flat, m) for name, m in members})
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +202,16 @@ def serialize_config(cfg: EngineConfig) -> str:
 
 def parse_config(text: str, source: str = "<config>") -> EngineConfig:
     """Parse key = value lines (or a JSON object) into an EngineConfig."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _parse_json(text, source)
-    flat = dict(_flatten(EngineConfig()))
-    seen = set()
+    parse = _parse_json if text.lstrip().startswith("{") else _parse_text
+    flat = {**_flatten(EngineConfig()), **parse(text, source)}
+    try:
+        return _build(flat)
+    except ArgumentError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _parse_text(text: str, source: str) -> dict[str, object]:
+    given = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -235,47 +222,48 @@ def parse_config(text: str, source: str = "<config>") -> EngineConfig:
         key, value = key.strip(), value.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in seen:
+        if key in given:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        seen.add(key)
-        parse = _SCHEMA[key][2][0]
         try:
-            flat[key] = parse(value)
+            given[key] = _SCHEMA[key][2][0](value)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from exc
-    return _build(flat)
+    return given
 
 
-def _parse_json(text: str, source: str) -> EngineConfig:
+def _parse_json(text: str, source: str) -> dict[str, object]:
+    # Objects load as tuples of (name, value) pairs and arrays as lists, so a
+    # name given twice in one object reaches the walk instead of overwriting.
+    given: dict[str, object] = {}
     try:
-        obj = json.loads(text)
+        _walk_json(json.loads(text, object_pairs_hook=tuple), "", source, given)
     except ValueError as exc:  # JSONDecodeError, or an int too long to convert
         raise ConfigError(f"{source}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{source}: top level must be an object")
-    flat = dict(_flatten(EngineConfig()))
-    for key, value in _walk_json(obj, "", source).items():
+    except RecursionError as exc:
+        raise ConfigError(f"{source}: JSON nested too deeply to read") from exc
+    return given
+
+
+def _walk_json(pairs: tuple, prefix: str, source: str, given: dict) -> None:
+    for name, value in pairs:
+        key = f"{prefix}{name}"
+        if isinstance(value, tuple):
+            _walk_json(value, f"{key}.", source, given)
+            continue
+        if key not in _SCHEMA:
+            raise ConfigError(f"{source}: unknown key {key!r}")
+        if key in given:
+            raise ConfigError(f"{source}: duplicate key {key!r}")
         parse, fmt, ok = _SCHEMA[key][2]
         try:
             if not ok(value):
                 raise ValueError(f"{json.dumps(value)} has the wrong JSON type")
-            flat[key] = parse(fmt(value))
+            line = fmt(value).strip()  # then parsed like the text form's value
+            if "".join(line.splitlines()) != line:  # any break str.splitlines knows
+                raise ValueError("a line break would end its key = value line")
+            given[key] = parse(line)
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"{source}: bad value for {key}: {exc}") from exc
-    return _build(flat)
-
-
-def _walk_json(obj: dict, prefix: str, source: str) -> dict:
-    found = {}
-    for name, value in obj.items():
-        key = f"{prefix}{name}"
-        if isinstance(value, dict):
-            found.update(_walk_json(value, f"{key}.", source))
-        elif key in _SCHEMA:
-            found[key] = value
-        else:
-            raise ConfigError(f"{source}: unknown key {key!r}")
-    return found
 
 
 def load_config(path) -> EngineConfig:

@@ -20,7 +20,7 @@ import numpy as np
 from . import graph, network
 from .config import EngineConfig, model_hash
 from .data import ConfusionMatrix, MiouResult, SegDataset, augment, miou, sample_rng
-from .errors import DataError, NumericAbort
+from .errors import ArgumentError, DataError, NumericAbort
 from .graph import ParamStore
 from .tensor import Rng, Tensor
 
@@ -85,6 +85,8 @@ def run_training(cfg: EngineConfig, out_dir, dataset: SegDataset | None = None,
     out_dir: loss_log.csv, optional cadence checkpoints, and final.bsnt;
     checkpoints carry config.model_hash(cfg).
     """
+    if echo_every < 0:
+        raise ArgumentError("echo_every must be non-negative (0 prints nothing)")
     if dataset is None:
         if not cfg.train.manifest:
             raise DataError("no dataset: config sets no train.manifest")

@@ -111,6 +111,13 @@ class TestConfigForms:
             assert sorted(keys) == sorted(_SCHEMA), path.name
             load_config(path)
 
+    def test_shipped_configs_are_canonical(self):
+        """The files perfbench reads list every key in serialization order."""
+        for path in sorted(CONFIGS.glob("*.cfg")):
+            lines = [ln for ln in path.read_text(encoding="utf-8").splitlines()
+                     if ln.strip() and not ln.startswith("#")]
+            assert lines == serialize_config(load_config(path)).splitlines(), path.name
+
     def test_json_input_equivalent(self):
         obj = {
             "seed": 7,
@@ -146,6 +153,24 @@ class TestConfigForms:
             parse_config("[1, 2]")
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config("{broken")
+
+    @pytest.mark.parametrize("key, text", [
+        ("seed", '{"seed": 1, "seed": 2}'),
+        ("model.num_classes", '{"model.num_classes": 4, "model": {"num_classes": 5}}'),
+    ])
+    def test_json_duplicate_key_rejected(self, key, text):
+        """Within one object, or once dotted and once nested."""
+        with pytest.raises(ConfigError, match=f"duplicate key '{key}'"):
+            parse_config(text)
+
+    def test_json_strings_round_trip(self):
+        """A JSON string is stripped like a text value; a line break is an error."""
+        cfg = parse_config('{"train": {"manifest": " x\\n"}}')
+        assert cfg.train.manifest == "x"
+        assert parse_config(serialize_config(cfg)) == cfg
+        for bad in ("a\\nb", "a\\rb", "a\\u2028b"):
+            with pytest.raises(ConfigError, match="bad value for train.manifest: a line break"):
+                parse_config(f'{{"train": {{"manifest": "{bad}"}}}}')
 
     @pytest.mark.parametrize("text", [
         '{"model": {"num_classes": "x"}}', '{"seed": 1.5}', '{"seed": true}',
@@ -451,6 +476,13 @@ class TestCliErrors:
         assert main(["analyze", "--config", str(bad), "--res", "64x64"]) == 2
         assert capsys.readouterr().err.startswith("error[config]: ")
 
+    def test_deeply_nested_json_config_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text('{"a": ' * 20000 + "1" + "}" * 20000)
+        assert main(["analyze", "--config", str(bad), "--res", "64x64"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: ") and "nested too deeply" in err
+
     @pytest.mark.parametrize("classes", [256, 300])
     def test_too_many_classes_exit_2(self, tmp_path, capsys, classes):
         bad = tmp_path / "bad.cfg"
@@ -470,6 +502,14 @@ class TestCliErrors:
         rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error[config]: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_echo_every_exit_2(self, workspace, tmp_path, capsys):
+        rc = main(["train", "--config", str(workspace["config"]),
+                   "--out", str(tmp_path / "o"), "--echo-every", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: ") and "echo_every" in err
         assert not (tmp_path / "o").exists()
 
     def test_non_utf8_config_exit_2(self, workspace, tmp_path, capsys):
