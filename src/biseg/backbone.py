@@ -97,19 +97,19 @@ def _sep_block(g: GraphBuilder, name: str, x: str, c_in: int, c_out: int, stride
     return g.relu(f"{name}.relu", y)
 
 
-def backbone_specs(cfg: BackboneConfig, prefix: str = "cp.", input_name: str = "x"):
-    """Build the backbone graph. Returns (specs, taps) where taps maps
-    stride 8/16/32 to the producing value names."""
+def backbone_specs(cfg: BackboneConfig):
+    """Build the backbone graph on input "x", its layers named "cp.*". Returns
+    (specs, taps) where taps maps stride 8/16/32 to the producing value names."""
     g = GraphBuilder()
     stem = cfg.stem_channels
-    y = g.conv_bn_relu(f"{prefix}stem1", input_name, INPUT_CHANNELS, stem, k=3, s=2)
-    y = g.conv_bn_relu(f"{prefix}stem2", y, stem, cfg.stem_out, k=3, s=2)
+    y = g.conv_bn_relu("cp.stem1", "x", INPUT_CHANNELS, stem, k=3, s=2)
+    y = g.conv_bn_relu("cp.stem2", y, stem, cfg.stem_out, k=3, s=2)
     taps = {}
     c_in = cfg.stem_out
     for idx, (c_out, blocks) in enumerate(zip(cfg.stage_channels, cfg.blocks_per_stage), start=1):
-        y = _sep_block(g, f"{prefix}s{idx}.b1", y, c_in, c_out, stride=2)
+        y = _sep_block(g, f"cp.s{idx}.b1", y, c_in, c_out, stride=2)
         for b in range(2, blocks + 1):
-            y = _sep_block(g, f"{prefix}s{idx}.b{b}", y, c_out, c_out, stride=1)
+            y = _sep_block(g, f"cp.s{idx}.b{b}", y, c_out, c_out, stride=1)
         taps[8 * 2 ** (idx - 1)] = y
         c_in = c_out
     return g.specs, taps

@@ -244,6 +244,13 @@ def _parse_json(text: str, source: str) -> dict[str, object]:
     return given
 
 
+def _as_json(value):
+    """A loaded JSON value with each object, a tuple of pairs, a dict again."""
+    if isinstance(value, tuple):
+        return {name: _as_json(v) for name, v in value}
+    return [_as_json(v) for v in value] if isinstance(value, list) else value
+
+
 def _walk_json(pairs: tuple, prefix: str, source: str, given: dict) -> None:
     for name, value in pairs:
         key = f"{prefix}{name}"
@@ -257,7 +264,7 @@ def _walk_json(pairs: tuple, prefix: str, source: str, given: dict) -> None:
         parse, fmt, ok = _SCHEMA[key][2]
         try:
             if not ok(value):
-                raise ValueError(f"{json.dumps(value)} has the wrong JSON type")
+                raise ValueError(f"{json.dumps(_as_json(value))} has the wrong JSON type")
             line = fmt(value).strip()  # then parsed like the text form's value
             if "".join(line.splitlines()) != line:  # any break str.splitlines knows
                 raise ValueError("a line break would end its key = value line")

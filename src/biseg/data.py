@@ -133,9 +133,9 @@ def read_ppm(path) -> Tensor:
     return Tensor(chw[None].astype(np.float32))
 
 
-def write_ppm(image: Tensor | np.ndarray, path) -> None:
+def write_ppm(image: np.ndarray, path) -> None:
     """Write a (1,3,h,w) or (3,h,w) array as binary P6, rounding to bytes."""
-    arr = image.data if isinstance(image, Tensor) else np.asarray(image)
+    arr = np.asarray(image)
     if arr.ndim == 4:
         if arr.shape[0] != 1:
             raise ArgumentError("write_ppm takes a single image")
@@ -227,31 +227,19 @@ def read_manifest(path) -> list[tuple[str, str]]:
 
 
 class SegDataset:
-    """Indexable pairs of (image, label), from disk or from memory."""
+    """Indexable (image, label) pairs, read from disk on each load."""
 
-    def __init__(self, pairs: list[tuple[str, str]] | None = None,
-                 samples: list[Sample] | None = None):
-        if (pairs is None) == (samples is None):
-            raise ArgumentError("provide exactly one of pairs or samples")
+    def __init__(self, pairs: list[tuple[str, str]]):
         self._pairs = pairs
-        self._samples = samples
 
     @classmethod
     def from_manifest(cls, path) -> "SegDataset":
-        return cls(pairs=read_manifest(path))
-
-    @classmethod
-    def from_samples(cls, samples: list[Sample]) -> "SegDataset":
-        if not samples:
-            raise DataError("dataset lists no samples")
-        return cls(samples=samples)
+        return cls(read_manifest(path))
 
     def __len__(self) -> int:
-        return len(self._pairs if self._pairs is not None else self._samples)
+        return len(self._pairs)
 
     def load(self, index: int) -> Sample:
-        if self._samples is not None:
-            return self._samples[index]
         img_path, lbl_path = self._pairs[index]
         return Sample(image=read_ppm(img_path), label=read_pgm(lbl_path))
 
@@ -376,7 +364,7 @@ def write_dataset(samples: list[Sample], out_dir, num_classes: int) -> str:
     lines = []
     for i, s in enumerate(samples):
         img_name, lbl_name = f"img_{i:04d}.ppm", f"lbl_{i:04d}.pgm"
-        write_ppm(s.image, os.path.join(out_dir, img_name))
+        write_ppm(s.image.data, os.path.join(out_dir, img_name))
         write_pgm(s.label, os.path.join(out_dir, lbl_name))
         lines.append(f"{img_name} {lbl_name}\n")
     manifest = os.path.join(out_dir, "manifest.txt")

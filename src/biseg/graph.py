@@ -3,8 +3,8 @@
 A model is a sequence of LayerSpec records forming a DAG over named values:
 each spec consumes previously produced (or externally supplied) value names
 and produces one new name. Execution walks the sequence in order; the
-backward pass walks it in exact reverse, accumulating gradients by addition
-wherever a value fans out. Inference runs a plan over the same specs:
+backward pass walks it in exact reverse, summing the gradients of a value
+that fans out into a fresh array. Inference runs a plan over the same specs:
 fold_bn merges each BN into the conv before it, and a forward given the
 values it must return drops each other layer output after its last use
 and runs the branches from the graph inputs concurrently on one dict.
@@ -29,7 +29,9 @@ conv and bn own parameters in the ParamStore under "<layer name>." prefixes.
 from __future__ import annotations
 
 import math
+import os
 import struct
+import uuid
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -97,7 +99,10 @@ class LayerKind:
     forward(spec, xs, p, mode) -> output; p maps suffix -> stored array;
         conv's also takes pool=, an executor for half of its banded rows
     backward(spec, xs, y, gy, p, mode) -> (input grads, {suffix: grad}); conv's
-        also takes input_grad=False, which gives None for the input grad
+        also takes input_grad=False, which gives None for the input grad.
+        A gradient may be gy itself or a view of it or of another gradient,
+        and no gradient is written after it is returned: GraphRun.backward
+        sums a value's gradients into a fresh array
     cost(ins, out, param_shapes) -> (params, macs, flops) from shapes alone,
         so the static table (spec shapes) and analysis.verify_counts (the
         shapes of the arrays a forward returns) evaluate it on independent inputs
@@ -216,7 +221,7 @@ def _bn_bwd(spec, xs, y, gy, p, mode):
 
 def _concat_bwd(spec, xs, y, gy, p, mode):
     ca = xs[0].shape[1]
-    return (np.ascontiguousarray(gy[:, :ca]), np.ascontiguousarray(gy[:, ca:])), {}
+    return (gy[:, :ca], gy[:, ca:]), {}
 
 
 def _unbroadcast(g, operand):  # sum over the axes a (n, c, 1, 1) operand spans
@@ -288,8 +293,7 @@ KINDS: dict[str, LayerKind] = {
         backward=_concat_bwd, cost=_flops(0), rf=_rf_join),
     "add": LayerKind(
         arity=2, shape=_pointwise_shape, forward=lambda spec, xs, p, mode: xs[0] + xs[1],
-        backward=lambda spec, xs, y, gy, p, mode: (
-            (gy.copy(), _unbroadcast(gy.copy(), xs[1])), {}),
+        backward=lambda spec, xs, y, gy, p, mode: ((gy, _unbroadcast(gy, xs[1])), {}),
         cost=_flops(1), rf=_rf_join),
     "mul": LayerKind(
         arity=2, shape=_pointwise_shape, forward=lambda spec, xs, p, mode: xs[0] * xs[1],
@@ -383,9 +387,6 @@ class ParamStore:
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def get(self, name: str) -> ParamEntry:
         try:
@@ -652,7 +653,9 @@ class GraphRun:
         produces. Returns (param_grads, input_grads). Parameter grads cover
         every trainable entry touched by the graph; values with no incoming
         grad contribute zeros. With input_grads=False the graph inputs get
-        no gradient (an empty dict) and a conv reading one skips it.
+        no gradient (an empty dict) and a conv reading one skips it. The
+        seeds are read, never written; a returned input gradient may share
+        memory with a seed or with another returned gradient.
         """
         produced = {spec.output for spec in self.specs}
         if not produced.union(*(spec.inputs for spec in self.specs)) <= values.keys():
@@ -665,7 +668,7 @@ class GraphRun:
             if g.shape != values[name].shape:
                 raise ShapeError(f"seed grad for {name!r} has shape {g.shape}, "
                                  f"expected {values[name].shape}")
-            vgrads[name] = g.copy()
+            vgrads[name] = g
         param_grads: dict[str, np.ndarray] = {}
         for spec in reversed(self.specs):
             y = values[spec.output]
@@ -681,12 +684,8 @@ class GraphRun:
             for suffix, g in p_grads.items():
                 param_grads[f"{spec.name}.{suffix}"] = g
             for name, g in zip(spec.inputs, in_grads):
-                if g is None:
-                    continue
-                if name in vgrads:
-                    vgrads[name] += g
-                else:
-                    vgrads[name] = g
+                if g is not None:
+                    vgrads[name] = vgrads[name] + g if name in vgrads else g
         if not input_grads:
             return param_grads, {}
         return param_grads, {name: vgrads.get(name, np.zeros_like(values[name]))
@@ -807,20 +806,31 @@ def save_checkpoint(store: ParamStore, path, iteration: int = 0, config_hash: in
     Layout (all little-endian): "BSNT", u16 version, u32 tensor count, then
     per tensor u16 name length, UTF-8 name, u8 dtype tag (0 = float32),
     u8 rank, u32 dims, raw payload; trailing u64 iteration and u64 hash.
+    The file is written and synced beside path under a temporary name, then
+    renamed onto path, so a failed save leaves the previous file whole.
     """
     entries = list(store.items())
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<HI", _VERSION, len(entries)))
-        for name, entry in entries:
-            raw = name.encode("utf-8")
-            value = np.ascontiguousarray(entry.value, dtype="<f4")
-            f.write(struct.pack("<H", len(raw)))
-            f.write(raw)
-            f.write(struct.pack("<BB", _DTYPE_F32, value.ndim))
-            f.write(struct.pack(f"<{value.ndim}I", *value.shape))
-            f.write(value.tobytes())
-        f.write(struct.pack("<QQ", iteration, config_hash & ((1 << 64) - 1)))
+    path = os.fspath(path)
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"  # not mkstemp: its mode 0600 ignores the umask
+    try:
+        with open(tmp, "xb") as f:
+            f.write(_MAGIC)
+            f.write(struct.pack("<HI", _VERSION, len(entries)))
+            for name, entry in entries:
+                raw = name.encode("utf-8")
+                value = np.ascontiguousarray(entry.value, dtype="<f4")
+                f.write(struct.pack("<H", len(raw)))
+                f.write(raw)
+                f.write(struct.pack("<BB", _DTYPE_F32, value.ndim))
+                f.write(struct.pack(f"<{value.ndim}I", *value.shape))
+                f.write(value.tobytes())
+            f.write(struct.pack("<QQ", iteration, config_hash & ((1 << 64) - 1)))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the save failed before the rename
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> Checkpoint:

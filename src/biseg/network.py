@@ -126,8 +126,8 @@ def global_context_specs(g: GraphBuilder, name: str, feature: str, channels: int
     return g.relu(f"{name}.relu", y)
 
 
-def context_path_specs(g: GraphBuilder, cfg: NetConfig, x: str):
-    """Backbone plus top-down decoder; output sits at stride 8.
+def context_path_specs(g: GraphBuilder, cfg: NetConfig):
+    """Backbone plus top-down decoder on input "x"; output sits at stride 8.
 
     Returns (cp output name, refined stride-16 tap, refined stride-32 tap);
     the aux heads read the two taps.
@@ -135,7 +135,7 @@ def context_path_specs(g: GraphBuilder, cfg: NetConfig, x: str):
     the stride-8 tap, upsamples to stride 4, and realigns to stride 8 with a
     stride-2 conv (slower, for the decoder-depth comparison).
     """
-    bb_specs, taps = backbone_specs(cfg.backbone, prefix="cp.", input_name=x)
+    bb_specs, taps = backbone_specs(cfg.backbone)
     g.specs.extend(bb_specs)
     c8, c16, c32 = cfg.backbone.stage_channels
 
@@ -208,7 +208,7 @@ def build_network(cfg: NetConfig, train: bool = True) -> GraphDef:
     """
     g = GraphBuilder()
     x = "x"
-    cp_out, tap16, tap32 = context_path_specs(g, cfg, x)
+    cp_out, tap16, tap32 = context_path_specs(g, cfg)
     cp_c = cfg.cp_channels
     fused = cp_out
     fused_c = cp_c

@@ -2,12 +2,12 @@
 
 Convolution is cross-correlation (no kernel flip) with zero padding:
 out_extent = floor((extent + 2*pad - k) / stride) + 1. Dense convs are
-matmuls over im2col bands; depthwise convs accumulate the taps of a padded
-copy, each tap one contiguous slice of a stride-phase plane. Bilinear
-resampling uses half-pixel centers (source = (dst + 0.5) / factor - 0.5)
-with edge clamping. Every kernel follows the dtype of its inputs, so the
-production float32 path and the float64 verification path share one
-implementation.
+matmuls over im2col bands of output rows, bias added per band (conv_rows);
+depthwise convs accumulate the taps of a padded copy, each tap one
+contiguous slice of a stride-phase plane. Bilinear resampling uses
+half-pixel centers (source = (dst + 0.5) / factor - 0.5) with edge
+clamping. Every kernel follows the dtype of its inputs, so the production
+float32 path and the float64 verification path share one implementation.
 
 The layer kernels assume operands that fit (rank 4, parameters and output
 gradients of the shapes the layer implies): the graph checks them once per
@@ -62,12 +62,6 @@ class Conv2dParams:
     pool: Executor | None = None
 
 
-def _pad_hw(x: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-
-
 def _tap(xp: np.ndarray, ki: int, kj: int, stride: int, oh: int, ow: int) -> np.ndarray:
     """Strided view of the padded input aligned with kernel tap (ki, kj)."""
     return xp[
@@ -85,15 +79,17 @@ def band_rows(rows: int, per_row: int) -> int:
 
 def conv_rows(x: np.ndarray, p: Conv2dParams, r0: int, r1: int, row0: int = 0,
               h: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Output rows [r0, r1) of a dense conv (no bias), from unpadded input rows.
+    """Output rows [r0, r1) of a dense conv, bias included, from unpadded input rows.
 
     x holds input rows [row0, row0 + x.shape[2]) of an h-row input (by
     default x is the whole input); they must cover every row the output rows
     read. The input is unrolled (im2col) one band of output rows at a time,
     so the columns never exceed _BAND_ELEMS elements, and each band is one
-    matmul. Only the input rows a band reads are copied into a zero slab,
-    which supplies the padding. out, if given, is the (n, c_out, r1 - r0, ow)
-    destination and must keep each channel's rows contiguous.
+    matmul followed by the bias. Only the input rows a band reads are copied
+    into a zero slab, which supplies the padding; an unpadded 1x1 stride-1
+    band is its own im2col and is not copied. out, if given, is the
+    (n, c_out, r1 - r0, ow) destination and must keep each channel's rows
+    contiguous.
     """
     n, c_in, _, wx = x.shape
     h = x.shape[2] if h is None else h
@@ -106,7 +102,8 @@ def conv_rows(x: np.ndarray, p: Conv2dParams, r0: int, r1: int, row0: int = 0,
     flat = out.reshape(n, c_out, -1)
     per_row = n * w2.shape[1] * ow  # column elements per output row
     rows = band_rows(r1 - r0, per_row)
-    buf = np.empty(per_row * rows, dtype=x.dtype)
+    pointwise = kh == kw == s == 1 and not pad
+    buf = None if pointwise else np.empty(per_row * rows, dtype=x.dtype)
     if pad:
         slab = np.zeros((n, c_in, (rows - 1) * s + kh, wx + 2 * pad), dtype=x.dtype)
     for b0 in range(r0, r1, rows):
@@ -121,20 +118,25 @@ def conv_rows(x: np.ndarray, p: Conv2dParams, r0: int, r1: int, row0: int = 0,
             band[:, :, hi - top :] = 0
         else:
             band = x[:, :, top - row0 : top - row0 + k]
-        cols = buf[: per_row * r].reshape(n, c_in, kh, kw, r, ow)
-        for ki in range(kh):
-            for kj in range(kw):
-                cols[:, :, ki, kj] = _tap(band, ki, kj, s, r, ow)
-        np.matmul(w2, cols.reshape(n, -1, r * ow),
-                  out=flat[:, :, (b0 - r0) * ow : (b0 - r0 + r) * ow])
+        if pointwise:
+            cols = band
+        else:
+            cols = buf[: per_row * r].reshape(n, c_in, kh, kw, r, ow)
+            for ki in range(kh):
+                for kj in range(kw):
+                    cols[:, :, ki, kj] = _tap(band, ki, kj, s, r, ow)
+        dst = flat[:, :, (b0 - r0) * ow : (b0 - r0 + r) * ow]
+        np.matmul(w2, cols.reshape(n, -1, r * ow), out=dst)
+        if p.bias is not None:
+            dst += p.bias[:, None]
     return out
 
 
 def conv_chain_forward(x: np.ndarray, layers) -> np.ndarray:
     """Dense convs in sequence, run depth-first one band of final rows at a time.
 
-    layers lists (Conv2dParams, relu) pairs; each conv's bias and, where relu
-    is set, a ReLU are applied in place. For each band of the last conv's
+    layers lists (Conv2dParams, relu) pairs; where relu is set, a ReLU is
+    applied in place after the conv. For each band of the last conv's
     output rows, every earlier layer computes just the rows the next one
     reads, halo included (recomputed by the neighbouring band), so no
     intermediate map exists in full. Each output element is the dot product
@@ -162,8 +164,6 @@ def conv_chain_forward(x: np.ndarray, layers) -> np.ndarray:
         for i, ((p, relu), (lo, hi)) in enumerate(zip(layers, spans)):
             out = y[:, :, lo:hi] if i == len(layers) - 1 else None
             src = conv_rows(src, p, lo, hi, row0, hs[i], out)
-            if p.bias is not None:
-                src += p.bias.reshape(1, -1, 1, 1)
             if relu:
                 np.maximum(src, 0, out=src)
             row0 = lo
@@ -223,37 +223,27 @@ def _conv_fwd_depthwise(x: np.ndarray, p: Conv2dParams, oh: int, ow: int) -> np.
 
 
 def conv2d_forward(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
-    """Dense convs are matmuls that write NCHW directly: a 1x1 stride-1 conv
-    is one matmul over the flattened pixels, any other runs conv_rows over
-    all output rows; with p.pool, the bands from the middle on run there
-    while this thread runs the first half. Depthwise convs accumulate the
-    taps of a padded copy."""
+    """Dense convs run conv_rows over all output rows; with p.pool, the bands
+    from the middle on run there while this thread runs the first half.
+    Depthwise convs accumulate the taps of a padded copy."""
     kh, kw = p.weight.shape[2:]
     oh = conv_out_extent(x.shape[2], kh, p.stride, p.padding)
     ow = conv_out_extent(x.shape[3], kw, p.stride, p.padding)
     if p.groups != 1:
         return _conv_fwd_depthwise(x, p, oh, ow)
-    n, c_in, c_out = x.shape[0], x.shape[1], p.weight.shape[0]
-    y = np.empty((n, c_out, oh, ow), dtype=x.dtype)
-    if kh == kw == 1 and p.stride == 1:
-        np.matmul(p.weight.reshape(c_out, c_in), _pad_hw(x, p.padding).reshape(n, c_in, -1),
-                  out=y.reshape(n, c_out, -1))
-    else:
-        rows = band_rows(oh, n * p.weight[0].size * ow)
-        mid = -(-oh // rows // 2) * rows  # first row of the second half of the bands
-        if p.pool is None or mid >= oh:
-            conv_rows(x, p, 0, oh, out=y)
-        else:
-            # Each half bands from its first row, so the two make the same
-            # matmul calls as one conv_rows over every row.
-            half = p.pool.submit(conv_rows, x, p, mid, oh, out=y[:, :, mid:])
-            try:
-                conv_rows(x, p, 0, mid, out=y[:, :, :mid])
-            finally:
-                wait([half])
-            half.result()
-    if p.bias is not None:
-        y += p.bias.reshape(1, -1, 1, 1)
+    rows = band_rows(oh, x.shape[0] * p.weight[0].size * ow)
+    mid = -(-oh // rows // 2) * rows  # first row of the second half of the bands
+    if p.pool is None or mid >= oh:
+        return conv_rows(x, p, 0, oh)
+    # Each half bands from its first row, so the two make the same matmul
+    # calls as one conv_rows over every row.
+    y = np.empty((x.shape[0], p.weight.shape[0], oh, ow), dtype=x.dtype)
+    half = p.pool.submit(conv_rows, x, p, mid, oh, out=y[:, :, mid:])
+    try:
+        conv_rows(x, p, 0, mid, out=y[:, :, :mid])
+    finally:
+        wait([half])
+    half.result()
     return y
 
 
@@ -293,16 +283,15 @@ def conv2d_backward(
     input_grad=False skips the input gradient (d_input is None); the
     weight and bias gradients are computed exactly as with it.
     """
-    xp = _pad_hw(x, p.padding)
+    pad = p.padding
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     gxp = np.zeros_like(xp) if input_grad else None
     kernel = _conv_bwd_dense if p.groups == 1 else _conv_bwd_depthwise
     gw = kernel(xp, p.weight, grad_out, p.stride, gxp)
     gb = grad_out.sum(axis=(0, 2, 3)) if p.bias is not None else None
     if gxp is None:
         return None, gw, gb
-    pad = p.padding
-    gx = gxp if pad == 0 else gxp[:, :, pad:-pad, pad:-pad]
-    return np.ascontiguousarray(gx), gw, gb
+    return (gxp[:, :, pad:-pad, pad:-pad] if pad else gxp), gw, gb
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +456,7 @@ def bilinear_upsample(x: np.ndarray, factor: int) -> np.ndarray:
 def bilinear_upsample_backward(x_shape: tuple, factor: int, grad_out: np.ndarray) -> np.ndarray:
     h, w = x_shape[2:]
     if factor == 1:
-        return grad_out.copy()
+        return grad_out
     ah = interp_matrix(h, h * factor, grad_out.dtype)
     aw = interp_matrix(w, w * factor, grad_out.dtype)
     return np.matmul(np.matmul(ah.T, grad_out), aw)

@@ -77,22 +77,18 @@ def format_row(iteration: int, lr: float, total: float, lp: float,
     return f"{iteration},{vals}"
 
 
-def run_training(cfg: EngineConfig, out_dir, dataset: SegDataset | None = None,
-                 echo_every: int = 0) -> TrainResult:
-    """Train for cfg.sgd.max_iter iterations; returns the trained store.
+def run_training(cfg: EngineConfig, out_dir, echo_every: int = 0) -> TrainResult:
+    """Train for cfg.sgd.max_iter iterations on the samples that
+    cfg.train.manifest lists; returns the trained store.
 
-    The dataset defaults to cfg.train.manifest. Artifacts written under
-    out_dir: loss_log.csv, optional cadence checkpoints, and final.bsnt;
-    checkpoints carry config.model_hash(cfg).
+    Artifacts written under out_dir: loss_log.csv, optional cadence
+    checkpoints, and final.bsnt; checkpoints carry config.model_hash(cfg).
     """
     if echo_every < 0:
         raise ArgumentError("echo_every must be non-negative (0 prints nothing)")
-    if dataset is None:
-        if not cfg.train.manifest:
-            raise DataError("no dataset: config sets no train.manifest")
-        dataset = SegDataset.from_manifest(cfg.train.manifest)
-    if len(dataset) == 0:
-        raise DataError("dataset lists no samples")
+    if not cfg.train.manifest:
+        raise DataError("no dataset: config sets no train.manifest")
+    dataset = SegDataset.from_manifest(cfg.train.manifest)
     os.makedirs(out_dir, exist_ok=True)
 
     net = network.build_network(cfg.model, train=True)

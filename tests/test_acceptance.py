@@ -19,7 +19,7 @@ from biseg.analysis import count_model, verify_counts
 from biseg.backbone import BackboneConfig, backbone_specs
 from biseg.benchmark import run_bench
 from biseg.config import parse_config
-from biseg.data import SegDataset, synth_shapes
+from biseg.data import SegDataset, synth_shapes, write_dataset
 from biseg.graph import LayerSpec, ParamStore, SgdConfig
 from biseg.network import NetConfig, build_network
 from biseg.ops import (
@@ -253,7 +253,7 @@ class TestCriterion02Shapes:
 
     def test_criterion_02_shape_contract(self):
         net = build_network(TINY, train=True)
-        _, taps = backbone_specs(TINY.backbone, prefix="cp.")
+        _, taps = backbone_specs(TINY.backbone)
         for h, w in self.SIZES:
             shapes = graph.infer_shapes(net.specs, {"x": (2, 3, h, w)})
             assert shapes["sp.l3.relu"] == (2, TINY.sp_channels[2], h // 8, w // 8)
@@ -394,11 +394,11 @@ class TestCriterion05Overfit:
         assert cfg.sgd.momentum == 0.9 and cfg.sgd.weight_decay == 1e-4
         assert cfg.sgd.power == 0.9 and cfg.sgd.base_lr == 2.5e-2
         assert cfg.sgd.max_iter == 300
-        dataset = SegDataset.from_samples(synth_shapes(8, 64, 64, 3, seed=11))
+        manifest = write_dataset(synth_shapes(8, 64, 64, 3, seed=11), tmp_path / "data", 3)
+        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, manifest=manifest))
         t0 = time.perf_counter()
-        result = train_mod.run_training(cfg, tmp_path / "overfit",
-                                        dataset=dataset)
-        res = train_mod.evaluate(result.store, cfg, dataset)
+        result = train_mod.run_training(cfg, tmp_path / "overfit")
+        res = train_mod.evaluate(result.store, cfg, SegDataset.from_manifest(manifest))
         elapsed = time.perf_counter() - t0
         assert elapsed < 600.0, f"overfit run took {elapsed:.1f}s"
         assert res.miou is not None and res.miou >= 0.95, \
@@ -415,8 +415,9 @@ class TestCriterion06Ablation:
         counts = {name: network.param_count(cfg) for name, cfg in rows.items()}
         ordered = list(counts.values())
         assert all(a < b for a, b in zip(ordered, ordered[1:])), counts
-        dataset = SegDataset.from_samples(synth_shapes(4, 32, 32, 3, seed=3))
+        manifest = write_dataset(synth_shapes(4, 32, 32, 3, seed=3), tmp_path / "data", 3)
         train_text = (
+            f"train.manifest = {manifest}\n"
             "train.base_lr = 0.01\ntrain.max_iter = 50\ntrain.batch_size = 2\n"
             "aug.scales = 1.0\naug.hflip_prob = 0.0\n"
             "aug.crop_h = 32\naug.crop_w = 32\n"
@@ -424,8 +425,7 @@ class TestCriterion06Ablation:
         for name, variant in rows.items():
             cfg = parse_config(train_text)
             cfg = dataclasses.replace(cfg, model=variant)
-            result = train_mod.run_training(cfg, tmp_path / name,
-                                            dataset=dataset)
+            result = train_mod.run_training(cfg, tmp_path / name)
             final_loss = float(result.log_rows[-1].split(",")[2])
             assert np.isfinite(final_loss), name
         _ok(6, "ablation-topology",
@@ -488,9 +488,9 @@ class TestCriterion09Determinism:
             "train.max_iter = 5\ntrain.batch_size = 2\n"
             "aug.crop_h = 32\naug.crop_w = 32\n"
         )
-        dataset = SegDataset.from_samples(synth_shapes(4, 32, 32, 3, seed=7))
-        runs = [train_mod.run_training(cfg, tmp_path / d, dataset=dataset)
-                for d in ("r1", "r2")]
+        manifest = write_dataset(synth_shapes(4, 32, 32, 3, seed=7), tmp_path / "data", 3)
+        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, manifest=manifest))
+        runs = [train_mod.run_training(cfg, tmp_path / d) for d in ("r1", "r2")]
         assert runs[0].log_rows == runs[1].log_rows
         assert (tmp_path / "r1" / "loss_log.csv").read_bytes() == \
                (tmp_path / "r2" / "loss_log.csv").read_bytes()
@@ -521,9 +521,9 @@ class TestCriterion10Schedule:
             "train.max_iter = 8\ntrain.batch_size = 1\n"
             "aug.crop_h = 32\naug.crop_w = 32\n"
         )
-        dataset = SegDataset.from_samples(synth_shapes(2, 32, 32, 3, seed=4))
-        result = train_mod.run_training(cfg, tmp_path / "sched",
-                                        dataset=dataset)
+        manifest = write_dataset(synth_shapes(2, 32, 32, 3, seed=4), tmp_path / "data", 3)
+        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, manifest=manifest))
+        result = train_mod.run_training(cfg, tmp_path / "sched")
         for row in result.log_rows:
             fields = row.split(",")
             it, logged = int(fields[0]), float(fields[1])

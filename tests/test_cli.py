@@ -25,7 +25,7 @@ from biseg.config import (
     parse_config,
     serialize_config,
 )
-from biseg.data import SegDataset, read_pgm, read_ppm, synth_shapes, write_ppm
+from biseg.data import SegDataset, read_pgm, read_ppm, synth_shapes, write_dataset, write_ppm
 from biseg.errors import ArgumentError, ConfigError, NumericAbort
 from biseg.graph import ParamStore, SgdConfig, load_checkpoint, save_checkpoint
 from biseg.tensor import Rng, Tensor
@@ -269,8 +269,9 @@ class TestConfigForms:
             load_config(tmp_path / "absent.cfg")
 
 
-def _make_dataset(n=4, hw=32, seed=0):
-    return SegDataset.from_samples(synth_shapes(n, hw, hw, 3, seed=seed))
+def _make_dataset(root, n=4, hw=32, seed=0) -> str:
+    """Manifest of n synthetic scenes written under root."""
+    return write_dataset(synth_shapes(n, hw, hw, 3, seed=seed), root / "data", 3)
 
 
 class TestTrainingLoop:
@@ -297,8 +298,9 @@ class TestTrainingLoop:
         assert [e for e, _ in picks] == [1, 2, 2, 2, 3]
 
     def test_artifacts_and_log_shape(self, tmp_path):
-        cfg = tiny_config(**{"train.max_iter": 4, "train.checkpoint_every": 2})
-        res = train_mod.run_training(cfg, tmp_path / "run", dataset=_make_dataset())
+        cfg = tiny_config(**{"train.max_iter": 4, "train.checkpoint_every": 2,
+                             "train.manifest": _make_dataset(tmp_path)})
+        res = train_mod.run_training(cfg, tmp_path / "run")
         log = (tmp_path / "run" / "loss_log.csv").read_text().splitlines()
         assert log[0] == "iter,lr,L,lp,l2,l3"
         assert len(log) == 5
@@ -312,10 +314,9 @@ class TestTrainingLoop:
         assert res.final_path.endswith("final.bsnt")
 
     def test_bitwise_deterministic_reruns(self, tmp_path):
-        cfg = tiny_config()
-        ds = _make_dataset()
-        a = train_mod.run_training(cfg, tmp_path / "a", dataset=ds)
-        b = train_mod.run_training(cfg, tmp_path / "b", dataset=ds)
+        cfg = tiny_config(**{"train.manifest": _make_dataset(tmp_path)})
+        a = train_mod.run_training(cfg, tmp_path / "a")
+        b = train_mod.run_training(cfg, tmp_path / "b")
         assert a.log_rows == b.log_rows
         assert (tmp_path / "a" / "final.bsnt").read_bytes() == \
                (tmp_path / "b" / "final.bsnt").read_bytes()
@@ -324,17 +325,18 @@ class TestTrainingLoop:
     def test_numeric_abort_names_batch(self, tmp_path):
         cfg = tiny_config(**{"train.base_lr": "1e25",
                              "train.weight_decay": "1e10",
-                             "train.max_iter": 6})
+                             "train.max_iter": 6,
+                             "train.manifest": _make_dataset(tmp_path)})
         with pytest.raises(NumericAbort) as exc:
-            train_mod.run_training(cfg, tmp_path / "boom", dataset=_make_dataset())
+            train_mod.run_training(cfg, tmp_path / "boom")
         assert exc.value.iteration >= 1
         assert len(exc.value.batch_indices) == cfg.train.batch_size
 
     def test_evaluate_runs_confusion(self, tmp_path):
-        cfg = tiny_config(**{"train.max_iter": 1})
-        ds = _make_dataset(n=2)
-        res = train_mod.run_training(cfg, tmp_path / "e", dataset=ds)
-        m = train_mod.evaluate(res.store, cfg, ds)
+        cfg = tiny_config(**{"train.max_iter": 1,
+                             "train.manifest": _make_dataset(tmp_path, n=2)})
+        res = train_mod.run_training(cfg, tmp_path / "e")
+        m = train_mod.evaluate(res.store, cfg, SegDataset.from_manifest(cfg.train.manifest))
         assert m.miou is not None and 0.0 <= m.miou <= 1.0
         assert 0.0 <= m.pixel_accuracy <= 1.0
 
@@ -476,6 +478,13 @@ class TestCliErrors:
         assert main(["analyze", "--config", str(bad), "--res", "64x64"]) == 2
         assert capsys.readouterr().err.startswith("error[config]: ")
 
+    def test_object_inside_json_value_shown_as_object(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"aug": {"mean": [{"x": 1}, 2, 3]}}')
+        assert main(["analyze", "--config", str(bad), "--res", "64x64"]) == 2
+        assert ('bad value for aug.mean: [{"x": 1}, 2, 3] has the wrong JSON type'
+                in capsys.readouterr().err)
+
     def test_deeply_nested_json_config_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "deep.json"
         bad.write_text('{"a": ' * 20000 + "1" + "}" * 20000)
@@ -542,7 +551,7 @@ class TestCliErrors:
             .astype(np.float32).round()
         )
         path = tmp_path / "odd.ppm"
-        write_ppm(img, path)
+        write_ppm(img.data, path)
         rc = main(["infer", "--ckpt", str(workspace["ckpt"]),
                    "--config", str(workspace["config"]),
                    "--out", str(tmp_path / "o"), str(path)])
@@ -557,7 +566,7 @@ class TestCliErrors:
             .astype(np.float32).round()
         )
         path = tmp_path / "odd.ppm"
-        write_ppm(img, path)
+        write_ppm(img.data, path)
         out = tmp_path / "o"
         rc = main(["infer", "--ckpt", str(workspace["ckpt"]),
                    "--config", str(workspace["config"]), "--pad",

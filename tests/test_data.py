@@ -42,7 +42,7 @@ class TestNetpbm:
     def test_ppm_round_trip_bitwise(self, tmp_path):
         img = _random_image(9, 7)
         path = tmp_path / "img.ppm"
-        write_ppm(img, path)
+        write_ppm(img.data, path)
         back = read_ppm(path)
         assert (back.data == img.data).all()
 
@@ -165,7 +165,7 @@ class TestManifest:
         sub.mkdir()
         img = _random_image(8, 8, seed=2)
         lbl = np.zeros((8, 8), dtype=np.uint8)
-        write_ppm(img, sub / "a.ppm")
+        write_ppm(img.data, sub / "a.ppm")
         write_pgm(lbl, sub / "a.pgm")
         man = sub / "manifest.txt"
         man.write_text("# demo\n\na.ppm a.pgm\n")
@@ -188,12 +188,6 @@ class TestManifest:
         man.write_text("# nothing\n\n")
         with pytest.raises(DataError):
             read_manifest(man)
-
-    def test_dataset_constructor_exclusivity(self):
-        with pytest.raises(ArgumentError):
-            SegDataset()
-        with pytest.raises(DataError):
-            SegDataset.from_samples([])
 
 
 def _flat_sample(h, w, seed=3):

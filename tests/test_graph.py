@@ -1,5 +1,6 @@
 """Graph executor, parameter store, SGD schedule, and checkpoint format."""
 
+import dataclasses
 import math
 import struct
 import sys
@@ -313,6 +314,33 @@ class TestExecutor:
         _, input_grads = run.backward(values, {"y": np.ones((1, 1, 2, 2), dtype=np.float32)})
         expect = 2.0 * (x > 0)
         assert (input_grads["x"] == expect).all()
+
+    def test_gradients_passed_on_as_one_array(self, monkeypatch):
+        """An add backward that hands one array to both inputs: P then gets
+        a second gradient (through W) while Q still holds the shared one, and
+        every gradient equals that of an add that copies; the seed is only
+        read."""
+        specs = [
+            unary("relu", "q", "a", "Q"),
+            unary("sigmoid", "p", "a", "P"),
+            unary("relu", "w", "P", "W"),
+            binary("add", "s1", "P", "Q", "y"),
+            binary("add", "s2", "y", "W", "out"),
+        ]
+        a = Rng(5).normal(2 * 3 * 4 * 4).astype(np.float32).reshape(2, 3, 4, 4)
+        seed = Rng(6).normal(a.size).astype(np.float32).reshape(a.shape)
+        kept = seed.copy()
+
+        def input_grad(add_backward):
+            monkeypatch.setitem(KINDS, "add", dataclasses.replace(KINDS["add"],
+                                                                  backward=add_backward))
+            run = GraphRun(specs, ParamStore(), mode="infer")
+            return run.backward(run.forward({"a": a}), {"out": seed})[1]["a"]
+
+        copied = input_grad(lambda spec, xs, y, gy, p, mode: ((gy.copy(), gy.copy()), {}))
+        shared = input_grad(lambda spec, xs, y, gy, p, mode: ((gy, gy), {}))
+        assert np.array_equal(shared, copied)
+        assert np.array_equal(seed, kept)
 
     def test_seed_for_unknown_value(self):
         specs = [unary("relu", "r1", "x", "y")]
@@ -927,6 +955,18 @@ class TestCheckpoint:
         restore_into(fresh, load_checkpoint(path))
         for name, entry in store.items():
             assert (fresh.get(name).value == entry.value).all()
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        store = self._store()
+        path = tmp_path / "model.bsnt"
+        save_checkpoint(store, path, iteration=5)
+        good = path.read_bytes()
+        store.add("x" * 70000, np.zeros(1, np.float32))  # its length overflows the u16 field
+        with pytest.raises(struct.error):
+            save_checkpoint(store, path, iteration=6)
+        assert path.read_bytes() == good
+        assert load_checkpoint(path).iteration == 5
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bsnt"]
 
     def test_corrupt_magic(self, tmp_path):
         store = self._store()

@@ -131,7 +131,7 @@ class TestAttentionRefine:
 class TestContextPath:
     def test_output_shapes(self):
         values, (out, tap16, tap32), _ = _run_sub(
-            lambda g: context_path_specs(g, TINY, "x"), {"x": _rand_input(1, 64, 64).data}, 9)
+            lambda g: context_path_specs(g, TINY), {"x": _rand_input(1, 64, 64).data}, 9)
         assert values[out].shape == (1, 16, 8, 8)
         assert values[tap16].shape == (1, 16, 4, 4)
         assert values[tap32].shape == (1, 32, 2, 2)
@@ -142,12 +142,12 @@ class TestContextPath:
             head_channels=8, use_arm=False, use_global_pool=True, backbone=TINY_BB,
         )
         g = GraphBuilder()
-        context_path_specs(g, cfg, "x")
+        context_path_specs(g, cfg)
         store = ParamStore()
         init_params(g.specs, store, Rng(10))
         x = _rand_input(1, 64, 64, seed=11)
         values = GraphRun(g.specs, store, "infer").forward({"x": x.data})
-        feat32 = values[backbone_specs(TINY_BB, prefix="cp.", input_name="x")[1][32]]
+        feat32 = values[backbone_specs(TINY_BB)[1][32]]
         pooled = global_avg_pool(feat32)
         ctx = conv2d_forward(pooled, Conv2dParams(store.get("cp.gp.conv.weight").value))
         ctx = batchnorm_forward(ctx, BatchNormParams(
@@ -164,7 +164,7 @@ class TestContextPath:
             head_channels=8, context_fusion="ushape4s", backbone=TINY_BB,
         )
         values, (out, _, _), _ = _run_sub(
-            lambda g: context_path_specs(g, cfg, "x"), {"x": _rand_input(1, 64, 64).data}, 12)
+            lambda g: context_path_specs(g, cfg), {"x": _rand_input(1, 64, 64).data}, 12)
         assert values[out].shape == (1, 16, 8, 8)
         names = {s.name for s in build_network(cfg).specs}
         assert "cp.align8.conv" in names and "cp.refine8.conv" in names
@@ -464,13 +464,26 @@ class TestInferencePlan:
     def test_tail_conv_split_matches_unsplit_bitwise(self, bands, n, monkeypatch):
         """head.mix (8 output rows at 64x96) in one band, two, and three
         (rows [0, 6) here, [6, 8) on the pool)."""
-        per_row = n * 32 * 9 * 12  # im2col elements per head.mix output row
+        self._check_tail_split((8, 32, 3, 3), bands, n, monkeypatch)
+
+    @pytest.mark.parametrize("bands", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tail_pointwise_conv_split_matches_unsplit_bitwise(self, bands, n, monkeypatch):
+        """ffm.fuse, a 1x1 stride-1 conv on the same 8 rows, splits like head.mix."""
+        self._check_tail_split((32, 32, 1, 1), bands, n, monkeypatch)
+
+    def _check_tail_split(self, weight_shape, bands, n, monkeypatch):
+        """The tail conv with weight_shape and 8 input rows, in bands of
+        ceil(8 / bands) rows, runs the second half of its bands on the pool,
+        and the logits equal the unsplit run's bit for bit."""
+        c_in, k = weight_shape[1], weight_shape[2]
+        per_row = n * c_in * k * k * 12  # im2col elements per output row
         monkeypatch.setattr(ops, "_BAND_ELEMS", -(-8 // bands) * per_row)
         calls = []
         rows = ops.conv_rows
 
         def spy_rows(x, p, r0, r1, *args, **kwargs):
-            if p.weight.shape == (8, 32, 3, 3):
+            if p.weight.shape == weight_shape and x.shape[2] == 8:
                 calls.append((r0, r1, threading.current_thread() is threading.main_thread()))
             return rows(x, p, r0, r1, *args, **kwargs)
 

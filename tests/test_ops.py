@@ -74,7 +74,7 @@ CONV_CASES = [
     (1, 4, 9, 9, 4, 3, 2, 1, 4, True),    # strided depthwise
     (1, 3, 9, 9, 5, 3, 2, 1, 1, True),    # strided RGB stem
     (1, 2, 4, 4, 3, 7, 1, 3, 1, False),   # kernel larger than input
-    (1, 5, 7, 6, 3, 1, 1, 0, 1, True),    # 1x1 stride 1: one matmul into NCHW
+    (1, 5, 7, 6, 3, 1, 1, 0, 1, True),    # 1x1 stride 1: each band its own im2col
     (2, 4, 9, 7, 6, 1, 2, 0, 1, False),   # 1x1 stride 2 (projection shortcut)
     (2, 3, 11, 10, 4, 3, 2, 1, 1, True),  # strided RGB stem, odd extents, batch 2
     (1, 3, 11, 9, 4, 3, 2, 0, 1, False),  # 3x3 stride 2 without padding, odd extents
@@ -109,14 +109,14 @@ class TestConvForward:
         x = _randn(rng, n, c_in, h, w)
         weight = _randn(rng, c_out, c_in, k, k)
         bias = _randn(rng, c_out) if use_bias else None
-        out = conv2d_forward(x, Conv2dParams(weight, bias, stride, pad))
+        p = Conv2dParams(weight, bias, stride, pad)
+        out = conv2d_forward(x, p)
         ref = naive_conv2d(x, weight, bias, stride, pad)
         assert np.allclose(out, ref, rtol=1e-5, atol=1e-5)
         # conv_rows on the top, a middle and the bottom row ranges, from the
-        # whole input and from a slab holding just the input rows they read.
-        p = Conv2dParams(weight, None, stride, pad)
-        ref = naive_conv2d(x, weight, None, stride, pad)
-        oh = ref.shape[2]
+        # whole input and from a slab holding just the input rows they read,
+        # gives conv2d_forward's rows, bias included.
+        oh = out.shape[2]
         for r0, r1 in {(0, 1), (0, min(3, oh)), (oh // 2, oh // 2 + 1), (max(oh - 3, 0), oh),
                        (oh - 1, oh)}:
             lo = max(r0 * stride - pad, 0)
@@ -124,7 +124,7 @@ class TestConvForward:
             for got in (conv_rows(x, p, r0, r1),
                         conv_rows(x[:, :, lo:hi].copy(), p, r0, r1, row0=lo, h=h)):
                 assert got.shape == (n, c_out, r1 - r0, ow)
-                assert np.allclose(got, ref[:, :, r0:r1], rtol=1e-5, atol=1e-5), (r0, r1)
+                assert np.allclose(got, out[:, :, r0:r1], rtol=1e-5, atol=1e-5), (r0, r1)
 
     @pytest.mark.parametrize("one_row_bands", [True, False])
     @pytest.mark.parametrize("n", [1, 2])
