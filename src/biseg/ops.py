@@ -2,9 +2,10 @@
 
 Convolution is cross-correlation (no kernel flip) with zero padding:
 out_extent = floor((extent + 2*pad - k) / stride) + 1. Dense convs are
-matmuls over im2col bands of output rows, bias added per band (conv_rows);
-depthwise convs accumulate the taps of a padded copy, each tap one
-contiguous slice of a stride-phase plane. Bilinear resampling uses
+matmuls over im2col bands of output rows, bias added per band (conv_rows).
+The depthwise forward and every conv backward read the input as
+stride-phase planes, where each tap is one contiguous slice; the backward
+is one tap loop for dense and depthwise convs. Bilinear resampling uses
 half-pixel centers (source = (dst + 0.5) / factor - 0.5) with edge
 clamping. Every kernel follows the dtype of its inputs, so the production
 float32 path and the float64 verification path share one implementation.
@@ -62,16 +63,6 @@ class Conv2dParams:
     pool: Executor | None = None
 
 
-def _tap(xp: np.ndarray, ki: int, kj: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """Strided view of the padded input aligned with kernel tap (ki, kj)."""
-    return xp[
-        :,
-        :,
-        ki : ki + (oh - 1) * stride + 1 : stride,
-        kj : kj + (ow - 1) * stride + 1 : stride,
-    ]
-
-
 def band_rows(rows: int, per_row: int) -> int:
     """Rows per band so that a band holds at most _BAND_ELEMS elements (at least one row)."""
     return min(rows, max(1, _BAND_ELEMS // per_row))
@@ -124,7 +115,7 @@ def conv_rows(x: np.ndarray, p: Conv2dParams, r0: int, r1: int, row0: int = 0,
             cols = buf[: per_row * r].reshape(n, c_in, kh, kw, r, ow)
             for ki in range(kh):
                 for kj in range(kw):
-                    cols[:, :, ki, kj] = _tap(band, ki, kj, s, r, ow)
+                    cols[:, :, ki, kj] = band[:, :, ki::s, kj::s][:, :, :r, :ow]
         dst = flat[:, :, (b0 - r0) * ow : (b0 - r0 + r) * ow]
         np.matmul(w2, cols.reshape(n, -1, r * ow), out=dst)
         if p.bias is not None:
@@ -170,62 +161,74 @@ def conv_chain_forward(x: np.ndarray, layers) -> np.ndarray:
     return y
 
 
-def _phase_span(extent: int, pad: int, a: int, s: int, m: int) -> tuple[int, int, int]:
-    """Indices [i0, i1) below m of stride phase a whose padded position
-    i*s + a is an input position, and the input position of i0."""
-    i0 = max(0, -(-(pad - a) // s))
-    return i0, min(m, -(-(extent + pad - a) // s)), i0 * s + a - pad
+def _plane_pairs(planes: np.ndarray, x: np.ndarray, s: int, pad: int):
+    """(plane region, view of x) pairs, one per plane of _phase_planes: the
+    cells that hold input pixels, and those pixels of x as a (c, n, i, j)
+    view. Assigning one to the other fills the planes from x, or maps plane
+    gradients onto an input gradient."""
+    def span(extent, a, m):  # plane indices [i0, i1) of phase a that hold input; i0's input index
+        i0 = max(0, -(-(pad - a) // s))
+        return i0, min(m, -(-(extent + pad - a) // s)), i0 * s + a - pad
+
+    for a in range(planes.shape[0]):
+        i0, i1, r0 = span(x.shape[2], a, planes.shape[4])
+        for b in range(planes.shape[1]):
+            j0, j1, q0 = span(x.shape[3], b, planes.shape[5])
+            if i1 > i0 and j1 > j0:
+                yield (planes[a, b, :, :, i0:i1, j0:j1],
+                       x[:, :, r0::s, q0::s][..., : i1 - i0, : j1 - j0].transpose(1, 0, 2, 3))
+
+
+def _phase_planes(x: np.ndarray, k: int, s: int, pad: int, oh: int, ow: int) -> np.ndarray:
+    """The padded input as zeroed stride-phase planes (m, m, c, n, hq, wq):
+    plane (a, b) holds padded pixel (i*s + a, j*s + b) at (i, j), for the
+    m = min(k, s) phases some tap reads. With wq = ow + (k-1)//s columns and
+    one spare row, tap (ki, kj) of every output is one contiguous slice at
+    offset (ki // s) * wq + kj // s of plane (ki % s, kj % s), flattened."""
+    m = min(k, s)
+    planes = np.zeros((m, m, x.shape[1], x.shape[0], oh + (k - 1) // s + 1, ow + (k - 1) // s),
+                      dtype=x.dtype)
+    for dst, src in _plane_pairs(planes, x, s, pad):
+        dst[...] = src
+    return planes
 
 
 def _conv_fwd_depthwise(x: np.ndarray, p: Conv2dParams, oh: int, ow: int) -> np.ndarray:
-    """Depthwise conv, bias included, by shifted slices of stride-phase planes.
-
-    The padded input is copied once into s*s zeroed planes: plane (a, b)
-    holds padded pixel (i*s + a, j*s + b) at (i, j), is wq = ow + (k-1)//s
-    columns wide and has one spare row. Output (r, q) of tap (ki, kj) reads
-    plane (ki % s, kj % s) at (r + ki // s, q + kj // s), so over rows of
-    wq columns the tap is one contiguous slice of that flattened plane; the
-    wq - ow extra columns are cropped once at the end. Per block of
-    channels the taps are added in (ki, kj) order into a zeroed buffer,
-    each product passing through one reused buffer, then the bias: the
-    same float operations, in the same order, as summing tap products.
-    """
-    n, c, h, w = x.shape
+    """Depthwise conv, bias included, on stride-phase planes. Per block of
+    channels, the taps (span = oh * wq elements per sample) are added in
+    (ki, kj) order into a zeroed buffer through one reused product buffer,
+    then the bias, and the wq - ow extra columns are cropped: the float
+    operations, in order, of summing tap products over a padded copy."""
+    n, c = x.shape[:2]
     k, s = p.weight.shape[2], p.stride
-    hq, wq = oh + (k - 1) // s + 1, ow + (k - 1) // s
-    planes = np.zeros((s, s, n, c, hq, wq), dtype=x.dtype)
-    for a in range(s):
-        i0, i1, r0 = _phase_span(h, p.padding, a, s, hq)
-        for b in range(s):
-            j0, j1, q0 = _phase_span(w, p.padding, b, s, wq)
-            if i1 > i0 and j1 > j0:
-                planes[a, b, :, :, i0:i1, j0:j1] = x[:, :, r0::s, q0::s][..., : i1 - i0, : j1 - j0]
-    flat = planes.reshape(s, s, n, c, hq * wq)
+    planes = _phase_planes(x, k, s, p.padding, oh, ow)
+    wq = planes.shape[5]
+    flat = planes.reshape(*planes.shape[:4], -1)
     span = oh * wq
     y = np.empty((n, c, oh, ow), dtype=x.dtype)
     block = min(c, max(1, _DW_BLOCK // (n * span)))
-    acc = np.empty((n, block, span), dtype=x.dtype)
+    acc = np.empty((block, n, span), dtype=x.dtype)
     tmp = np.empty_like(acc)
     for c0 in range(0, c, block):
         c1 = min(c, c0 + block)
-        a, t = acc[:, : c1 - c0], tmp[:, : c1 - c0]
+        a, t = acc[: c1 - c0], tmp[: c1 - c0]
         a.fill(0)
         for ki in range(k):
             for kj in range(k):
                 off = (ki // s) * wq + kj // s
-                np.multiply(flat[ki % s, kj % s, :, c0:c1, off : off + span],
-                            p.weight[c0:c1, 0, ki, kj, None], out=t)
+                np.multiply(flat[ki % s, kj % s, c0:c1, :, off : off + span],
+                            p.weight[c0:c1, 0, ki, kj, None, None], out=t)
                 a += t
         if p.bias is not None:
-            a += p.bias[c0:c1, None]
-        y[:, c0:c1] = a.reshape(n, c1 - c0, oh, wq)[..., :ow]
+            a += p.bias[c0:c1, None, None]
+        y[:, c0:c1] = a.reshape(c1 - c0, n, oh, wq)[..., :ow].transpose(1, 0, 2, 3)
     return y
 
 
 def conv2d_forward(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
     """Dense convs run conv_rows over all output rows; with p.pool, the bands
     from the middle on run there while this thread runs the first half.
-    Depthwise convs accumulate the taps of a padded copy."""
+    Depthwise convs add shifted slices of stride-phase planes."""
     kh, kw = p.weight.shape[2:]
     oh = conv_out_extent(x.shape[2], kh, p.stride, p.padding)
     ow = conv_out_extent(x.shape[3], kw, p.stride, p.padding)
@@ -247,51 +250,51 @@ def conv2d_forward(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
     return y
 
 
-def _conv_bwd_dense(xp, w, gy, stride, gxp):
-    oh, ow = gy.shape[2], gy.shape[3]
-    gw = np.zeros_like(w)
-    for ki in range(w.shape[2]):
-        for kj in range(w.shape[3]):
-            xs = _tap(xp, ki, kj, stride, oh, ow)
-            gw[:, :, ki, kj] = np.tensordot(gy, xs, axes=([0, 2, 3], [0, 2, 3]))
-            if gxp is not None:
-                contrib = np.tensordot(gy, w[:, :, ki, kj], axes=([1], [0]))  # (n, oh, ow, c_in)
-                _tap(gxp, ki, kj, stride, oh, ow)[...] += contrib.transpose(0, 3, 1, 2)
-    return gw
-
-
-def _conv_bwd_depthwise(xp, w, gy, stride, gxp):
-    c = xp.shape[1]
-    oh, ow = gy.shape[2], gy.shape[3]
-    gw = np.zeros_like(w)
-    prod = np.empty_like(gy)  # each tap's products, in turn
-    for ki in range(w.shape[2]):
-        for kj in range(w.shape[3]):
-            np.multiply(gy, _tap(xp, ki, kj, stride, oh, ow), out=prod)
-            gw[:, 0, ki, kj] = prod.sum(axis=(0, 2, 3))
-            if gxp is not None:
-                np.multiply(gy, w[:, 0, ki, kj].reshape(1, c, 1, 1), out=prod)
-                _tap(gxp, ki, kj, stride, oh, ow)[...] += prod
-    return gw
-
-
 def conv2d_backward(
     x: np.ndarray, p: Conv2dParams, grad_out: np.ndarray, input_grad: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
     """Gradients (d_input, d_weight, d_bias) for conv2d_forward.
 
-    input_grad=False skips the input gradient (d_input is None); the
-    weight and bias gradients are computed exactly as with it.
+    One tap loop serves dense and depthwise convs. Each plane of x is
+    flattened to P (c_in, L = n*hq*wq), and grad_out laid on that grid is G
+    (c_out, L), zero in the spare rows and columns; tap (ki, kj) at offset
+    off pairs G[:, :L - off] with P_tap = P[:, off:]. Dense: gw_tap = G·P_tapᵀ
+    and gP_tap += W_tapᵀ·G. Depthwise: per-channel products summed along each
+    row, and gP_tap += G·w_tap. The plane gradients map onto a fresh, zeroed,
+    C-contiguous d_input, skipped (None) when input_grad is False.
     """
-    pad = p.padding
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    gxp = np.zeros_like(xp) if input_grad else None
-    kernel = _conv_bwd_dense if p.groups == 1 else _conv_bwd_depthwise
-    gw = kernel(xp, p.weight, grad_out, p.stride, gxp)
+    n, c_out, oh, ow = grad_out.shape
+    k, s, dense = p.weight.shape[2], p.stride, p.groups == 1
+    planes = _phase_planes(x, k, s, p.padding, oh, ow)
+    m, _, c_in, _, hq, wq = planes.shape
+    size = n * hq * wq
+    flat = planes.reshape(m, m, c_in, size)
+    g = np.zeros((c_out, n, hq, wq), dtype=grad_out.dtype)
+    g[:, :, :oh, :ow] = grad_out.transpose(1, 0, 2, 3)
+    g = g.reshape(c_out, size)
+    wt = np.ascontiguousarray(p.weight.transpose((2, 3, 1, 0) if dense else (2, 3, 0, 1)))
+    mix = np.matmul if dense else np.multiply  # tap (ki, kj): mix(wt[ki, kj], G)
+    gwt = np.empty((k, k) + p.weight.shape[:2], dtype=p.weight.dtype)
+    gflat = np.zeros_like(flat) if input_grad else None
+    tmp = np.empty((c_in, size), dtype=x.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            off = (ki // s) * wq + kj // s
+            xt, gt, t = flat[ki % s, kj % s, :, off:], g[:, : size - off], tmp[:, : size - off]
+            if dense:
+                np.matmul(gt, xt.T, out=gwt[ki, kj])
+            else:
+                gwt[ki, kj, :, 0] = np.multiply(gt, xt, out=t).sum(axis=-1)
+            if gflat is not None:
+                gflat[ki % s, kj % s, :, off:] += mix(wt[ki, kj], gt, out=t)
+    gw = np.ascontiguousarray(gwt.transpose(2, 3, 0, 1))
     gb = grad_out.sum(axis=(0, 2, 3)) if p.bias is not None else None
-    if gxp is None:
+    if gflat is None:
         return None, gw, gb
-    return (gxp[:, :, pad:-pad, pad:-pad] if pad else gxp), gw, gb
+    gx = np.zeros(x.shape, dtype=x.dtype)
+    for src, dst in _plane_pairs(gflat.reshape(planes.shape), gx, s, p.padding):
+        dst[...] = src
+    return gx, gw, gb
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +529,7 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray, keep_fraction: float,
 
 
 def softmax_ce_loss(logits: np.ndarray, labels: np.ndarray) -> CeLoss:
-    """Mean cross-entropy over non-ignored pixels.
-
-    The mean divides by the count of non-ignored pixels. If every pixel is
-    ignored the loss is 0 with a zero gradient and valid is 0.
-    """
+    """Mean cross-entropy over non-ignored pixels: _cross_entropy keeping every one."""
     return _cross_entropy(logits, labels, 1.0, 0)
 
 

@@ -78,6 +78,9 @@ CONV_CASES = [
     (2, 4, 9, 7, 6, 1, 2, 0, 1, False),   # 1x1 stride 2 (projection shortcut)
     (2, 3, 11, 10, 4, 3, 2, 1, 1, True),  # strided RGB stem, odd extents, batch 2
     (1, 3, 11, 9, 4, 3, 2, 0, 1, False),  # 3x3 stride 2 without padding, odd extents
+    (16, 2, 7, 8, 2, 3, 3, 2, 2, True),   # depthwise, stride 3, padding 2, batch 16
+    (1, 3, 11, 13, 4, 5, 3, 2, 1, True),  # 5x5 stride 3, padding 2
+    (2, 4, 9, 7, 4, 1, 2, 0, 4, False),   # depthwise 1x1 stride 2
 ]
 
 
@@ -242,7 +245,7 @@ class TestDepthwiseForward:
 
 
 class TestConvBackward:
-    @pytest.mark.parametrize("case", [CONV_CASES[1], CONV_CASES[2], CONV_CASES[4], CONV_CASES[6]])
+    @pytest.mark.parametrize("case", CONV_CASES)
     def test_grad_finite_difference(self, case):
         n, c_in, h, w, c_out, k, stride, pad, groups, use_bias = case
         rng = Rng(101)
@@ -263,7 +266,10 @@ class TestConvBackward:
             gy = probe.reshape(out.shape)
             return conv2d_backward(xv, params, gy)[0]
 
-        assert check_grad(loss_of_x, grad_of_x, x, eps=1e-5) < 1e-6
+        # The loss is linear in x and in w, so a large step adds no truncation
+        # error, while the loss's rounding divided by a 1e-5 step reached 2e-5
+        # of the smallest gradient coordinates of the batch-2 stem case.
+        assert check_grad(loss_of_x, grad_of_x, x, eps=0.1) < 1e-6
 
         def loss_of_w(wv):
             out = conv2d_forward(x, Conv2dParams(wv, bias, stride, pad, groups))
@@ -274,7 +280,7 @@ class TestConvBackward:
             out = conv2d_forward(x, p2)
             return conv2d_backward(x, p2, probe.reshape(out.shape))[1]
 
-        assert check_grad(loss_of_w, grad_of_w, weight, eps=1e-5) < 1e-6
+        assert check_grad(loss_of_w, grad_of_w, weight, eps=0.1) < 1e-6
 
     @pytest.mark.parametrize("case", CONV_CASES)
     def test_input_grad_skipped(self, case):
@@ -290,6 +296,43 @@ class TestConvBackward:
         gx2, gw2, gb2 = conv2d_backward(x, p, gy, input_grad=False)
         assert gx2 is None and np.array_equal(gw, gw2)
         assert (gb is None and gb2 is None) or np.array_equal(gb, gb2)
+
+    @pytest.mark.parametrize("case", CONV_CASES)
+    def test_adjoint_identities(self, case):
+        """In float64 and without bias, <conv(x), g> = <x, d_input> = <w, d_weight>."""
+        n, c_in, h, w, c_out, k, stride, pad, groups, _bias = case
+        rng = Rng(hash(case) & 0xFFFF)
+        x = rng.normal(n * c_in * h * w).reshape(n, c_in, h, w)
+        weight = rng.normal(c_out * (c_in // groups) * k * k).reshape(c_out, c_in // groups, k, k)
+        p = Conv2dParams(weight, None, stride, pad, groups)
+        y = conv2d_forward(x, p)
+        g = rng.normal(y.size).reshape(y.shape)
+        gx, gw, _ = conv2d_backward(x, p, g)
+        ref, tol = float((y * g).sum()), 1e-12 * float(np.abs(y * g).sum())
+        assert abs(float((x * gx).sum()) - ref) <= tol
+        assert abs(float((weight * gw).sum()) - ref) <= tol
+
+    @pytest.mark.parametrize("case", CONV_CASES)
+    def test_input_grad_is_fresh_and_zero_where_unread(self, case):
+        """d_input is a new C-contiguous array, sharing no memory with x or
+        grad_out, and exactly zero on the input rows and columns that no
+        output reads (a 1x1 stride-2 conv reads every other one)."""
+        n, c_in, h, w, c_out, k, stride, pad, groups, use_bias = case
+        rng = Rng(hash(case) & 0xFFFF)
+        x = _randn(rng, n, c_in, h, w)
+        p = Conv2dParams(_randn(rng, c_out, c_in // groups, k, k),
+                         _randn(rng, c_out) if use_bias else None, stride, pad, groups)
+        gy = _randn(rng, *conv2d_forward(x, p).shape)
+        gx = conv2d_backward(x, p, gy)[0]
+        assert gx.shape == x.shape and gx.dtype == x.dtype and gx.flags.c_contiguous
+        assert not np.shares_memory(gx, x) and not np.shares_memory(gx, gy)
+
+        def read(extent, out):  # input positions some output's window covers
+            return np.isin(np.arange(extent), np.arange(out)[:, None] * stride + np.arange(k) - pad)
+
+        rows, cols = read(h, gy.shape[2]), read(w, gy.shape[3])
+        assert not gx[:, :, ~rows].any() and not gx[:, :, :, ~cols].any()
+        assert gx[:, :, rows][..., cols].all()  # random grad_out: no read pixel sums to 0
 
     def test_bias_grad_is_spatial_sum(self):
         rng = Rng(7)
