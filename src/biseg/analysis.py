@@ -86,14 +86,10 @@ def _cost_row(spec: LayerSpec, shapes: dict, param_shapes: dict) -> CostRow:
 def count_model(specs, input_shapes: dict) -> CostReport:
     """Per-layer costs in topological order plus exact integer totals.
 
-    An empty model is a valid degenerate case with all-zero totals; its
-    input shapes are checked all the same.
+    The graph must pass infer_shapes, so an empty one raises GraphError.
     """
     specs = list(specs)
-    if specs:
-        shapes = graph.infer_shapes(specs, input_shapes)
-    else:
-        graph.check_input_shapes(input_shapes)
+    shapes = graph.infer_shapes(specs, input_shapes)
     rows = [_cost_row(spec, shapes,
                       {d.suffix: d.shape for d in graph.KINDS[spec.kind].params(spec)})
             for spec in specs]

@@ -406,9 +406,6 @@ class ConfusionMatrix:
         flat = np.bincount(gt * c + pred, minlength=c * c)
         self.counts += flat.reshape(c, c)
 
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass
 class MiouResult:

@@ -327,18 +327,13 @@ def validate_graph(specs, input_names) -> None:
         bound.add(spec.output)
 
 
-def check_input_shapes(input_shapes: dict) -> None:
-    """Each graph input shape must be rank-4 NCHW with positive extents."""
+def infer_shapes(specs, input_shapes: dict) -> dict:
+    """Static NCHW shape for every value name. Input shapes must be rank 4
+    with positive extents; a shape rule's error gains the layer name here."""
     for name, shape in input_shapes.items():
         if len(shape) != 4 or min(shape) < 1:
             raise ShapeError(f"input {name!r} has shape {tuple(shape)}, "
                              "not rank-4 NCHW with positive extents")
-
-
-def infer_shapes(specs, input_shapes: dict) -> dict:
-    """Static NCHW shape for every value name. Input shapes must be rank 4
-    with positive extents; a shape rule's error gains the layer name here."""
-    check_input_shapes(input_shapes)
     validate_graph(specs, input_shapes.keys())
     shapes = dict(input_shapes)
     for spec in specs:

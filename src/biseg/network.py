@@ -75,6 +75,8 @@ class NetConfig:
             raise ArgumentError("aux_weight must be non-negative and finite")
         if not 0.0 < self.bootstrap_keep <= 1.0:
             raise ArgumentError("bootstrap_keep must be finite and lie in (0, 1]")
+        if self.bootstrap_min_kept < 0:
+            raise ArgumentError("bootstrap_min_kept must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -89,10 +91,9 @@ class GraphDef:
 
 @dataclass
 class ForwardArtifacts:
-    """Outputs of one network forward pass."""
+    """Output of one inference forward pass: the stride-8 logits."""
 
     main_logits: Tensor
-    aux_logits: list[Tensor]
 
 
 # ---------------------------------------------------------------------------
@@ -248,28 +249,22 @@ def param_count(cfg: NetConfig) -> int:
 
 def network_forward(x: Tensor, store: ParamStore, cfg: NetConfig,
                     mode: str = "infer") -> ForwardArtifacts:
-    """Run the network; aux logits are produced only in train mode.
+    """Run the inference plan; a mode other than "infer" raises ArgumentError.
 
-    In infer mode the graph runs as a plan: BN folded into the convs and
-    each layer output but the logits dropped after its last consumer. The
-    plan (a GraphRun of the folded specs, which keeps its schedule per input
-    shape) is built once per NetConfig and kept in store.plans until the
-    store's next bump(), which a write to the store's values must call.
+    The plan is a GraphRun of the specs with BN folded into the convs that
+    drops each layer output but the logits after its last consumer. It is
+    built once per NetConfig and kept in store.plans until the store's next
+    bump(). Training runs GraphRun(build_network(cfg).specs, store, "train").
     """
+    if mode != "infer":
+        raise ArgumentError(f"network_forward runs inference only, got mode {mode!r}")
     check_input_extents(*x.data.shape[2:])
-    net = build_network(cfg, train=(mode == "train"))
-    inputs = {net.input: x.data}
-    if mode == "infer":
-        plan = store.plans.get(cfg)
-        if plan is None:
-            plan = store.plans[cfg] = graph.GraphRun(*graph.fold_bn(net.specs, store))
-        values = plan.forward(inputs, outputs=[net.main_logits])
-    else:
-        values = graph.GraphRun(net.specs, store, mode).forward(inputs)
-    return ForwardArtifacts(
-        main_logits=Tensor(values[net.main_logits]),
-        aux_logits=[Tensor(values[name]) for name in net.aux_logits],
-    )
+    net = build_network(cfg, train=False)
+    plan = store.plans.get(cfg)
+    if plan is None:
+        plan = store.plans[cfg] = graph.GraphRun(*graph.fold_bn(net.specs, store))
+    values = plan.forward({net.input: x.data}, outputs=[net.main_logits])
+    return ForwardArtifacts(main_logits=Tensor(values[net.main_logits]))
 
 
 # ---------------------------------------------------------------------------

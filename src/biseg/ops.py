@@ -427,8 +427,6 @@ def interp_matrix(src: int, dst: int, dtype=np.float32) -> np.ndarray:
 def resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resize (n,c,h,w) to (n,c,out_h,out_w) with half-pixel bilinear."""
     h, w = x.shape[2], x.shape[3]
-    if (h, w) == (out_h, out_w):
-        return x.copy()
     ah = interp_matrix(h, out_h, x.dtype)
     aw = interp_matrix(w, out_w, x.dtype)
     # Separable: rows first, then columns; both are plain matmuls.
@@ -445,8 +443,6 @@ def resize_nearest_labels(labels: np.ndarray, out_h: int, out_w: int) -> np.ndar
     takes the source pixel under its half-pixel center, which for a
     reduction by an integer factor f is the center pick d * f + f // 2."""
     h, w = labels.shape[-2:]
-    if (h, w) == (out_h, out_w):
-        return labels.copy()
     return labels[..., _nearest_index(h, out_h)[:, None], _nearest_index(w, out_w)]
 
 
@@ -458,8 +454,6 @@ def bilinear_upsample(x: np.ndarray, factor: int) -> np.ndarray:
 
 def bilinear_upsample_backward(x_shape: tuple, factor: int, grad_out: np.ndarray) -> np.ndarray:
     h, w = x_shape[2:]
-    if factor == 1:
-        return grad_out
     ah = interp_matrix(h, h * factor, grad_out.dtype)
     aw = interp_matrix(w, w * factor, grad_out.dtype)
     return np.matmul(np.matmul(ah.T, grad_out), aw)

@@ -103,10 +103,9 @@ class TestLayerRows:
 
 class TestModelTotals:
     def test_empty_model_zero_totals(self):
-        rep = count_model([], {"x": (1, 3, 8, 8)})
-        assert rep.rows == []
-        assert rep.totals == (0, 0, 0)
-        assert rep.conv_totals == (0, 0, 0)
+        """An empty model has no totals: infer_shapes rejects it."""
+        with pytest.raises(GraphError, match="layer graph is empty"):
+            count_model([], {"x": (1, 3, 8, 8)})
 
     @pytest.mark.parametrize("shape", [(1, 2, 3), (1, 3, 0, 8)])
     def test_empty_model_checks_input_shapes(self, shape):

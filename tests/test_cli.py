@@ -513,6 +513,18 @@ class TestCliErrors:
         assert capsys.readouterr().err.startswith("error[config]: ")
         assert not (tmp_path / "o").exists()
 
+    def test_negative_bootstrap_min_kept_exit_2(self, workspace, tmp_path, capsys):
+        """Rejected when the config loads: train creates no --out first."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(tiny_config_text(**{"model.bootstrap_min_kept": -5,
+                                           "train.manifest": workspace["manifest"]}))
+        assert main(["analyze", "--config", str(cfg), "--res", "64x64"]) == 2
+        assert "error[config]: bootstrap_min_kept" in capsys.readouterr().err
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error[config]: bootstrap_min_kept" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_negative_echo_every_exit_2(self, workspace, tmp_path, capsys):
         rc = main(["train", "--config", str(workspace["config"]),
                    "--out", str(tmp_path / "o"), "--echo-every", "-1"])

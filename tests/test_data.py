@@ -373,7 +373,7 @@ class TestMetrics:
         gt = np.array([0, 255, 255, 1])
         cm = ConfusionMatrix(2)
         cm.update(pred, gt)
-        assert cm.total() == 2
+        assert cm.counts.sum() == 2
         assert miou(cm).miou == 1.0
 
     def test_out_of_range_rejected(self):

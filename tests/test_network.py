@@ -236,16 +236,22 @@ class TestFullForward:
     def test_train_mode_shapes(self):
         store = _init_store(TINY)
         x = _rand_input(2, 64, 64, seed=18)
-        art = network_forward(x, store, TINY, mode="train")
-        assert art.main_logits.data.shape == (2, 3, 8, 8)
-        assert [t.data.shape for t in art.aux_logits] == [(2, 3, 4, 4), (2, 3, 2, 2)]
-        values = GraphRun(build_network(TINY).specs, store, "train").forward({"x": x.data})
+        net = build_network(TINY)
+        values = GraphRun(net.specs, store, "train").forward({"x": x.data})
+        assert values[net.main_logits].shape == (2, 3, 8, 8)
+        assert [values[name].shape for name in net.aux_logits] == [(2, 3, 4, 4), (2, 3, 2, 2)]
         assert values["ffm.out"].shape == (2, 32, 8, 8)
 
-    def test_infer_mode_has_no_aux(self):
+    def test_network_forward_rejects_train_mode(self):
+        """Only inference runs through network_forward; train values come
+        from a training GraphRun (test_train_mode_shapes)."""
         store = _init_store(TINY)
+        for mode in ("train", "eval"):
+            with pytest.raises(ArgumentError, match="inference only"):
+                network_forward(_rand_input(1, 64, 64), store, TINY, mode=mode)
+        assert not store.plans
         art = network_forward(_rand_input(1, 64, 64), store, TINY, mode="infer")
-        assert art.aux_logits == []
+        assert art.main_logits.data.shape == (1, 3, 8, 8)
 
     def test_no_spatial_params_when_disabled(self):
         cfg = NetConfig(
@@ -417,7 +423,8 @@ class TestInferencePlan:
 
         last = network_forward(x, store, TINY).main_logits.data
         for change in (sgd, lambda: graph.restore_into(store, ckpt),
-                       lambda: network_forward(x, store, TINY, mode="train"), write_then_add):
+                       lambda: GraphRun(build_network(TINY).specs, store, "train").forward(
+                           {"x": x.data}), write_then_add):
             change()
             assert not store.plans
             now = network_forward(x, store, TINY).main_logits.data

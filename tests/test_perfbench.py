@@ -42,5 +42,12 @@ def test_infer_360p_checks_pass():
     _check_workload("infer_360p")
 
 
+def test_infer_1080p_checks_pass():
+    """The only tier-1 check of the 1920x1088 paths (the tail conv split
+    over the pool, multi-band chains, full-size prediction) against the
+    benchmark's float64 reference."""
+    _check_workload("infer_1080p")
+
+
 def test_train_desk64_checks_pass():
     _check_workload("train_desk64")

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import biseg
-from biseg.graph import ParamStore, forward_backward, init_params
-from biseg.network import build_network, joint_loss_on_values, network_forward
-from biseg.tensor import Rng, Tensor
+from biseg.graph import GraphRun, ParamStore, forward_backward, init_params
+from biseg.network import build_network, joint_loss_on_values
+from biseg.tensor import Rng
 
 from test_network import TINY
 
@@ -46,12 +46,12 @@ def test_install_wraps_every_named_function():
 def test_train_forward_kernels_match_specs():
     store = ParamStore()
     init_params(build_network(TINY).specs, store, Rng(0))
-    x = Tensor(Rng(1).normal(3 * 64 * 64).astype(np.float32).reshape(1, 3, 64, 64))
+    x = Rng(1).normal(3 * 64 * 64).astype(np.float32).reshape(1, 3, 64, 64)
     tracer = _tracer()
     try:
         tracer.install(biseg)
         tracer.set_active(True)
-        network_forward(x, store, TINY, mode="train")
+        GraphRun(build_network(TINY).specs, store, "train").forward({"x": x})
         tracer.set_active(False)
     finally:
         tracer.unwrap_all()
