@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import threading
 import uuid
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
@@ -46,7 +47,7 @@ from .errors import (
     GraphError,
     ShapeError,
 )
-from .tensor import Rng, init_kaiming
+from .tensor import Rng, defer_kaiming
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ class ParamDef(NamedTuple):
 
     suffix: str
     shape: tuple[int, ...]
-    init: Callable  # (shape, rng) -> float32 array
+    init: Callable  # (shape, rng) -> float32 array, or a Pending drawn on first read
     trainable: bool = True
     decay: bool = True
 
@@ -132,7 +133,7 @@ def kind_of(spec: LayerSpec) -> LayerKind:
 
 
 def _kaiming(shape, rng):  # He-normal, fan_in = (c_in / groups) * kh * kw
-    return init_kaiming(shape, math.prod(shape[1:]), rng)
+    return Pending(shape, defer_kaiming(shape, math.prod(shape[1:]), rng))
 
 
 def _zeros(shape, rng):
@@ -349,16 +350,70 @@ def infer_shapes(specs, input_shapes: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+class Pending(NamedTuple):
+    """A parameter value not made yet: draw() makes it, once."""
+
+    shape: tuple[int, ...]
+    draw: Callable[[], np.ndarray]
+
+
+# Serializes first reads of pending values, so that threads reading one
+# entry at once get one array. Reads of a value already made never take it.
+_DRAW_LOCK = threading.Lock()
+
+
 class ParamEntry:
-    value: np.ndarray
-    momentum: np.ndarray | None = None
-    trainable: bool = True
-    decay: bool = True
+    """One stored parameter. An entry added as a Pending holds no value
+    until value is first read, which draws it under _DRAW_LOCK; assigning
+    value replaces the pending draw, which then never runs. shape is known
+    either way, and writers that update value in place (sgd_step, train-mode
+    BN) write the array that first read made.
+    """
+
+    __slots__ = ("_value", "_pending", "momentum", "trainable", "decay")
+
+    def __init__(self, value, trainable: bool = True, decay: bool = True):
+        pending = isinstance(value, Pending)
+        self._value: np.ndarray | None = None if pending else value
+        self._pending: Pending | None = value if pending else None
+        self.momentum: np.ndarray | None = None
+        self.trainable = trainable
+        self.decay = decay
+
+    @property
+    def value(self) -> np.ndarray:
+        value = self._value
+        if value is None:
+            with _DRAW_LOCK:
+                if self._value is None:
+                    self._value = self._pending.draw()
+                    self._pending = None
+                value = self._value
+        return value
+
+    @value.setter
+    def value(self, value: np.ndarray) -> None:
+        self._value = value
+        self._pending = None
+
+    @property
+    def pending(self) -> bool:
+        return self._value is None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        pending = self._pending  # cleared only after _value is set
+        return pending.shape if pending is not None else self._value.shape
 
 
 class ParamStore:
     """Ordered name -> ParamEntry map; iteration order is insertion order.
+
+    A value may be added as a Pending, drawn on its entry's first read
+    under one lock (see ParamEntry). init_params adds each He-normal weight
+    so, with its rng already moved past that weight's draws, and
+    restore_into fills a pending entry without drawing it: a store restored
+    from a checkpoint never draws the values the checkpoint replaces.
 
     plans caches what is derived from the stored values (network_forward's
     folded inference plan, per NetConfig). bump() empties it: add,
@@ -374,7 +429,8 @@ class ParamStore:
     def bump(self) -> None:
         self.plans.clear()
 
-    def add(self, name: str, value: np.ndarray, trainable: bool = True, decay: bool = True):
+    def add(self, name: str, value: np.ndarray | Pending, trainable: bool = True,
+            decay: bool = True):
         if name in self._entries:
             raise ConsistencyError(f"parameter {name!r} registered twice")
         self._entries[name] = ParamEntry(value=value, trainable=trainable, decay=decay)
@@ -406,6 +462,12 @@ def init_params(specs, store: ParamStore, rng: Rng) -> None:
     Conv weights are He-normal; biases start at zero and are exempt from
     weight decay, as are BN gamma/beta. Running statistics are stored as
     non-trainable entries so checkpoints carry them.
+
+    A He-normal weight is stored pending: rng is advanced now by exactly the
+    draws that tensor's Rng.normal takes, and the entry draws from its own
+    place in the stream on first read. So every value, and every later draw
+    from rng, is bitwise what drawing here would give, in any read order;
+    argument errors still raise here.
     """
     for spec in specs:
         for d in kind_of(spec).params(spec):
@@ -558,9 +620,10 @@ _BRANCH_POOL = ThreadPoolExecutor(thread_name_prefix="biseg-branch")
 
 class GraphRun:
     """A spec sequence bound to each spec's {suffix: array} in the store,
-    looked up once (sgd_step, restore_into and train-mode BN write those
-    arrays in place). A call adds only its _schedule(), kept per input
-    shapes and outputs, so threads may share one run: network_forward's plan.
+    looked up once, which draws any pending value (so sgd_step, restore_into
+    and train-mode BN write those arrays in place). A call adds only its
+    _schedule(), kept per input shapes and outputs, so threads may share one
+    run: network_forward's plan.
     """
 
     def __init__(self, specs, store: ParamStore, mode: str = "infer"):
@@ -884,19 +947,25 @@ def load_checkpoint(path) -> Checkpoint:
 def restore_into(store: ParamStore, ckpt: Checkpoint) -> None:
     """Copy checkpoint tensors into a prepared store.
 
-    The file and the store must hold the same names, with the same shapes.
+    The file and the store must hold the same names, with the same shapes;
+    every name and shape is checked before any value is written, so a
+    rejected checkpoint leaves the store as it was. A value already made is
+    written in place (a GraphRun bound to it sees the restore); a pending
+    one gets a float32 copy of the tensor and is never drawn.
     """
-    store.bump()
     for name, _entry in store.items():
         if name not in ckpt.tensors:
             raise ConsistencyError(f"checkpoint lacks parameter {name!r}")
     for name, value in ckpt.tensors.items():
         if name not in store:
             raise ConsistencyError(f"checkpoint tensor {name!r} has no matching parameter")
-        entry = store.get(name)
-        if entry.value.shape != value.shape:
+        shape = store.get(name).shape
+        if shape != value.shape:
             raise ConsistencyError(
-                f"checkpoint tensor {name!r} shape {value.shape} does not match "
-                f"{entry.value.shape}"
-            )
-        entry.value[...] = value
+                f"checkpoint tensor {name!r} shape {value.shape} does not match {shape}")
+    store.bump()
+    for name, entry in store.items():
+        if entry.pending:
+            entry.value = np.array(ckpt.tensors[name], dtype=np.float32)
+        else:
+            entry.value[...] = ckpt.tensors[name]

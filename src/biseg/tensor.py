@@ -12,6 +12,7 @@ produces the same stream everywhere regardless of platform RNG defaults.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -75,6 +76,21 @@ class Rng:
         child = int(_mix64(salted[None] * _GOLDEN)[0])
         return Rng(child)
 
+    def fork(self, count: int) -> "Rng":
+        """Hand the next count raw draws to a copy of this stream: the copy
+        starts at this position, and this stream skips past them."""
+        if count < 0:
+            raise ArgumentError("draw count must be non-negative")
+        own = Rng(self.seed)
+        own._pos = self._pos
+        self._pos += count
+        return own
+
+    @staticmethod
+    def normal_draws(count: int) -> int:
+        """Raw draws normal(count) consumes: Box-Muller takes them in pairs."""
+        return 2 * ((count + 1) // 2)
+
     def u64(self, count: int) -> np.ndarray:
         if count < 0:
             raise ArgumentError("draw count must be non-negative")
@@ -90,8 +106,8 @@ class Rng:
 
     def normal(self, count: int, std: float = 1.0) -> np.ndarray:
         """count float64 N(0, std^2) draws via Box-Muller."""
-        pairs = (count + 1) // 2
-        raw = self.u64(2 * pairs)
+        raw = self.u64(self.normal_draws(count))
+        pairs = len(raw) // 2
         # u1 in (0, 1] so the log is finite; u2 in [0, 1).
         u1 = ((raw[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
         u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
@@ -120,8 +136,17 @@ class Rng:
 
 def init_kaiming(shape: tuple, fan_in: int, rng: Rng) -> np.ndarray:
     """He-normal init: Normal(0, sqrt(2 / fan_in)) truncated to float32."""
+    return defer_kaiming(shape, fan_in, rng)()
+
+
+def defer_kaiming(shape: tuple, fan_in: int, rng: Rng) -> Callable[[], np.ndarray]:
+    """init_kaiming with the draw put off: fan_in is checked and rng moves
+    past the draws now, so later draws from rng do not depend on whether or
+    when this one is made. The returned function makes the array; call it
+    once."""
     if fan_in < 1:
         raise ArgumentError(f"fan_in must be >= 1, got {fan_in}")
     std = float(np.sqrt(2.0 / fan_in))
-    draws = rng.normal(math.prod(shape), std=std)
-    return draws.astype(np.float32).reshape(shape)
+    count = math.prod(shape)
+    own = rng.fork(Rng.normal_draws(count))
+    return lambda: own.normal(count, std=std).astype(np.float32).reshape(shape)

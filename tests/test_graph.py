@@ -22,9 +22,12 @@ from biseg.errors import (
 )
 from biseg.graph import (
     KINDS,
+    Checkpoint,
     GraphRun,
     LayerSpec,
+    ParamEntry,
     ParamStore,
+    Pending,
     SgdConfig,
     find_chains,
     fold_bn,
@@ -133,7 +136,7 @@ class TestOpTable:
         xs = [rng.normal(64).astype(np.float32).reshape(2, 2, 4, 4) for _ in spec.inputs]
         in_shapes = [x.shape for x in xs]
         defs = rules.params(spec)
-        p = {d.suffix: d.init(d.shape, rng) for d in defs}
+        p = {d.suffix: ParamEntry(d.init(d.shape, rng)).value for d in defs}  # draws a Pending
         out_shape = rules.shape(spec, in_shapes)
         y = rules.forward(spec, xs, p, "train")
         assert y.shape == out_shape
@@ -1097,3 +1100,72 @@ class TestCheckpoint:
             fresh.add(name, np.zeros(shape, np.float32))
         with pytest.raises(ConsistencyError):
             restore_into(fresh, load_checkpoint(path))
+
+    def test_rejected_checkpoint_leaves_store_unchanged(self):
+        """Every name and shape is checked before any value is written."""
+        store = ParamStore()
+        store.add("a.w", np.zeros(3, np.float32))
+        store.add("b.w", np.zeros(2, np.float32))
+        ckpt = Checkpoint({"a.w": np.ones(3, np.float32), "b.w": np.ones(4, np.float32)}, 0, 0)
+        with pytest.raises(ConsistencyError, match="b.w"):
+            restore_into(store, ckpt)
+        assert not store.get("a.w").value.any() and not store.get("b.w").value.any()
+
+
+class TestPendingParams:
+    @staticmethod
+    def _counting(shape):
+        calls = []
+
+        def draw():
+            calls.append(1)
+            return np.full(shape, float(len(calls)), np.float32)
+
+        return Pending(shape, draw), calls
+
+    def test_drawn_once_on_first_read(self):
+        pending, calls = self._counting((2, 3))
+        store = ParamStore()
+        store.add("w", pending)
+        entry = store.get("w")
+        assert entry.pending and entry.shape == (2, 3) and not calls
+        first = entry.value
+        assert entry.value is first and calls == [1] and not entry.pending
+        entry.value -= 1.0  # in place, on the drawn array
+        assert entry.value is first and not first.any()
+
+    def test_assignment_replaces_the_draw(self):
+        pending, calls = self._counting((2,))
+        store = ParamStore()
+        store.add("w", pending)
+        store.get("w").value = np.ones(2, np.float32)
+        assert store.get("w").value.tolist() == [1.0, 1.0] and not calls
+
+    def test_restore_never_draws_and_copies(self):
+        def draw():
+            raise AssertionError("a restored value was drawn")
+
+        store = ParamStore()
+        store.add("w", Pending((2, 2), draw))
+        store.add("b", np.zeros(2, np.float32))
+        bound = store.get("b").value
+        ckpt = Checkpoint({"w": np.arange(4.0).reshape(2, 2), "b": np.ones(2, np.float32)}, 0, 0)
+        restore_into(store, ckpt)
+        w = store.get("w").value
+        assert w.dtype == np.float32 and w.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+        assert not np.shares_memory(w, ckpt.tensors["w"])
+        assert store.get("b").value is bound and bound.tolist() == [1.0, 1.0]
+
+    def test_pending_shape_checked_without_drawing(self):
+        def draw():
+            raise AssertionError("a shape check drew the value")
+
+        store = ParamStore()
+        store.add("w", Pending((2, 2), draw))
+        with pytest.raises(ConsistencyError, match="does not match"):
+            restore_into(store, Checkpoint({"w": np.zeros((2, 3), np.float32)}, 0, 0))
+        assert store.get("w").pending
+
+    def test_bad_fan_in_raises_from_init_params(self):
+        with pytest.raises(ArgumentError):
+            init_params([conv_spec("c", "x", "y", 0, 4)], ParamStore(), Rng(0))

@@ -1,15 +1,17 @@
 """Two-path network assembly: paths, attention, fusion, loss, ablations."""
 
+import hashlib
 import sys
 import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from biseg import graph, network, ops
+from biseg import config, graph, network, ops, tensor, train
 from biseg.backbone import BackboneConfig, GraphBuilder, backbone_specs
 from biseg.errors import ArgumentError, DataError, ShapeError
 from biseg.graph import (
@@ -48,6 +50,8 @@ from biseg.ops import (
 from biseg.tensor import Rng, Tensor
 
 from oracles import naive_bilinear_upsample
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY_BB = BackboneConfig(stem_channels=4, stage_channels=(8, 16, 32), blocks_per_stage=(1, 1, 1))
 TINY = NetConfig(
@@ -299,6 +303,108 @@ def _trained_like_store(cfg, seed):
         elif name.endswith(".running_var"):
             entry.value[...] = 0.5 + rng.uniform(c)
     return store
+
+
+class TestDeferredInit:
+    """init_params puts off every He-normal draw to the value's first read,
+    and restore_into replaces what it would draw without drawing it."""
+
+    # sha256 over every init_params value in store order, and the next
+    # rng.u64(4) after init_params, as drawing in init_params gives them.
+    PINNED = {
+        ("default", "seed"): (
+            "f8fb6e396a56303540c7af21e6fc1bc8b64ccc7a0f7c3b179235ef0957e3ec4b",
+            [1828860051471224617, 6331574817629596682, 9856658390754483318,
+             16409806822941218138]),
+        ("default", "salt"): (
+            "167123c64e2455255c368c64d47727d7933356d84d247fd268e0d458e2b11a7c",
+            [17355418892540113744, 9515154216587384910, 10581539717820450832,
+             15007040404993734055]),
+        ("overfit64", "seed"): (
+            "21ca4b4516a5e92a262c133e9faeb7440a57a16f0dfd07f4193da0464a1df0f3",
+            [9714010222839621258, 11248058909375560262, 7603903182647726597,
+             3963703339700262678]),
+        ("overfit64", "salt"): (
+            "bffd2e60ebdf0f9d6f47062aca0b73f823dab8ff67513ff917df73461c1bd5b4",
+            [15610667590043708548, 9614548659070326884, 11316416010931120481,
+             11588615756357715387]),
+    }
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_deferred_draws_are_the_eager_draws(self, key, reverse):
+        name, stream = key
+        cfg = config.load_config(CONFIGS / f"{name}.cfg")
+        rng = Rng(cfg.seed) if stream == "seed" else Rng(cfg.seed).split(train._INIT_SALT)
+        store = ParamStore()
+        init_params(build_network(cfg.model).specs, store, rng)
+        after = rng.u64(4).tolist()
+        entries = [entry for _name, entry in store.items()]
+        for entry in reversed(entries) if reverse else entries:
+            entry.value
+        digest = hashlib.sha256()
+        for entry in entries:
+            digest.update(entry.value.tobytes())
+        assert (digest.hexdigest(), after) == self.PINNED[key]
+
+    def test_infer_setup_draws_nothing(self, monkeypatch):
+        """init_params + restore_into + network_forward + predict_full_res,
+        as biseg infer runs them, never draw a normal, and give the logits
+        of a store that drew every value before the restore."""
+        cfg = NetConfig()
+        saved = _init_store(cfg, seed=5)
+        ckpt = graph.Checkpoint({k: e.value.copy() for k, e in saved.items()}, 0, 0)
+        x = _rand_input(1, 64, 64, seed=6)
+        eager = _init_store(cfg)
+        for _name, entry in eager.items():
+            entry.value
+        graph.restore_into(eager, ckpt)
+        want = network_forward(x, eager, cfg).main_logits
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("Rng.normal was called")
+
+        monkeypatch.setattr(tensor.Rng, "normal", no_draw)
+        store = _init_store(cfg)
+        graph.restore_into(store, ckpt)
+        got = network_forward(x, store, cfg).main_logits
+        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(predict_full_res(got, 64, 64), predict_full_res(want, 64, 64))
+
+    def test_concurrent_first_reads(self):
+        """Threads running the first forwards of a fresh store each draw
+        through one lock: every thread gets the serial logits, and the plan
+        holds the store's own array for every layer it does not fold."""
+        xs = [_rand_input(1, 64, 32 + 32 * (i % 2), seed=80 + i) for i in range(4)]
+        serial = _init_store(TINY, seed=9)
+        want = [network_forward(x, serial, TINY).main_logits.data for x in xs]
+        store = _init_store(TINY, seed=9)
+        got = [None] * len(xs)
+        start = threading.Barrier(len(xs))
+
+        def worker(i):
+            start.wait()
+            got[i] = network_forward(xs[i], store, TINY).main_logits.data
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(xs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        plan = store.plans[TINY]
+        specs = {spec.name: spec for spec in build_network(TINY, train=False).specs}
+        unfolded = [spec for spec in plan.specs if spec == specs[spec.name]]
+        assert any(plan.params[spec.name] for spec in unfolded)
+        for spec in unfolded:
+            for suffix, array in plan.params[spec.name].items():
+                assert store.get(f"{spec.name}.{suffix}").value is array
 
 
 class TestInferencePlan:

@@ -9,6 +9,7 @@ here.
 """
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,15 @@ def _check_workload(workload):
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
+    # Every end-to-end metric the benchmark declares is printed, finite and
+    # positive, in its declared unit.
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    for metric in declared:
+        got = result["metrics"].get(metric["name"])
+        assert got is not None, f"{workload} prints no {metric['name']}"
+        value = got["value"]
+        assert isinstance(value, (int, float)) and math.isfinite(value) and value > 0, got
+        assert got["unit"] == metric["unit"], got
 
 
 def test_infer_360p_checks_pass():

@@ -6,7 +6,7 @@ import pytest
 
 from biseg.errors import ArgumentError, ShapeError
 from biseg.graph import GraphRun, LayerSpec, ParamStore
-from biseg.tensor import Rng, Tensor, init_kaiming
+from biseg.tensor import Rng, Tensor, defer_kaiming, init_kaiming
 
 
 def _f32(values):
@@ -63,6 +63,22 @@ class TestRng:
         assert abs(z.mean()) < 0.02
         assert abs(z.std() - 1.0) < 0.02
 
+    def test_fork_hands_over_the_next_draws(self):
+        stream = Rng(5)
+        ref = Rng(5).u64(10)
+        own = stream.fork(6)
+        assert (stream.u64(4) == ref[6:]).all()
+        assert (own.u64(6) == ref[:6]).all()
+        with pytest.raises(ArgumentError):
+            stream.fork(-1)
+
+    @pytest.mark.parametrize("count", [0, 1, 4, 5])
+    def test_normal_draws_is_what_normal_consumes(self, count):
+        drawn, skipped = Rng(3), Rng(3)
+        drawn.normal(count)
+        skipped.fork(Rng.normal_draws(count))
+        assert (drawn.u64(2) == skipped.u64(2)).all()
+
     def test_randint_bounds(self):
         r = Rng(13)
         draws = [r.randint(2, 5) for _ in range(200)]
@@ -89,6 +105,18 @@ class TestInit:
     def test_bad_fan_in(self):
         with pytest.raises(ArgumentError):
             init_kaiming((1, 1, 1, 1), fan_in=0, rng=Rng(0))
+        with pytest.raises(ArgumentError):  # checked before the draw is put off
+            defer_kaiming((1, 1, 1, 1), fan_in=0, rng=Rng(0))
+
+    def test_deferred_draw_is_the_eager_draw(self):
+        """The stream moves past the draws at once; drawing later, after
+        other draws from the stream, gives the eager values."""
+        eager, later = Rng(7), Rng(7)
+        a = init_kaiming((4, 3, 3, 3), fan_in=27, rng=eager)
+        draw = defer_kaiming((4, 3, 3, 3), fan_in=27, rng=later)
+        assert (later.u64(3) == eager.u64(3)).all()
+        b = draw()
+        assert b.dtype == np.float32 and (a == b).all()
 
 
 class TestElementwise:
