@@ -197,9 +197,10 @@ def write_color_mask(label: np.ndarray, palette: dict, path) -> None:
         lo, hi = int(label.min()), int(label.max())
         if lo < 0 or hi > 255:
             raise DataError(f"palette has no entry for class {lo if lo < 0 else hi}")
-        missing = np.flatnonzero((np.bincount(label.ravel(), minlength=256) > 0) & ~known)
-        if missing.size:
-            raise DataError(f"palette has no entry for class {missing[0]}")
+        if not known[lo : hi + 1].all():  # only then count which ids occur
+            missing = np.flatnonzero((np.bincount(label.ravel(), minlength=256) > 0) & ~known)
+            if missing.size:
+                raise DataError(f"palette has no entry for class {missing[0]}")
     _write_raster(np.take(lut, label, axis=0), path)
 
 

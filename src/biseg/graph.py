@@ -5,15 +5,17 @@ each spec consumes previously produced (or externally supplied) value names
 and produces one new name. Execution walks the sequence in order; the
 backward pass walks it in exact reverse, summing the gradients of a value
 that fans out into a fresh array. Inference runs a plan over the same specs:
-fold_bn merges each BN into the conv before it, and a forward given the
-values it must return drops each other layer output after its last use
-and runs the branches from the graph inputs concurrently on one dict.
-That forward also runs each find_chains() chain (dense convs with kernel
-> 1 and their ReLUs, each the sole consumer of the value before it)
-depth-first in bands of output rows, so the chain's inner values are
-never created, and once the branches have joined it splits each banded
-dense conv's rows over two threads; the spec list itself, and every other
-run, is unchanged. A GraphRun binds the specs to their parameter arrays
+fold_bn merges each BN into the conv before it and splits a concat read
+only by a 1x1 conv into that conv's per-operand halves and an add
+(split_concat_convs). A forward given the values it must return drops each
+other layer output after its last use, writes a relu, add or mul into the
+first operand that dies there, and runs the branches from the graph inputs
+concurrently on one dict. That forward also runs each find_chains() chain
+(dense convs with kernel > 1 and their ReLUs, each the sole consumer of
+the value before it) depth-first in bands of output rows, so the chain's
+inner values are never created, and once the branches have joined it
+splits each banded dense conv's rows over two threads; the spec list
+itself, and every other run, is unchanged. A GraphRun binds the specs to their parameter arrays
 once and keeps nothing of a call but the schedule for its input shapes:
 forward returns the values, backward(values, seeds) takes them back.
 
@@ -97,8 +99,12 @@ class LayerKind:
 
     shape(spec, ins) -> output shape, or ShapeError / ArgumentError without
         the layer's name (infer_shapes adds it); the only operand check
-    forward(spec, xs, p, mode) -> output; p maps suffix -> stored array;
-        conv's also takes pool=, an executor for half of its banded rows
+    forward(spec, xs, p, mode) -> output; p maps suffix -> stored array.
+        The output is a fresh array that shares memory with no operand,
+        unless the kind takes out=: relu, add and mul write into out, an
+        array of the output's shape and dtype, when given one (a freeing
+        GraphRun.forward passes the first operand where it dies). conv's
+        also takes pool=, an executor for half of its banded rows
     backward(spec, xs, y, gy, p, mode) -> (input grads, {suffix: grad}); conv's
         also takes input_grad=False, which gives None for the input grad.
         A gradient may be gy itself or a view of it or of another gradient,
@@ -269,7 +275,8 @@ KINDS: dict[str, LayerKind] = {
         cost=lambda ins, out, ps: (math.prod(ps["gamma"]) + math.prod(ps["beta"]), 0,
                                    2 * math.prod(out))),
     "relu": LayerKind(
-        arity=1, shape=_first, forward=lambda spec, xs, p, mode: ops.relu(xs[0]),
+        arity=1, shape=_first,
+        forward=lambda spec, xs, p, mode, out=None: ops.relu(xs[0], out=out),
         backward=lambda spec, xs, y, gy, p, mode: ((ops.relu_backward(xs[0], gy),), {}),
         cost=_flops(1), rf=_first),
     "sigmoid": LayerKind(
@@ -293,11 +300,13 @@ KINDS: dict[str, LayerKind] = {
         forward=lambda spec, xs, p, mode: np.concatenate(xs, axis=1),
         backward=_concat_bwd, cost=_flops(0), rf=_rf_join),
     "add": LayerKind(
-        arity=2, shape=_pointwise_shape, forward=lambda spec, xs, p, mode: xs[0] + xs[1],
+        arity=2, shape=_pointwise_shape,
+        forward=lambda spec, xs, p, mode, out=None: np.add(xs[0], xs[1], out=out),
         backward=lambda spec, xs, y, gy, p, mode: ((gy, _unbroadcast(gy, xs[1])), {}),
         cost=_flops(1), rf=_rf_join),
     "mul": LayerKind(
-        arity=2, shape=_pointwise_shape, forward=lambda spec, xs, p, mode: xs[0] * xs[1],
+        arity=2, shape=_pointwise_shape,
+        forward=lambda spec, xs, p, mode, out=None: np.multiply(xs[0], xs[1], out=out),
         backward=lambda spec, xs, y, gy, p, mode: (
             (gy * xs[1], _unbroadcast(gy * xs[0], xs[1])), {}),
         cost=_flops(1), rf=_rf_join),
@@ -485,7 +494,8 @@ def _consumers(specs) -> dict[str, list[LayerSpec]]:
 
 
 def fold_bn(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
-    """Inference plan with every BN folded into the conv it follows.
+    """Inference plan with every BN folded into the conv it follows, then
+    rewritten by split_concat_convs().
 
     A conv whose output feeds exactly one layer, a bn, becomes one conv with
     a bias that writes the bn's output, so the conv's own output is gone:
@@ -521,7 +531,72 @@ def fold_bn(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
         for d in kind_of(spec).params(spec):
             folded.add(f"{spec.name}.{d.suffix}", value(spec, d.suffix))
         out_specs.append(spec)
-    return out_specs, folded
+    return split_concat_convs(out_specs, folded)
+
+
+def _pointwise(spec: LayerSpec) -> bool:  # a dense conv whose input is its own im2col
+    return (spec.kind == "conv" and spec.groups == 1 and spec.kernel == spec.stride == 1
+            and not spec.padding)
+
+
+def _channels(name: str, producers: dict) -> int:
+    """Channels of a value: those of the conv or bn it comes from through
+    first operands (every other kind keeps them), or 0 where it comes from
+    a graph input or a concat."""
+    spec = producers.get(name)
+    while spec is not None and spec.kind not in ("conv", "bn", "concat"):
+        spec = producers.get(spec.inputs[0])
+    if spec is None or spec.kind == "concat":
+        return 0
+    return spec.out_channels if spec.kind == "conv" else spec.in_channels
+
+
+def split_concat_convs(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
+    """Plan rewrite: a concat read only by a dense unpadded 1x1 stride-1 conv
+    becomes that conv's two halves, one per concat operand, and an add:
+        W·[a; b] + bias = W_a·a + (W_b·b + bias).
+    The halves "<conv>.0" and "<conv>.1" each read one operand, so
+    split_branches() puts each in its operand's branch, and the add
+    "<conv>.sum" writes the conv's output; all three stand where the conv
+    stood, and the concat is gone. The add's first operand dies there, so a
+    freeing forward writes the sum into it. A concat whose first operand's
+    channels _channels() cannot tell stays. The returned store holds the
+    halves' weight slices and shares every other array with the given one.
+    """
+    users = _consumers(specs)
+    producers = {spec.output: spec for spec in specs}
+    split = {}  # conv name -> (the concat it reads, channels of its first operand)
+    for spec in specs:
+        readers = users.get(spec.output, [])
+        if spec.kind == "concat" and len(readers) == 1 and _pointwise(readers[0]):
+            ca = _channels(spec.inputs[0], producers)
+            if 0 < ca < readers[0].in_channels:
+                split[readers[0].name] = (spec, ca)
+    dropped = {cat.name for cat, _ca in split.values()}
+    out_specs, out = [], ParamStore()
+    for spec in specs:
+        if spec.name in dropped:
+            continue
+        if spec.name not in split:
+            for d in kind_of(spec).params(spec):
+                out.add(f"{spec.name}.{d.suffix}", store.get(f"{spec.name}.{d.suffix}").value)
+            out_specs.append(spec)
+            continue
+        cat, ca = split[spec.name]
+        w = store.get(f"{spec.name}.weight").value
+        halves = []
+        for i, (src, lo, hi) in enumerate(((cat.inputs[0], 0, ca),
+                                           (cat.inputs[1], ca, spec.in_channels))):
+            half = replace(spec, name=f"{spec.name}.{i}", inputs=(src,),
+                           output=f"{spec.name}.{i}", in_channels=hi - lo,
+                           bias=spec.bias and i == 1)
+            out.add(f"{half.name}.weight", np.ascontiguousarray(w[:, lo:hi]))
+            if half.bias:
+                out.add(f"{half.name}.bias", store.get(f"{spec.name}.bias").value)
+            halves.append(half)
+        out_specs += [*halves, LayerSpec("add", f"{spec.name}.sum",
+                                         (halves[0].output, halves[1].output), spec.output)]
+    return out_specs, out
 
 
 # ---------------------------------------------------------------------------
@@ -585,15 +660,22 @@ class _Schedule(NamedTuple):
     tail: list          # specs run after every branch, splitting banded dense convs
     dead: dict          # spec name -> values dropped after it
     chains: dict        # find_chains() result, empty when no value is freed
+    in_place: frozenset  # names of the _IN_PLACE specs that write into their first operand
+
+
+# Kinds whose forward takes out= (see LayerKind).
+_IN_PLACE = frozenset(("relu", "add", "mul"))
 
 
 def _schedule(specs, input_shapes: dict, outputs=None) -> _Schedule:
     """The forward schedule: without outputs, every spec in order with every
     value kept; with outputs, split_branches() branches and tail, the
-    find_chains() chains and each value's last use."""
-    infer_shapes(specs, input_shapes)
+    find_chains() chains, each value's last use, and the _IN_PLACE specs
+    whose first operand dies there with the output's shape (it is then
+    neither a graph input nor a requested value)."""
+    shapes = infer_shapes(specs, input_shapes)
     if outputs is None:
-        return _Schedule([specs], [], {spec.name: [] for spec in specs}, {})
+        return _Schedule([specs], [], {spec.name: [] for spec in specs}, {}, frozenset())
     groups, tail = split_branches(specs, input_shapes.keys())
     order = [spec for group in (*groups, tail) for spec in group]
     keep = {*outputs, *input_shapes}
@@ -609,7 +691,11 @@ def _schedule(specs, input_shapes: dict, outputs=None) -> _Schedule:
     for name, at in last_use.items():
         if name not in keep and name not in never:
             dead[at].append(name)
-    return _Schedule(groups, tail, dead, chains)
+    in_place = frozenset(
+        spec.name for spec in order
+        if spec.kind in _IN_PLACE and spec.inputs[0] in dead[spec.name]
+        and shapes[spec.inputs[0]] == shapes[spec.output])
+    return _Schedule(groups, tail, dead, chains, in_place)
 
 
 # Branches after the first, and the second half of each banded dense conv
@@ -646,12 +732,15 @@ class GraphRun:
         the specs run in order and every value, inputs too, is kept for
         backward. With outputs (value names), every other layer output is
         dropped after its last consumer (graph inputs stay with the caller)
-        and only the named values are returned. The split_branches()
-        branches share one value dict and run at the same time, the first
-        on the calling thread, then the tail, whose banded dense convs run
-        half their rows on the pool; each find_chains() chain runs whole
-        where its first member stands. A train-mode forward bumps the
-        store: BN moves its running statistics.
+        and only the named values are returned; a relu, add or mul whose
+        first operand is dropped at it writes its result into that operand
+        (out=) when the dtypes agree, so the operand's array becomes the
+        result and no graph input or requested value is ever written. The
+        split_branches() branches share one value dict and run at the same
+        time, the first on the calling thread, then the tail, whose banded
+        dense convs run half their rows on the pool; each find_chains()
+        chain runs whole where its first member stands. A train-mode forward
+        bumps the store: BN moves its running statistics.
         """
         for name, x in inputs.items():
             if not (isinstance(x, np.ndarray) and np.issubdtype(x.dtype, np.floating)):
@@ -678,7 +767,9 @@ class GraphRun:
 
     def _run(self, specs, vals: dict, plan: _Schedule, pool=None) -> None:
         """Run specs in order on vals, dropping plan.dead[spec.name] after
-        each; a conv gets pool to split its banded rows over.
+        each; a conv gets pool to split its banded rows over, and a
+        plan.in_place spec gets its first operand as out= when that operand
+        already has the result's dtype.
 
         A chain runs whole at its first member; the others are skipped.
         """
@@ -687,6 +778,8 @@ class GraphRun:
             if chain is None:
                 xs = [vals[name] for name in spec.inputs]
                 extra = {"pool": pool} if pool is not None and spec.kind == "conv" else {}
+                if spec.name in plan.in_place and np.result_type(*xs) == xs[0].dtype:
+                    extra["out"] = xs[0]
                 vals[spec.output] = KINDS[spec.kind].forward(
                     spec, xs, self.params[spec.name], self.mode, **extra)
             elif spec is chain[0]:
@@ -898,9 +991,12 @@ def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
         blob = f.read()
 
-    def need(offset, count, what):
+    def check(offset, count, what):
         if offset + count > len(blob):
             raise FormatError(f"checkpoint truncated while reading {what}", offset=offset)
+
+    def need(offset, count, what):
+        check(offset, count, what)
         return blob[offset : offset + count]
 
     if need(0, 4, "magic") != _MAGIC:
@@ -928,8 +1024,8 @@ def load_checkpoint(path) -> Checkpoint:
         dims = struct.unpack(f"<{rank}I", need(pos, 4 * rank, "dims"))
         pos += 4 * rank
         numel = math.prod(dims)
-        payload = need(pos, 4 * numel, f"payload of {name!r}")
-        value = np.frombuffer(payload, dtype="<f4")
+        check(pos, 4 * numel, f"payload of {name!r}")
+        value = np.frombuffer(blob, "<f4", numel, offset=pos)  # a view; copied once below
         finite = np.isfinite(value)
         if not finite.all():
             first = int(np.argmin(finite))

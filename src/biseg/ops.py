@@ -367,8 +367,8 @@ def batchnorm_backward(
 # ---------------------------------------------------------------------------
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0, out=out)
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:

@@ -467,9 +467,9 @@ class TestFreeingForward:
         seen = {}
         relu, sigmoid = ops.relu, ops.sigmoid
 
-        def spy_relu(a):  # r1 is the last consumer of "a"
+        def spy_relu(a, **kwargs):  # r1 is the last consumer of "a"
             seen["a"] = weakref.ref(a)
-            return relu(a)
+            return relu(a, **kwargs)
 
         def spy_sigmoid(y):  # g1 runs last
             seen["alive"] = seen["a"]() is not None
@@ -522,6 +522,45 @@ class TestFreeingForward:
             got = GraphRun(specs, store).forward({"x": x}, outputs=outputs)
             assert (x == x0).all()
             assert all((got[name] == full[name]).all() for name in outputs)
+
+    def test_in_place_writes_only_into_dying_operands(self, monkeypatch):
+        """relu, mul and add write into a first operand that dies there, so
+        c1's output array carries r1, m1 and s1. An operand that is a graph
+        input (s2) or a requested value (r2), or whose dtype is not the
+        result's (s3), is never written; a forward that keeps every value
+        shares no memory between two values."""
+        specs = [
+            conv_spec("c1", "x", "a", 2, 2),
+            unary("relu", "r1", "a", "b"),
+            unary("gap", "p1", "b", "g"),
+            binary("mul", "m1", "b", "g", "m"),
+            binary("add", "s1", "m", "x", "y"),
+            binary("add", "s2", "x", "y", "z"),
+            unary("relu", "r2", "y", "w"),
+            conv_spec("c2", "w", "v", 2, 2),
+            binary("add", "s3", "v", "h", "u"),
+        ]
+        store = ParamStore()
+        init_params(specs, store, Rng(32))
+        inputs = {"x": Rng(33).normal(2 * 5 * 5).astype(np.float32).reshape(1, 2, 5, 5),
+                  "h": Rng(34).normal(2).reshape(1, 2, 1, 1)}  # float64
+        x0 = inputs["x"].copy()
+        full = GraphRun(specs, store).forward(inputs)
+        arrays = list(full.values())
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                       for b in arrays[i + 1:])
+        convs = []
+        conv = ops.conv2d_forward
+        monkeypatch.setattr(ops, "conv2d_forward",
+                            lambda *args, **kw: convs.append(conv(*args, **kw)) or convs[-1])
+        got = GraphRun(specs, store).forward(inputs, outputs=("y", "z", "w", "u"))
+        assert all(np.array_equal(got[name], full[name]) for name in got)
+        assert (inputs["x"] == x0).all()
+        assert np.shares_memory(got["y"], convs[0])
+        assert not np.shares_memory(got["z"], inputs["x"])
+        assert not np.shares_memory(got["z"], got["y"])
+        assert not np.shares_memory(got["w"], got["y"])
+        assert got["u"].dtype == np.float64 and not np.shares_memory(got["u"], convs[1])
 
 
 class TestChains:
@@ -833,6 +872,63 @@ class TestFoldBn:
         shared = self._chain() + [binary("add", "s1", "d", "d", "g")]  # d feeds b2 and s1
         folded, _ = fold_bn(shared, _bn_chain_store(shared, 44))
         assert "b2" in [s.name for s in folded]
+
+
+class TestSplitConcatConvs:
+    """fold_bn's plan runs a concat read only by a dense 1x1 stride-1 conv
+    as the conv's two halves and an add."""
+
+    def _fusion(self, reader=None):
+        return [
+            conv_spec("ca", "x", "a", 3, 4),
+            unary("relu", "ra", "a", "a1"),
+            conv_spec("cb", "x", "b", 3, 2, stride=2, padding=1),
+            unary("upsample", "ub", "b", "b1", factor=2),
+            binary("concat", "cat", "a1", "b1", "f"),
+            reader or conv_spec("fuse", "f", "g", 6, 5, k=1, padding=0, bias=True),
+            unary("bn", "gb", "g", "y", in_channels=5),
+        ]
+
+    def test_halves_in_their_branches_match_the_concat(self):
+        specs = self._fusion()
+        store = _bn_chain_store(specs, 45)
+        x = Rng(46).normal(2 * 3 * 6 * 8).reshape(2, 3, 6, 8)
+        ref = GraphRun(specs, store).forward({"x": x})["y"]
+        plan, params = fold_bn(specs, store)
+        assert [(s.kind, s.name, s.inputs, s.in_channels, s.bias) for s in plan[4:]] == [
+            ("conv", "fuse.0", ("a1",), 4, False),
+            ("conv", "fuse.1", ("b1",), 2, True),
+            ("add", "fuse.sum", ("fuse.0", "fuse.1"), 0, False)]
+        assert plan[-1].output == "y"
+        assert [params.get(f"fuse.{i}.weight").value.shape for i in (0, 1)] == [
+            (5, 4, 1, 1), (5, 2, 1, 1)]
+        groups, tail = split_branches(plan, ["x"])
+        assert [[s.name for s in g] for g in groups] == [["ca", "ra", "fuse.0"],
+                                                          ["cb", "ub", "fuse.1"]]
+        assert [s.name for s in tail] == ["fuse.sum"]
+        for outputs in (None, ("y",)):
+            got = GraphRun(plan, params).forward({"x": x}, outputs=outputs)["y"]
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("reader", [
+        conv_spec("fuse", "f", "g", 6, 5, k=3, padding=1),
+        conv_spec("fuse", "f", "g", 6, 5, k=1, stride=2, padding=0),
+        conv_spec("fuse", "f", "g", 6, 5, k=1, padding=1),
+        unary("relu", "fuse", "f", "g"),
+    ], ids=["3x3", "strided", "padded", "relu"])
+    def test_other_readers_keep_the_concat(self, reader):
+        specs = self._fusion(reader)
+        specs[-1] = unary("relu", "gr", "g", "y")
+        plan, _params = fold_bn(specs, _bn_chain_store(specs, 47))
+        assert [s.name for s in plan] == [s.name for s in specs]
+
+    def test_concat_of_two_readers_or_of_an_input_stays(self):
+        specs = self._fusion() + [unary("relu", "fr", "f", "z")]
+        assert "cat" in [s.name for s in fold_bn(specs, _bn_chain_store(specs, 48))[0]]
+        specs = [binary("concat", "cat", "x", "b1", "f") if s.name == "cat" else s
+                 for s in self._fusion()]
+        specs[-2] = conv_spec("fuse", "f", "g", 5, 5, k=1, padding=0)
+        assert "cat" in [s.name for s in fold_bn(specs, _bn_chain_store(specs, 49))[0]]
 
 
 def _single_param_store(value, decay=True):

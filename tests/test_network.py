@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from concurrent.futures import Executor, Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -400,7 +401,7 @@ class TestDeferredInit:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         plan = store.plans[TINY]
         specs = {spec.name: spec for spec in build_network(TINY, train=False).specs}
-        unfolded = [spec for spec in plan.specs if spec == specs[spec.name]]
+        unfolded = [spec for spec in plan.specs if spec == specs.get(spec.name)]
         assert any(plan.params[spec.name] for spec in unfolded)
         for spec in unfolded:
             for suffix, array in plan.params[spec.name].items():
@@ -441,16 +442,23 @@ class TestInferencePlan:
 
     @pytest.mark.parametrize("row", ["full", "cp"])
     def test_plan_splits_into_the_two_paths(self, row):
-        """The spatial and context paths are the branches, joined from the
-        fusion on; a row without a spatial path is one branch."""
+        """The spatial and context paths are the branches, each ending in
+        its half of the FFM's 1x1 conv, joined from the halves' add on; a
+        row without a spatial path is one branch."""
         net = build_network(ablation_configs(NetConfig())[row], train=False)
         specs, _params = fold_bn(net.specs, _init_store(NetConfig()))
         groups, tail = split_branches(specs, [net.input])
         if row == "cp":
             assert groups == [specs] and tail == []
         else:
-            assert [{s.name[:3] for s in g} for g in groups] == [{"cp."}, {"sp."}]
-            assert tail[0].name == "ffm.cat"
+            assert [{s.name[:3] for s in g[:-1]} for g in groups] == [{"cp."}, {"sp."}]
+            halves = [g[-1] for g in groups]
+            assert [(h.name, h.inputs, h.in_channels, h.bias) for h in halves] == [
+                ("ffm.fuse.conv.1", ("cp.up16",), 128, True),
+                ("ffm.fuse.conv.0", ("sp.l3.relu",), 128, False)]
+            assert (tail[0].kind, tail[0].inputs, tail[0].output) == (
+                "add", ("ffm.fuse.conv.0", "ffm.fuse.conv.1"), "ffm.fuse.bn")
+            assert not any(s.kind == "concat" for s in specs)
             assert len(specs) == sum(map(len, groups)) + len(tail)
 
     def test_default_plan_chains_the_spatial_path_and_the_stem(self):
@@ -582,8 +590,9 @@ class TestInferencePlan:
     @pytest.mark.parametrize("bands", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2])
     def test_tail_pointwise_conv_split_matches_unsplit_bitwise(self, bands, n, monkeypatch):
-        """ffm.fuse, a 1x1 stride-1 conv on the same 8 rows, splits like head.mix."""
-        self._check_tail_split((32, 32, 1, 1), bands, n, monkeypatch)
+        """head.cls, the 1x1 stride-1 conv left in the tail once the FFM's
+        is split into the branches, splits like head.mix on the same 8 rows."""
+        self._check_tail_split((3, 8, 1, 1), bands, n, monkeypatch)
 
     def _check_tail_split(self, weight_shape, bands, n, monkeypatch):
         """The tail conv with weight_shape and 8 input rows, in bands of
@@ -854,6 +863,15 @@ class TestLossMemory:
         assert peak < 2 * logits.size * 8
 
 
+class _InlineExecutor(Executor):
+    """Runs each submitted call at once, on the submitting thread."""
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
 class TestPlanMemory:
     def test_peak_below_the_spatial_path_first_output(self):
         """The infer plan never holds sp.l1's output in full: its whole traced
@@ -871,6 +889,31 @@ class TestPlanMemory:
         finally:
             tracemalloc.stop()
         assert peak < sp_l1_bytes
+
+    def test_peak_below_three_fusion_maps(self, monkeypatch):
+        """At 1088x1920 the default plan never holds three 256-channel
+        stride-8 maps at once: allocating every layer output afresh, the
+        FFM held ffm.cat, ffm.fuse and ffm.scale and peaked at 95.6 MiB
+        traced; writing into dying operands took that to 63.8 MiB, and with
+        the FFM's 1x1 conv split into the branches it reads 79.7 MiB. The
+        plan and the input exist before tracing starts. The branches run
+        one after the other here, so the peak does not depend on thread
+        timing: run at once, the two halves (each 31.9 MiB, reading a
+        16 MiB map) can be computed at the same moment."""
+        monkeypatch.setattr(graph, "_BRANCH_POOL", _InlineExecutor())
+        cfg = NetConfig()
+        store = _init_store(cfg, 62)
+        network_forward(_rand_input(1, 64, 64, seed=63), store, cfg)  # builds the plan
+        h, w = 1088, 1920
+        x = _rand_input(1, h, w, seed=64)
+        fusion_map = cfg.ffm_channels * (h // 8) * (w // 8) * 4
+        tracemalloc.start()
+        try:
+            network_forward(x, store, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * fusion_map
 
 
 class TestAblations:
