@@ -7,7 +7,8 @@ and then the timed iterations run network_forward as `biseg infer` does
 store.plans), optionally followed by the end-to-end path's predict_full_res.
 The garbage collector is paused inside the timed region and the input is
 reused. One more, untimed pass after the timed ones gives the tracemalloc
-peak of a pass.
+peak of a pass; a row also gives the process's resident high-water mark
+(ru_maxrss) after it, which counts libraries and malloc arenas too.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import gc
 import json
 import os
 import platform
+import resource
 import time
 import tracemalloc
 from dataclasses import asdict, dataclass
@@ -44,6 +46,7 @@ class BenchRow:
     p95_ms: float
     fps: float
     peak_mib: float            # tracemalloc peak of one pass, in MiB
+    rss_mib: float             # resident high-water mark of the process after the row, in MiB
 
 
 @dataclass
@@ -55,7 +58,7 @@ class BenchReport:
 
     def text_table(self) -> str:
         header = (f"{'size':>12}{'padded':>12}{'mean ms':>12}"
-                  f"{'median ms':>12}{'p95 ms':>12}{'fps':>10}{'peak MiB':>10}")
+                  f"{'median ms':>12}{'p95 ms':>12}{'fps':>10}{'peak MiB':>10}{'rss MiB':>10}")
         lines = [f"# {self.environment}",
                  f"# config_hash {self.config_hash:#018x}"
                  f"{'  (end-to-end)' if self.e2e else '  (forward only)'}",
@@ -65,7 +68,7 @@ class BenchReport:
                 f"{r.nominal[0]}x{r.nominal[1]:<6}".rjust(12)
                 + f"{r.padded[0]}x{r.padded[1]:<6}".rjust(12)
                 + f"{r.mean_ms:>12.3f}{r.median_ms:>12.3f}"
-                + f"{r.p95_ms:>12.3f}{r.fps:>10.3f}{r.peak_mib:>10.1f}"
+                + f"{r.p95_ms:>12.3f}{r.fps:>10.3f}{r.peak_mib:>10.1f}{r.rss_mib:>10.1f}"
             )
         return "\n".join(lines)
 
@@ -133,11 +136,12 @@ def run_bench(cfg: EngineConfig, store: ParamStore | None = None,
             p95_ms=float(np.percentile(times_ms, 95.0)),
             fps=1000.0 / mean_ms,
             peak_mib=peak / (1 << 20),
+            rss_mib=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
         )
         rows.append(row)
         if echo is not None:
             echo(f"{w}x{h}: mean {row.mean_ms:.2f} ms  fps {row.fps:.2f}  "
-                 f"peak {row.peak_mib:.1f} MiB")
+                 f"peak {row.peak_mib:.1f} MiB  rss {row.rss_mib:.1f} MiB")
     return BenchReport(
         rows=rows, environment=environment_descriptor(),
         config_hash=config_hash(cfg), e2e=e2e,

@@ -5,26 +5,30 @@ each spec consumes previously produced (or externally supplied) value names
 and produces one new name. Execution walks the sequence in order; the
 backward pass walks it in exact reverse, summing the gradients of a value
 that fans out into a fresh array. Inference runs a plan over the same specs:
-fold_bn merges each BN into the conv before it and splits a concat read
-only by a 1x1 conv into that conv's per-operand halves and an add
-(split_concat_convs). A forward given the values it must return drops each
-other layer output after its last use, writes a relu, add or mul into the
-first operand that dies there, and runs the branches from the graph inputs
-concurrently on one dict. That forward also runs each find_chains() chain
-(dense convs with kernel > 1 and their ReLUs, each the sole consumer of
-the value before it) depth-first in bands of output rows, so the chain's
-inner values are never created, and once the branches have joined it
-splits each banded dense conv's rows over two threads; the spec list
-itself, and every other run, is unchanged. A GraphRun binds the specs to their parameter arrays
-once and keeps nothing of a call but the schedule for its input shapes:
-forward returns the values, backward(values, seeds) takes them back.
+fold_bn merges each BN into the conv before it, splits a concat read only
+by a 1x1 conv into that conv's half on the first operand and an add_conv
+of the other (split_concat_convs), and turns f + f·w into f·(1 + w)
+(merge_gate_adds). A forward given the values it must return drops each
+other layer output after its last use, writes a relu, add, mul or add_conv
+into the first operand that dies there, and runs the branches from the
+graph inputs concurrently on one dict. That forward also runs each
+find_chains() chain in a branch (dense convs with kernel > 1 and their
+ReLUs, then optionally a 1x1 conv, each the sole consumer of the value
+before it) depth-first in bands of output rows, so the chain's inner
+values are never created, and once the branches have joined it splits
+each banded dense conv's rows over two threads; the spec list itself, and
+every other run, is unchanged. A GraphRun binds the specs to their
+parameter arrays once and keeps nothing of a call but the schedule for its
+input shapes: forward returns the values, backward(values, seeds) takes
+them back.
 
 Everything the engine knows about a layer kind sits in its LayerKind record
 in KINDS: arity, parameters, shape rule, forward and backward kernels,
 static cost and receptive-field rule. Graph validation, shape inference,
 parameter initialization, execution, cost analysis and the receptive-field
 walk all look the kind up there, so a new kind is one table entry. The
-table holds conv, bn, relu, sigmoid, gap, upsample, concat, add and mul.
+table holds conv, bn, relu, sigmoid, gap, upsample, concat, add and mul,
+and add_conv, which only plans use.
 conv and bn own parameters in the ParamStore under "<layer name>." prefixes.
 """
 
@@ -101,10 +105,11 @@ class LayerKind:
         the layer's name (infer_shapes adds it); the only operand check
     forward(spec, xs, p, mode) -> output; p maps suffix -> stored array.
         The output is a fresh array that shares memory with no operand,
-        unless the kind takes out=: relu, add and mul write into out, an
-        array of the output's shape and dtype, when given one (a freeing
-        GraphRun.forward passes the first operand where it dies). conv's
-        also takes pool=, an executor for half of its banded rows
+        unless the kind takes out=: relu, add, mul and add_conv write into
+        out, an array of the output's shape and dtype, when given one (a
+        freeing GraphRun.forward passes the first operand where it dies).
+        conv's and add_conv's also take pool=, an executor for half of the
+        conv's banded rows
     backward(spec, xs, y, gy, p, mode) -> (input grads, {suffix: grad}); conv's
         also takes input_grad=False, which gives None for the input grad.
         A gradient may be gy itself or a view of it or of another gradient,
@@ -257,11 +262,29 @@ def _rf_join(spec, states):  # joins take the branch maximum
     return RfState(a.jump, max(a.rf, b.rf), a.start)
 
 
+def _add_conv_shape(spec, ins):  # add_conv(a, b) = a + conv(b), the conv dense
+    out = _conv_shape(spec, ins[1:])
+    if spec.groups != 1 or out != ins[0]:
+        raise ShapeError(f"adds a dense conv's output {out} into {ins[0]}")
+    return out
+
+
+def _add_conv_bwd(spec, xs, y, gy, p, mode):
+    (gx,), grads = _conv_bwd(spec, xs[1:], y, gy, p, mode)
+    return (gy, gx), grads
+
+
+def _add_conv_cost(ins, out, ps):
+    params, macs, flops = _conv_cost(ins[1:], out, ps)
+    return params, macs, flops + math.prod(out)
+
+
 # Kernels are looked up on the ops module at call time, so wrappers installed
 # there (profilers, tracers) see every call. Cost conventions: conv counts
 # weight_params * n * h_out * w_out MACs at 2 FLOPs each; bn 2 FLOPs per
 # element; sigmoid 4; upsample 7 (4 multiplies + 3 adds per output); gap one
-# per input and output element; relu, add and mul one; concat moves memory.
+# per input and output element; relu, add and mul one; concat moves memory;
+# add_conv, a + conv(b), a conv's count plus one per output element.
 KINDS: dict[str, LayerKind] = {
     "conv": LayerKind(
         arity=1, params=_conv_defs, shape=_conv_shape,
@@ -310,6 +333,12 @@ KINDS: dict[str, LayerKind] = {
         backward=lambda spec, xs, y, gy, p, mode: (
             (gy * xs[1], _unbroadcast(gy * xs[0], xs[1])), {}),
         cost=_flops(1), rf=_rf_join),
+    "add_conv": LayerKind(
+        arity=2, params=_conv_defs, shape=_add_conv_shape,
+        forward=lambda spec, xs, p, mode, out=None, pool=None: ops.conv2d_forward(
+            xs[1], _conv(spec, p, pool), acc=xs[0].copy() if out is None else out),
+        backward=_add_conv_bwd, cost=_add_conv_cost,
+        rf=lambda spec, states: _rf_join(spec, (states[0], _rf_conv(spec, states[1:])))),
 }
 
 
@@ -493,9 +522,23 @@ def _consumers(specs) -> dict[str, list[LayerSpec]]:
     return users
 
 
+def _rewrite(specs, store: ParamStore, new: dict) -> tuple[list[LayerSpec], ParamStore]:
+    """specs with each one named in new replaced by new[name], a list of
+    (spec, {suffix: array}) pairs, and a store of the given store's arrays
+    for the specs kept and the listed arrays for the new ones."""
+    out_specs, out = [], ParamStore()
+    for spec in specs:
+        for s, arrays in new.get(spec.name, [(spec, None)]):
+            for d in kind_of(s).params(s):
+                name = f"{s.name}.{d.suffix}"
+                out.add(name, store.get(name).value if arrays is None else arrays[d.suffix])
+            out_specs.append(s)
+    return out_specs, out
+
+
 def fold_bn(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
     """Inference plan with every BN folded into the conv it follows, then
-    rewritten by split_concat_convs().
+    rewritten by split_concat_convs() and merge_gate_adds().
 
     A conv whose output feeds exactly one layer, a bn, becomes one conv with
     a bias that writes the bn's output, so the conv's own output is gone:
@@ -507,14 +550,12 @@ def fold_bn(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
     keeps the result in store.plans until the store's next bump().
     """
     consumers = _consumers(specs)
-    out_specs, folded, absorbed = [], ParamStore(), set()
+    new = {}
 
     def value(spec, suffix):
         return store.get(f"{spec.name}.{suffix}").value
 
     for spec in specs:
-        if spec.name in absorbed:
-            continue
         users = consumers.get(spec.output, [])
         if spec.kind == "conv" and len(users) == 1 and users[0].kind == "bn":
             bn = users[0]
@@ -522,16 +563,11 @@ def fold_bn(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
             s = value(bn, "gamma") / np.sqrt(value(bn, "running_var").astype(np.float64)
                                               + ops.BN_EPS)
             b = value(spec, "bias") if spec.bias else 0.0
-            folded.add(f"{spec.name}.weight", w * s.astype(w.dtype).reshape(-1, 1, 1, 1))
-            folded.add(f"{spec.name}.bias",
-                       (value(bn, "beta") + (b - value(bn, "running_mean")) * s).astype(w.dtype))
-            out_specs.append(replace(spec, output=bn.output, bias=True))
-            absorbed.add(bn.name)
-            continue
-        for d in kind_of(spec).params(spec):
-            folded.add(f"{spec.name}.{d.suffix}", value(spec, d.suffix))
-        out_specs.append(spec)
-    return split_concat_convs(out_specs, folded)
+            new[bn.name] = []
+            new[spec.name] = [(replace(spec, output=bn.output, bias=True), {
+                "weight": w * s.astype(w.dtype).reshape(-1, 1, 1, 1),
+                "bias": (value(bn, "beta") + (b - value(bn, "running_mean")) * s).astype(w.dtype)})]
+    return merge_gate_adds(*split_concat_convs(*_rewrite(specs, store, new)))
 
 
 def _pointwise(spec: LayerSpec) -> bool:  # a dense conv whose input is its own im2col
@@ -553,50 +589,65 @@ def _channels(name: str, producers: dict) -> int:
 
 def split_concat_convs(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
     """Plan rewrite: a concat read only by a dense unpadded 1x1 stride-1 conv
-    becomes that conv's two halves, one per concat operand, and an add:
+    becomes the conv's half "<conv>.0" on the first operand, which
+    split_branches() puts in that operand's branch (where find_chains() may
+    end a chain with it), and an add_conv "<conv>.1" that adds the other half:
         W·[a; b] + bias = W_a·a + (W_b·b + bias).
-    The halves "<conv>.0" and "<conv>.1" each read one operand, so
-    split_branches() puts each in its operand's branch, and the add
-    "<conv>.sum" writes the conv's output; all three stand where the conv
-    stood, and the concat is gone. The add's first operand dies there, so a
-    freeing forward writes the sum into it. A concat whose first operand's
-    channels _channels() cannot tell stays. The returned store holds the
-    halves' weight slices and shares every other array with the given one.
+    The half dies at the add_conv, so a freeing forward adds each band of
+    W_b·b + bias into its array, with the bands and pool split of a conv
+    over b. A concat whose first operand's channels _channels() cannot tell
+    stays. The store holds the weight slices and shares the other arrays.
     """
     users = _consumers(specs)
     producers = {spec.output: spec for spec in specs}
-    split = {}  # conv name -> (the concat it reads, channels of its first operand)
-    for spec in specs:
-        readers = users.get(spec.output, [])
-        if spec.kind == "concat" and len(readers) == 1 and _pointwise(readers[0]):
-            ca = _channels(spec.inputs[0], producers)
-            if 0 < ca < readers[0].in_channels:
-                split[readers[0].name] = (spec, ca)
-    dropped = {cat.name for cat, _ca in split.values()}
-    out_specs, out = [], ParamStore()
-    for spec in specs:
-        if spec.name in dropped:
+    new = {}
+    for cat in specs:
+        readers = users.get(cat.output, [])
+        if cat.kind != "concat" or len(readers) != 1 or not _pointwise(readers[0]):
             continue
-        if spec.name not in split:
-            for d in kind_of(spec).params(spec):
-                out.add(f"{spec.name}.{d.suffix}", store.get(f"{spec.name}.{d.suffix}").value)
-            out_specs.append(spec)
+        conv, ca = readers[0], _channels(cat.inputs[0], producers)
+        if not 0 < ca < conv.in_channels:
             continue
-        cat, ca = split[spec.name]
-        w = store.get(f"{spec.name}.weight").value
-        halves = []
-        for i, (src, lo, hi) in enumerate(((cat.inputs[0], 0, ca),
-                                           (cat.inputs[1], ca, spec.in_channels))):
-            half = replace(spec, name=f"{spec.name}.{i}", inputs=(src,),
-                           output=f"{spec.name}.{i}", in_channels=hi - lo,
-                           bias=spec.bias and i == 1)
-            out.add(f"{half.name}.weight", np.ascontiguousarray(w[:, lo:hi]))
-            if half.bias:
-                out.add(f"{half.name}.bias", store.get(f"{spec.name}.bias").value)
-            halves.append(half)
-        out_specs += [*halves, LayerSpec("add", f"{spec.name}.sum",
-                                         (halves[0].output, halves[1].output), spec.output)]
-    return out_specs, out
+        w = store.get(f"{conv.name}.weight").value
+        bias = store.get(f"{conv.name}.bias").value if conv.bias else None
+        half = replace(conv, name=f"{conv.name}.0", inputs=cat.inputs[:1],
+                       output=f"{conv.name}.0", in_channels=ca, bias=False)
+        join = replace(conv, kind="add_conv", name=f"{conv.name}.1",
+                       inputs=(half.output, cat.inputs[1]), in_channels=conv.in_channels - ca)
+        new[cat.name] = []
+        new[conv.name] = [(half, {"weight": np.ascontiguousarray(w[:, :ca])}),
+                          (join, {"weight": np.ascontiguousarray(w[:, ca:]), "bias": bias})]
+    return _rewrite(specs, store, new)
+
+
+def merge_gate_adds(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
+    """Plan rewrite: an add of f and m = mul(f, w), the only reader of m,
+    becomes the mul by 1 + w, writing the add's output: f + f·w = f·(1 + w).
+    1 + w is the depthwise 1x1 conv "<mul>.one" of w with weight and bias
+    ones (exact). Where the mul is f's last reader a freeing forward writes
+    the product into f, so no second map is made; digits change, as the
+    product rounds once where the add rounded twice. A w whose channels
+    _channels() cannot tell stays.
+    """
+    users = _consumers(specs)
+    producers = {spec.output: spec for spec in specs}
+    new = {}
+    for mul in specs:
+        readers = users.get(mul.output, [])
+        if (mul.kind != "mul" or len(readers) != 1 or readers[0].kind != "add"
+                or sorted(readers[0].inputs) != sorted((mul.inputs[0], mul.output))):
+            continue
+        c = _channels(mul.inputs[1], producers)
+        if not c:
+            continue
+        one = LayerSpec("conv", f"{mul.name}.one", mul.inputs[1:], f"{mul.name}.one",
+                        in_channels=c, out_channels=c, kernel=1, groups=c, bias=True)
+        new[readers[0].name] = []
+        new[mul.name] = [(one, {"weight": np.ones((c, 1, 1, 1), np.float32),
+                                "bias": np.ones(c, np.float32)}),
+                         (replace(mul, inputs=(mul.inputs[0], one.output),
+                                  output=readers[0].output), {})]
+    return _rewrite(specs, store, new)
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +663,10 @@ def find_chains(specs, keep) -> dict[str, tuple[LayerSpec, ...]]:
     """The conv chains a freeing forward runs depth-first, keyed by member name.
 
     A chain is two or more dense convs with kernel > 1, each followed by an
-    optional relu, in which each member is the sole consumer of the value
-    before it and no value but the last is in keep. ops.conv_chain_forward
-    runs it in bands of output rows, so its inner values are never created.
+    optional relu, then optionally a _pointwise() conv, in which each member
+    is the sole consumer of the value before it and no value but the last
+    is in keep. ops.conv_chain_forward runs it in bands of output rows, so
+    its inner values are never created.
     """
     users = _consumers(specs)
     chains: dict[str, tuple[LayerSpec, ...]] = {}
@@ -622,12 +674,14 @@ def find_chains(specs, keep) -> dict[str, tuple[LayerSpec, ...]]:
         if spec.name in chains or not _chainable(spec):
             continue
         chain = [spec]
-        while chain[-1].output not in keep and len(users.get(chain[-1].output, ())) == 1:
+        while (not _pointwise(chain[-1]) and chain[-1].output not in keep
+               and len(users.get(chain[-1].output, ())) == 1):
             nxt = users[chain[-1].output][0]
-            if not (_chainable(nxt) or (nxt.kind == "relu" and chain[-1].kind == "conv")):
+            if not (_chainable(nxt) or _pointwise(nxt)
+                    or (nxt.kind == "relu" and chain[-1].kind == "conv")):
                 break
             chain.append(nxt)
-        if sum(s.kind == "conv" for s in chain) > 1:
+        if sum(map(_chainable, chain)) > 1:
             chains.update(dict.fromkeys((s.name for s in chain), tuple(chain)))
     return chains
 
@@ -664,22 +718,23 @@ class _Schedule(NamedTuple):
 
 
 # Kinds whose forward takes out= (see LayerKind).
-_IN_PLACE = frozenset(("relu", "add", "mul"))
+_IN_PLACE = frozenset(("relu", "add", "mul", "add_conv"))
 
 
 def _schedule(specs, input_shapes: dict, outputs=None) -> _Schedule:
     """The forward schedule: without outputs, every spec in order with every
     value kept; with outputs, split_branches() branches and tail, the
-    find_chains() chains, each value's last use, and the _IN_PLACE specs
-    whose first operand dies there with the output's shape (it is then
-    neither a graph input nor a requested value)."""
+    find_chains() chains in the branches (a tail conv keeps its pool
+    split), each value's last use, and the _IN_PLACE specs whose first
+    operand dies there with the output's shape (it is then neither a graph
+    input nor a requested value)."""
     shapes = infer_shapes(specs, input_shapes)
     if outputs is None:
         return _Schedule([specs], [], {spec.name: [] for spec in specs}, {}, frozenset())
     groups, tail = split_branches(specs, input_shapes.keys())
     order = [spec for group in (*groups, tail) for spec in group]
     keep = {*outputs, *input_shapes}
-    chains = find_chains(order, keep)
+    chains = {name: c for name, c in find_chains(order, keep).items() if c[0] not in tail}
     never = {s.output for chain in chains.values() for s in chain[:-1]}
     last_use = dict.fromkeys(input_shapes)
     for spec in order:  # execution order: every branch before the tail
@@ -777,7 +832,7 @@ class GraphRun:
             chain = plan.chains.get(spec.name)
             if chain is None:
                 xs = [vals[name] for name in spec.inputs]
-                extra = {"pool": pool} if pool is not None and spec.kind == "conv" else {}
+                extra = {"pool": pool} if pool and spec.kind in ("conv", "add_conv") else {}
                 if spec.name in plan.in_place and np.result_type(*xs) == xs[0].dtype:
                     extra["out"] = xs[0]
                 vals[spec.output] = KINDS[spec.kind].forward(

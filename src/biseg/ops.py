@@ -69,7 +69,8 @@ def band_rows(rows: int, per_row: int) -> int:
 
 
 def conv_rows(x: np.ndarray, p: Conv2dParams, r0: int, r1: int, row0: int = 0,
-              h: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+              h: int | None = None, out: np.ndarray | None = None,
+              add: bool = False) -> np.ndarray:
     """Output rows [r0, r1) of a dense conv, bias included, from unpadded input rows.
 
     x holds input rows [row0, row0 + x.shape[2]) of an h-row input (by
@@ -80,7 +81,8 @@ def conv_rows(x: np.ndarray, p: Conv2dParams, r0: int, r1: int, row0: int = 0,
     into a zero slab, which supplies the padding; an unpadded 1x1 stride-1
     band is its own im2col and is not copied. out, if given, is the
     (n, c_out, r1 - r0, ow) destination and must keep each channel's rows
-    contiguous.
+    contiguous. With add, each band's result is made in a band buffer and
+    added into out, which must be given.
     """
     n, c_in, _, wx = x.shape
     h = x.shape[2] if h is None else h
@@ -95,6 +97,7 @@ def conv_rows(x: np.ndarray, p: Conv2dParams, r0: int, r1: int, row0: int = 0,
     rows = band_rows(r1 - r0, per_row)
     pointwise = kh == kw == s == 1 and not pad
     buf = None if pointwise else np.empty(per_row * rows, dtype=x.dtype)
+    part = np.empty((n, c_out, rows * ow), dtype=x.dtype) if add else None
     if pad:
         slab = np.zeros((n, c_in, (rows - 1) * s + kh, wx + 2 * pad), dtype=x.dtype)
     for b0 in range(r0, r1, rows):
@@ -117,9 +120,12 @@ def conv_rows(x: np.ndarray, p: Conv2dParams, r0: int, r1: int, row0: int = 0,
                 for kj in range(kw):
                     cols[:, :, ki, kj] = band[:, :, ki::s, kj::s][:, :, :r, :ow]
         dst = flat[:, :, (b0 - r0) * ow : (b0 - r0 + r) * ow]
-        np.matmul(w2, cols.reshape(n, -1, r * ow), out=dst)
+        res = part[:, :, : r * ow] if add else dst
+        np.matmul(w2, cols.reshape(n, -1, r * ow), out=res)
         if p.bias is not None:
-            dst += p.bias[:, None]
+            res += p.bias[:, None]
+        if add:
+            dst += res
     return out
 
 
@@ -127,23 +133,24 @@ def conv_chain_forward(x: np.ndarray, layers) -> np.ndarray:
     """Dense convs in sequence, run depth-first one band of final rows at a time.
 
     layers lists (Conv2dParams, relu) pairs; where relu is set, a ReLU is
-    applied in place after the conv. For each band of the last conv's
-    output rows, every earlier layer computes just the rows the next one
-    reads, halo included (recomputed by the neighbouring band), so no
-    intermediate map exists in full. Each output element is the dot product
-    of the same weight row and im2col column as in conv2d_forward, so the
-    result equals conv2d_forward and relu applied layer by layer, bit for
-    bit, wherever BLAS rounds a matmul column independently of how many
-    columns share the call: with OpenBLAS, at every network input size
-    checked and whenever bands are one row.
+    applied in place after the conv. For each band of the final rows (one
+    im2col band of the last conv with kernel > 1), every earlier layer
+    computes just the rows the next one reads, halo included (recomputed by
+    the neighbouring band), so no intermediate map exists in full. Each
+    output element is the dot product of the same weight row and im2col
+    column as in conv2d_forward, so the result equals conv2d_forward and
+    relu applied layer by layer, bit for bit, wherever BLAS rounds a matmul
+    column independently of how many columns share the call: with
+    OpenBLAS, at every network input size checked and whenever bands are
+    one row.
     """
     hs, ws = [x.shape[2]], [x.shape[3]]  # each layer's input extents, then the output's
     for p, _relu in layers:
         k = p.weight.shape[2]
         hs.append(conv_out_extent(hs[-1], k, p.stride, p.padding))
         ws.append(conv_out_extent(ws[-1], k, p.stride, p.padding))
-    last = layers[-1][0]
-    y = np.empty((x.shape[0], last.weight.shape[0], hs[-1], ws[-1]), dtype=x.dtype)
+    y = np.empty((x.shape[0], layers[-1][0].weight.shape[0], hs[-1], ws[-1]), dtype=x.dtype)
+    last = next(p for p, _relu in reversed(layers) if p.weight.shape[2] > 1)
     rows = band_rows(hs[-1], x.shape[0] * last.weight[0].size * ws[-1])
     for a in range(0, hs[-1], rows):
         spans = [(a, min(a + rows, hs[-1]))]  # rows each layer computes, built last first
@@ -225,25 +232,28 @@ def _conv_fwd_depthwise(x: np.ndarray, p: Conv2dParams, oh: int, ow: int) -> np.
     return y
 
 
-def conv2d_forward(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
+def conv2d_forward(x: np.ndarray, p: Conv2dParams, acc: np.ndarray | None = None) -> np.ndarray:
     """Dense convs run conv_rows over all output rows; with p.pool, the bands
     from the middle on run there while this thread runs the first half.
-    Depthwise convs add shifted slices of stride-phase planes."""
+    Given acc, an array of the output's shape, a dense conv adds each band
+    into it and returns it. Depthwise convs add shifted slices of
+    stride-phase planes."""
     kh, kw = p.weight.shape[2:]
     oh = conv_out_extent(x.shape[2], kh, p.stride, p.padding)
     ow = conv_out_extent(x.shape[3], kw, p.stride, p.padding)
     if p.groups != 1:
         return _conv_fwd_depthwise(x, p, oh, ow)
+    y = np.empty((x.shape[0], p.weight.shape[0], oh, ow), dtype=x.dtype) if acc is None else acc
+    add = acc is not None
     rows = band_rows(oh, x.shape[0] * p.weight[0].size * ow)
     mid = -(-oh // rows // 2) * rows  # first row of the second half of the bands
     if p.pool is None or mid >= oh:
-        return conv_rows(x, p, 0, oh)
+        return conv_rows(x, p, 0, oh, out=y, add=add)
     # Each half bands from its first row, so the two make the same matmul
     # calls as one conv_rows over every row.
-    y = np.empty((x.shape[0], p.weight.shape[0], oh, ow), dtype=x.dtype)
-    half = p.pool.submit(conv_rows, x, p, mid, oh, out=y[:, :, mid:])
+    half = p.pool.submit(conv_rows, x, p, mid, oh, out=y[:, :, mid:], add=add)
     try:
-        conv_rows(x, p, 0, mid, out=y[:, :, :mid])
+        conv_rows(x, p, 0, mid, out=y[:, :, :mid], add=add)
     finally:
         wait([half])
     half.result()

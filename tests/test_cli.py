@@ -410,8 +410,10 @@ class TestCliHappyPath:
             assert row["padded"][0] % 32 == 0 and row["padded"][1] % 32 == 0
             assert row["mean_ms"] > 0
             assert row["peak_mib"] > 0  # tracemalloc peak of one untimed pass
+            assert row["rss_mib"] > row["peak_mib"]  # the process's resident high-water mark
         text = capsys.readouterr().out
-        assert "mean ms" in text and "peak MiB" in text and "config_hash" in text
+        assert "mean ms" in text and "peak MiB" in text and "rss MiB" in text
+        assert "config_hash" in text
         cpus = f"cpus {os.cpu_count()} usable {len(os.sched_getaffinity(0))}"
         assert report["environment"].endswith(cpus)
 

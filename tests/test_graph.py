@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from biseg import ops
+from biseg import graph, ops
 from biseg.analysis import count_model
 from biseg.errors import (
     ArgumentError,
@@ -113,15 +113,18 @@ def _sample_spec(kind):
         return unary("bn", "l", "a", "y", in_channels=2)
     if kind == "upsample":
         return unary("upsample", "l", "a", "y", factor=2)
+    if kind == "add_conv":
+        return LayerSpec("add_conv", "l", ("a", "b"), "y", in_channels=2, out_channels=2,
+                         kernel=1, bias=True)
     if KINDS[kind].arity == 2:
         return binary(kind, "l", "a", "b", "y")
     return unary(kind, "l", "a", "y")
 
 
 class TestOpTable:
-    def test_table_holds_the_nine_kinds(self):
+    def test_table_holds_the_ten_kinds(self):
         assert set(KINDS) == {"conv", "bn", "relu", "sigmoid", "gap", "upsample",
-                              "concat", "add", "mul"}
+                              "concat", "add", "mul", "add_conv"}
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_every_kind_defines_every_rule(self, kind):
@@ -589,10 +592,11 @@ class TestChains:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("one_row_bands", [True, False])
     def test_chain_matches_the_unchained_run(self, n, one_row_bands, monkeypatch):
+        """The 1x1 stride-1 conv c4 ends the chain."""
         specs, store = self._graph()
-        chain = tuple(specs[:5])
+        chain = tuple(specs)
         assert find_chains(specs, {"x", "out"}) == dict.fromkeys(
-            ("c1", "r1", "c2", "c3", "r3"), chain)
+            ("c1", "r1", "c2", "c3", "r3", "c4"), chain)
         if one_row_bands:
             monkeypatch.setattr(ops, "_BAND_ELEMS", 1)
         x = self._input(n)
@@ -606,7 +610,7 @@ class TestChains:
 
         monkeypatch.setattr(ops, "conv_chain_forward", spy_chain)
         got = GraphRun(specs, store).forward({"x": x}, outputs=("out",))
-        assert calls == [[True, False, True]]
+        assert calls == [[True, False, True, False]]
         assert np.array_equal(got["out"], full["out"])
 
     def test_fan_out_ends_a_chain(self):
@@ -625,7 +629,7 @@ class TestChains:
     def test_requested_value_is_not_fused(self):
         specs, store = self._graph()
         chains = find_chains(specs, {"x", "out", "b"})
-        assert set(chains) == {"c2", "c3", "r3"} and chains["c2"] == tuple(specs[2:5])
+        assert set(chains) == {"c2", "c3", "r3", "c4"} and chains["c2"] == tuple(specs[2:])
         # A requested value may end a chain: it is produced in full anyway.
         assert find_chains(specs, {"x", "out", "c"}) == dict.fromkeys(
             ("c1", "r1", "c2"), tuple(specs[:3]))
@@ -635,6 +639,8 @@ class TestChains:
         assert all(np.array_equal(got[k], full[k]) for k in ("out", "b"))
 
     def test_depthwise_and_pointwise_convs_never_chain(self):
+        """A 1x1 stride-1 conv only ends a chain of two convs with kernel > 1:
+        it neither starts one nor counts as one of the two."""
         specs = [
             conv_spec("c1", "x", "a", 4, 4),
             conv_spec("dw", "a", "b", 4, 4, groups=4),
@@ -643,6 +649,25 @@ class TestChains:
             conv_spec("c3", "d", "e", 4, 4),
         ]
         assert find_chains(specs, {"x", "e"}) == {}
+        specs[4] = conv_spec("pw2", "d", "e", 4, 4, k=1, padding=0)
+        specs.insert(3, conv_spec("c2b", "c", "c1", 4, 4))
+        specs[4] = conv_spec("pw", "c1", "d", 4, 4, k=1, padding=0)
+        chains = find_chains(specs, {"x", "e"})
+        assert set(chains) == {"c2", "c2b", "pw"}  # pw2 after pw stays out
+
+    def test_tail_convs_never_chain(self):
+        """A chain whose convs join two branches would run on one thread; the
+        schedule keeps only chains inside a branch, so the tail's convs keep
+        their pool split."""
+        specs = [
+            conv_spec("a1", "x", "a", 2, 3), conv_spec("a2", "a", "b", 3, 3),
+            conv_spec("c1", "x", "c", 2, 3),
+            binary("add", "j", "b", "c", "d"),
+            conv_spec("t1", "d", "e", 3, 3), conv_spec("t2", "e", "y", 3, 2),
+        ]
+        assert set(find_chains(specs, {"x", "y"})) == {"a1", "a2", "t1", "t2"}
+        plan = graph._schedule(specs, {"x": (1, 2, 6, 5)}, ("y",))
+        assert set(plan.chains) == {"a1", "a2"}
 
     def test_training_forward_never_chains(self, monkeypatch):
         specs, store = self._graph()
@@ -876,7 +901,7 @@ class TestFoldBn:
 
 class TestSplitConcatConvs:
     """fold_bn's plan runs a concat read only by a dense 1x1 stride-1 conv
-    as the conv's two halves and an add."""
+    as the conv's half on the first operand and an add_conv of the other."""
 
     def _fusion(self, reader=None):
         return [
@@ -890,6 +915,8 @@ class TestSplitConcatConvs:
         ]
 
     def test_halves_in_their_branches_match_the_concat(self):
+        """The half on a ends a's branch; the add_conv, which reads both
+        branches, opens the tail."""
         specs = self._fusion()
         store = _bn_chain_store(specs, 45)
         x = Rng(46).normal(2 * 3 * 6 * 8).reshape(2, 3, 6, 8)
@@ -897,18 +924,46 @@ class TestSplitConcatConvs:
         plan, params = fold_bn(specs, store)
         assert [(s.kind, s.name, s.inputs, s.in_channels, s.bias) for s in plan[4:]] == [
             ("conv", "fuse.0", ("a1",), 4, False),
-            ("conv", "fuse.1", ("b1",), 2, True),
-            ("add", "fuse.sum", ("fuse.0", "fuse.1"), 0, False)]
+            ("add_conv", "fuse.1", ("fuse.0", "b1"), 2, True)]
         assert plan[-1].output == "y"
         assert [params.get(f"fuse.{i}.weight").value.shape for i in (0, 1)] == [
             (5, 4, 1, 1), (5, 2, 1, 1)]
         groups, tail = split_branches(plan, ["x"])
-        assert [[s.name for s in g] for g in groups] == [["ca", "ra", "fuse.0"],
-                                                          ["cb", "ub", "fuse.1"]]
-        assert [s.name for s in tail] == ["fuse.sum"]
+        assert [[s.name for s in g] for g in groups] == [["ca", "ra", "fuse.0"], ["cb", "ub"]]
+        assert [s.name for s in tail] == ["fuse.1"]
         for outputs in (None, ("y",)):
             got = GraphRun(plan, params).forward({"x": x}, outputs=outputs)["y"]
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_join_adds_into_the_half_bitwise(self, n, monkeypatch):
+        """The add_conv adds each band of W_b·b1 + bias into the dying half's
+        array, bands [0, 4) here and [4, 6) on the pool: bit for bit the half
+        plus a conv of b1, as the half, the other half and an add gave."""
+        specs = self._fusion()
+        store = _bn_chain_store(specs, 50).as_dtype(np.float32)
+        plan, params = fold_bn(specs, store)
+        monkeypatch.setattr(ops, "_BAND_ELEMS", 2 * n * 2 * 8)  # two rows of the 2-channel b1
+        x = Rng(51).normal(n * 3 * 6 * 8).astype(np.float32).reshape(n, 3, 6, 8)
+        values = GraphRun(plan, params).forward({"x": x})
+        p = Conv2dParams(params.get("fuse.1.weight").value, params.get("fuse.1.bias").value)
+        ref = values["fuse.0"] + conv2d_forward(values["b1"], p)
+        assert np.array_equal(values["y"], ref)
+        calls = []
+        rows = ops.conv_rows
+
+        def spy_rows(x, p, r0, r1, *args, add=False, **kwargs):
+            if add:
+                out = kwargs["out"]
+                calls.append((r0, r1, threading.current_thread() is threading.main_thread(),
+                              out.base if out.base is not None else out))
+            return rows(x, p, r0, r1, *args, add=add, **kwargs)
+
+        monkeypatch.setattr(ops, "conv_rows", spy_rows)
+        got = GraphRun(plan, params).forward({"x": x}, outputs=("y",))["y"]
+        assert np.array_equal(got, ref)
+        assert sorted(c[:3] for c in calls) == [(0, 4, True), (4, 6, False)]
+        assert all(c[3] is got for c in calls)  # the half's array became the output
 
     @pytest.mark.parametrize("reader", [
         conv_spec("fuse", "f", "g", 6, 5, k=3, padding=1),
@@ -929,6 +984,53 @@ class TestSplitConcatConvs:
                  for s in self._fusion()]
         specs[-2] = conv_spec("fuse", "f", "g", 5, 5, k=1, padding=0)
         assert "cat" in [s.name for s in fold_bn(specs, _bn_chain_store(specs, 49))[0]]
+
+
+class TestMergeGateAdds:
+    """fold_bn's plan runs f + f·w as one mul of f by 1 + w."""
+
+    def _gate(self, add=None):
+        return [
+            conv_spec("c", "x", "f", 3, 4),
+            unary("gap", "pool", "f", "p"),
+            conv_spec("g", "p", "z", 4, 4, k=1, padding=0, bias=True),
+            unary("sigmoid", "gate", "z", "w"),
+            binary("mul", "scale", "f", "w", "m"),
+            add or binary("add", "out", "f", "m", "y"),
+        ]
+
+    @pytest.mark.parametrize("order", ["f+m", "m+f"])
+    def test_one_mul_by_one_plus_w(self, order):
+        add = binary("add", "out", *(("f", "m") if order == "f+m" else ("m", "f")), "y")
+        specs = self._gate(add)
+        store = _bn_chain_store(specs, 52)
+        x = Rng(53).normal(2 * 3 * 5 * 7).reshape(2, 3, 5, 7)
+        ref = GraphRun(specs, store).forward({"x": x})["y"]
+        plan, params = fold_bn(specs, store)
+        one, mul = plan[4:]
+        assert (one.kind, one.inputs, one.groups, one.kernel, one.bias) == (
+            "conv", ("w",), 4, 1, True)
+        assert (mul.kind, mul.name, mul.inputs, mul.output) == (
+            "mul", "scale", ("f", one.output), "y")
+        assert (params.get(f"{one.name}.weight").value == 1).all()
+        assert (params.get(f"{one.name}.bias").value == 1).all()
+        for outputs in (None, ("y",)):
+            got = GraphRun(plan, params).forward({"x": x}, outputs=outputs)
+            assert np.abs(got["y"] - ref).max() <= 1e-12 * np.abs(ref).max()
+        values = GraphRun(plan, params).forward({"x": x})
+        assert np.array_equal(values[one.output], values["w"] + 1)  # exact
+        assert "scale" in graph._schedule(plan, {"x": x.shape}, ("y",)).in_place
+
+    def test_other_gates_stay(self):
+        """m read again, an add of another value, or w from the graph input."""
+        for specs in (self._gate() + [unary("relu", "r", "m", "q")],
+                      self._gate(binary("add", "out", "p", "m", "y")),
+                      [binary("mul", "scale", "x", "x2", "m"),
+                       binary("add", "out", "x", "m", "y")]):
+            names = [s.name for s in specs]
+            store = ParamStore()
+            init_params(specs, store, Rng(54))
+            assert [s.name for s in fold_bn(specs, store)[0]] == names
 
 
 def _single_param_store(value, decay=True):

@@ -442,9 +442,10 @@ class TestInferencePlan:
 
     @pytest.mark.parametrize("row", ["full", "cp"])
     def test_plan_splits_into_the_two_paths(self, row):
-        """The spatial and context paths are the branches, each ending in
-        its half of the FFM's 1x1 conv, joined from the halves' add on; a
-        row without a spatial path is one branch."""
+        """The spatial and context paths are the branches: the spatial one
+        ends in its half of the FFM's 1x1 conv, the context one at cp.up16,
+        and the tail opens with the add_conv that adds the context half into
+        the spatial half; a row without a spatial path is one branch."""
         net = build_network(ablation_configs(NetConfig())[row], train=False)
         specs, _params = fold_bn(net.specs, _init_store(NetConfig()))
         groups, tail = split_branches(specs, [net.input])
@@ -452,12 +453,14 @@ class TestInferencePlan:
             assert groups == [specs] and tail == []
         else:
             assert [{s.name[:3] for s in g[:-1]} for g in groups] == [{"cp."}, {"sp."}]
-            halves = [g[-1] for g in groups]
-            assert [(h.name, h.inputs, h.in_channels, h.bias) for h in halves] == [
-                ("ffm.fuse.conv.1", ("cp.up16",), 128, True),
-                ("ffm.fuse.conv.0", ("sp.l3.relu",), 128, False)]
-            assert (tail[0].kind, tail[0].inputs, tail[0].output) == (
-                "add", ("ffm.fuse.conv.0", "ffm.fuse.conv.1"), "ffm.fuse.bn")
+            assert [(g[-1].name, g[-1].inputs) for g in groups] == [
+                ("cp.up16", ("cp.refine16.relu",)),
+                ("ffm.fuse.conv.0", ("sp.l3.relu",))]
+            assert (groups[1][-1].in_channels, groups[1][-1].bias) == (128, False)
+            join = tail[0]
+            assert (join.kind, join.name, join.inputs, join.output, join.in_channels,
+                    join.bias) == ("add_conv", "ffm.fuse.conv.1",
+                                   ("ffm.fuse.conv.0", "cp.up16"), "ffm.fuse.bn", 128, True)
             assert not any(s.kind == "concat" for s in specs)
             assert len(specs) == sum(map(len, groups)) + len(tail)
 
@@ -466,22 +469,35 @@ class TestInferencePlan:
         specs, _params = fold_bn(net.specs, _init_store(NetConfig()))
         chains = find_chains(specs, {net.input, net.main_logits})
         ends = {chain[0].name: chain[-1].name for chain in chains.values()}
-        assert ends == {"sp.l1.conv": "sp.l3.relu", "cp.stem1.conv": "cp.stem2.relu"}
-        assert len(chains) == 10  # three conv+relu pairs and two
+        assert ends == {"sp.l1.conv": "ffm.fuse.conv.0", "cp.stem1.conv": "cp.stem2.relu"}
+        assert len(chains) == 11  # three conv+relu pairs and the 1x1 half; two pairs
 
     @pytest.mark.parametrize("row", ["default", *ablation_configs(NetConfig())])
     @pytest.mark.parametrize("n, h, w", [(1, 96, 160), (2, 160, 96)])
     def test_chained_plan_matches_unchained_bitwise(self, row, n, h, w, monkeypatch):
-        """One-row bands: every chain band recomputes its halo rows, at the
-        top edge, in the middle and at the bottom edge."""
-        monkeypatch.setattr(ops, "_BAND_ELEMS", 1)
+        """The freeing forward (chains, the add_conv written into the spatial
+        half, the tail's pool split) against the keep-all one, with one-row
+        bands (every chain band recomputes its halo rows, at the top edge,
+        in the middle and at the bottom edge) and with the default bands.
+        The spatial chain runs through the 1x1 half of the FFM's conv, or
+        through fuse.sp_proj in the sum row. Bitwise equality rests on
+        OpenBLAS rounding each column alike at either band height; it held
+        at both here."""
         cfg = NetConfig() if row == "default" else ablation_configs(NetConfig())[row]
         net = build_network(cfg, train=False)
         specs, params = fold_bn(net.specs, _trained_like_store(cfg, 58))
         x = Rng(59).normal(n * 3 * h * w, std=40.0).astype(np.float32).reshape(n, 3, h, w)
-        ref = GraphRun(specs, params).forward({"x": x})[net.main_logits]
-        got = GraphRun(specs, params).forward({"x": x}, outputs=[net.main_logits])
-        assert np.array_equal(got[net.main_logits], ref)
+        plan = graph._schedule(specs, {"x": x.shape}, [net.main_logits])
+        if cfg.use_spatial_path:
+            end = "ffm.fuse.conv.0" if cfg.fusion == "ffm" else "fuse.sp_proj"
+            assert plan.chains["sp.l1.conv"][-1].name == end
+        if cfg.use_spatial_path and cfg.fusion == "ffm":
+            assert plan.tail[0].kind == "add_conv" and plan.tail[0].name in plan.in_place
+        for elems in (1, ops._BAND_ELEMS):
+            monkeypatch.setattr(ops, "_BAND_ELEMS", elems)
+            ref = GraphRun(specs, params).forward({"x": x})[net.main_logits]
+            got = GraphRun(specs, params).forward({"x": x}, outputs=[net.main_logits])
+            assert np.array_equal(got[net.main_logits], ref), elems
 
     def test_two_infer_calls_bitwise_equal(self):
         store = _trained_like_store(TINY, 54)
@@ -497,12 +513,12 @@ class TestInferencePlan:
         seen = {}
         conv = ops.conv2d_forward
 
-        def spy_conv(x, p):
+        def spy_conv(x, p, **kwargs):
             if p.weight.shape == (8, 32, 3, 3):  # head.mix reads ffm.out
                 seen["fused"] = weakref.ref(x)
             elif p.weight.shape == (3, 8, 1, 1):  # head.cls runs after it
                 seen["alive"] = seen["fused"]() is not None
-            return conv(x, p)
+            return conv(x, p, **kwargs)
 
         monkeypatch.setattr(ops, "conv2d_forward", spy_conv)
         network_forward(_rand_input(1, 64, 64, seed=56), _init_store(TINY, 57), TINY)
@@ -593,6 +609,32 @@ class TestInferencePlan:
         """head.cls, the 1x1 stride-1 conv left in the tail once the FFM's
         is split into the branches, splits like head.mix on the same 8 rows."""
         self._check_tail_split((3, 8, 1, 1), bands, n, monkeypatch)
+
+    def test_head_mix_stays_split_over_the_pool(self, monkeypatch):
+        """No chain takes in a tail spec: at 1088x1920 head.mix, whose ReLU
+        feeds the 1x1 head.cls, is in no chain and runs the second half of
+        its bands on the pool."""
+        cfg = NetConfig()
+        net = build_network(cfg, train=False)
+        store = _init_store(cfg, 65)
+        x = _rand_input(1, 1088, 1920, seed=66)
+        specs, _params = fold_bn(net.specs, store)
+        plan = graph._schedule(specs, {"x": x.data.shape}, [net.main_logits])
+        assert "head.mix.conv" in {s.name for s in plan.tail}
+        assert not {"head.mix.conv", "head.cls"} & plan.chains.keys()
+        calls = []
+        rows = ops.conv_rows
+
+        def spy_rows(x, p, r0, r1, *args, **kwargs):
+            if p.weight.shape == (cfg.head_channels, cfg.ffm_channels, 3, 3):
+                calls.append((r0, r1, threading.current_thread() is threading.main_thread()))
+            return rows(x, p, r0, r1, *args, **kwargs)
+
+        monkeypatch.setattr(ops, "conv_rows", spy_rows)
+        network_forward(x, store, cfg)
+        oh = 1088 // 8
+        mid = next(r0 for r0, _r1, main in calls if not main)
+        assert sorted(calls) == [(0, mid, True), (mid, oh, False)] and 0 < mid < oh
 
     def _check_tail_split(self, weight_shape, bands, n, monkeypatch):
         """The tail conv with weight_shape and 8 input rows, in bands of
@@ -890,16 +932,17 @@ class TestPlanMemory:
             tracemalloc.stop()
         assert peak < sp_l1_bytes
 
-    def test_peak_below_three_fusion_maps(self, monkeypatch):
-        """At 1088x1920 the default plan never holds three 256-channel
-        stride-8 maps at once: allocating every layer output afresh, the
-        FFM held ffm.cat, ffm.fuse and ffm.scale and peaked at 95.6 MiB
-        traced; writing into dying operands took that to 63.8 MiB, and with
-        the FFM's 1x1 conv split into the branches it reads 79.7 MiB. The
-        plan and the input exist before tracing starts. The branches run
+    def test_peak_below_two_fusion_maps(self, monkeypatch):
+        """At 1088x1920 the default plan never holds two 256-channel stride-8
+        maps (31.9 MiB each) at once. Allocating every layer output afresh,
+        the FFM held ffm.cat, ffm.fuse and ffm.scale and peaked at 95.6 MiB
+        traced; with each path computing its half of the FFM's 1x1 conv and
+        the sum and gate written into dying operands it read 79.7 MiB. Now
+        the spatial half is made per band of sp.l3 rows, the context half is
+        added into it band by band, and f + f·w is one in-place f·(1 + w).
+        The plan and the input exist before tracing starts. The branches run
         one after the other here, so the peak does not depend on thread
-        timing: run at once, the two halves (each 31.9 MiB, reading a
-        16 MiB map) can be computed at the same moment."""
+        timing."""
         monkeypatch.setattr(graph, "_BRANCH_POOL", _InlineExecutor())
         cfg = NetConfig()
         store = _init_store(cfg, 62)
@@ -913,7 +956,7 @@ class TestPlanMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * fusion_map
+        assert peak < 2 * fusion_map
 
 
 class TestAblations:

@@ -1,5 +1,7 @@
 """Layer kernel tests against naive oracles and finite differences."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,54 @@ class TestConvForward:
                 ref = relu(ref)
         got = conv_chain_forward(x, layers)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    def test_chain_through_a_pointwise_conv_bands_by_the_last_3x3(self, monkeypatch):
+        """A 1x1 stride-1 conv ending a chain computes its rows per band of
+        the 3x3 before it, and the bands hold as many rows as that 3x3's
+        im2col bands would (two here), not as many as the 1x1's (all 12)."""
+        rng = Rng(95)
+        x = _randn(rng, 1, 3, 23, 19)
+        layers = [(Conv2dParams(_randn(rng, 6, 3, 3, 3), _randn(rng, 6), 2, 1), True),
+                  (Conv2dParams(_randn(rng, 5, 6, 3, 3), _randn(rng, 5), 1, 1), True),
+                  (Conv2dParams(_randn(rng, 9, 5, 1, 1)), False)]
+        monkeypatch.setattr(ops, "_BAND_ELEMS", 2 * 6 * 9 * 10)  # two rows of layer 2's im2col
+        spans = []
+        rows = ops.conv_rows
+
+        def spy_rows(x, p, r0, r1, *args, **kwargs):
+            if p is layers[2][0]:
+                spans.append((r0, r1))
+            return rows(x, p, r0, r1, *args, **kwargs)
+
+        monkeypatch.setattr(ops, "conv_rows", spy_rows)
+        got = conv_chain_forward(x, layers)
+        assert spans == [(r, min(r + 2, 12)) for r in range(0, 12, 2)]
+        ref = x
+        for p, use_relu in layers:
+            ref = conv2d_forward(ref, p)
+            ref = relu(ref) if use_relu else ref
+        assert np.allclose(got, ref, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("bands", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_accumulating_conv_adds_into_acc_bitwise(self, bands, n, monkeypatch):
+        """conv2d_forward(x, p, acc=a) adds each band of the conv into a,
+        with and without a pool: bit for bit a + conv2d_forward(x, p)."""
+        rng = Rng(96 + n)
+        x = _randn(rng, n, 4, 6, 5)
+        a = _randn(rng, n, 7, 6, 5)
+        monkeypatch.setattr(ops, "_BAND_ELEMS", -(-6 // bands) * n * 4 * 5)
+        for k, pad in ((1, 0), (3, 1)):
+            p = Conv2dParams(_randn(rng, 7, 4, k, k), _randn(rng, 7), 1, pad)
+            if k == 3:
+                monkeypatch.setattr(ops, "_BAND_ELEMS", -(-6 // bands) * n * 36 * 5)
+            ref = a + conv2d_forward(x, p)
+            with ThreadPoolExecutor(1) as pool:
+                for use in (None, pool):
+                    acc = a.copy()
+                    p.pool = use
+                    assert conv2d_forward(x, p, acc=acc) is acc
+                    assert np.array_equal(acc, ref), (k, use)
 
     def test_identity_1x1(self):
         rng = Rng(2)
