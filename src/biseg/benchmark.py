@@ -99,8 +99,8 @@ def run_bench(cfg: EngineConfig, store: ParamStore | None = None,
     for res_i, (w, h) in enumerate(cfg.bench.resolutions):
         pw, ph = pad_to_tile(w, h)
         rng = Rng(cfg.seed).split(_INPUT_SALT).split(res_i)
-        x = rng.normal(INPUT_CHANNELS * ph * pw, std=50.0)
-        x = x.reshape(1, INPUT_CHANNELS, ph, pw).astype(np.float32)
+        x = rng.normal(INPUT_CHANNELS * ph * pw, std=50.0, dtype=np.float32)
+        x = x.reshape(1, INPUT_CHANNELS, ph, pw)
         xt = Tensor(x)
 
         def one_pass():

@@ -6,18 +6,22 @@ and produces one new name. Execution walks the sequence in order; the
 backward pass walks it in exact reverse, summing the gradients of a value
 that fans out into a fresh array. Inference runs a plan over the same specs:
 fold_bn merges each BN into the conv before it, splits a concat read only
-by a 1x1 conv into that conv's half on the first operand and an add_conv
-of the other (split_concat_convs), and turns f + f·w into f·(1 + w)
-(merge_gate_adds). A forward given the values it must return drops each
-other layer output after its last use, writes a relu, add, mul or add_conv
-into the first operand that dies there, and runs the branches from the
-graph inputs concurrently on one dict. That forward also runs each
-find_chains() chain in a branch (dense convs with kernel > 1 and their
-ReLUs, then optionally a 1x1 conv, each the sole consumer of the value
-before it) depth-first in bands of output rows, so the chain's inner
-values are never created, and once the branches have joined it splits
-each banded dense conv's rows over two threads; the spec list itself, and
-every other run, is unchanged. A GraphRun binds the specs to their
+by a 1x1 conv into that conv's half on the first operand and a join of the
+other half, run in front of the upsample that makes the second operand
+where there is one (split_concat_convs), turns f + f·w into f·(1 + w)
+(merge_gate_adds), and a + upsample(b) into an upsample_add that adds the
+upsampled b into a band by band (merge_upsample_adds). A forward given the
+values it must return drops each other layer output after its last use,
+writes a relu, add, mul, add_conv or upsample_add into the first operand
+that dies there, and runs the branches from the graph inputs concurrently
+on one dict. That forward also runs each find_chains() chain in a branch
+(dense convs with kernel > 1 and their ReLUs, then optionally a 1x1 conv,
+each the sole consumer of the value before it) depth-first in bands of
+output rows, each inner layer keeping the rows the next band reads again,
+so the chain's inner values are never created, and once the branches have
+joined it splits the rows of each banded dense conv and upsample_add over
+two threads; the spec list itself, and every other run, is unchanged. A
+GraphRun binds the specs to their
 parameter arrays once and keeps nothing of a call but the schedule for its
 input shapes: forward returns the values, backward(values, seeds) takes
 them back.
@@ -28,7 +32,7 @@ static cost and receptive-field rule. Graph validation, shape inference,
 parameter initialization, execution, cost analysis and the receptive-field
 walk all look the kind up there, so a new kind is one table entry. The
 table holds conv, bn, relu, sigmoid, gap, upsample, concat, add and mul,
-and add_conv, which only plans use.
+and add_conv and upsample_add, which only plans use.
 conv and bn own parameters in the ParamStore under "<layer name>." prefixes.
 """
 
@@ -105,11 +109,11 @@ class LayerKind:
         the layer's name (infer_shapes adds it); the only operand check
     forward(spec, xs, p, mode) -> output; p maps suffix -> stored array.
         The output is a fresh array that shares memory with no operand,
-        unless the kind takes out=: relu, add, mul and add_conv write into
-        out, an array of the output's shape and dtype, when given one (a
-        freeing GraphRun.forward passes the first operand where it dies).
-        conv's and add_conv's also take pool=, an executor for half of the
-        conv's banded rows
+        unless the kind takes out=: relu, add, mul, add_conv and upsample_add
+        write into out, an array of the output's shape and dtype, when given
+        one (a freeing GraphRun.forward passes the first operand where it
+        dies). conv's, add_conv's and upsample_add's also take pool=, an
+        executor for half of their banded output rows
     backward(spec, xs, y, gy, p, mode) -> (input grads, {suffix: grad}); conv's
         also takes input_grad=False, which gives None for the input grad.
         A gradient may be gy itself or a view of it or of another gradient,
@@ -284,7 +288,8 @@ def _add_conv_cost(ins, out, ps):
 # weight_params * n * h_out * w_out MACs at 2 FLOPs each; bn 2 FLOPs per
 # element; sigmoid 4; upsample 7 (4 multiplies + 3 adds per output); gap one
 # per input and output element; relu, add and mul one; concat moves memory;
-# add_conv, a + conv(b), a conv's count plus one per output element.
+# add_conv, a + conv(b), a conv's count plus one per output element;
+# upsample_add, a + upsample(b), 8 per output element.
 KINDS: dict[str, LayerKind] = {
     "conv": LayerKind(
         arity=1, params=_conv_defs, shape=_conv_shape,
@@ -339,6 +344,14 @@ KINDS: dict[str, LayerKind] = {
             xs[1], _conv(spec, p, pool), acc=xs[0].copy() if out is None else out),
         backward=_add_conv_bwd, cost=_add_conv_cost,
         rf=lambda spec, states: _rf_join(spec, (states[0], _rf_conv(spec, states[1:])))),
+    "upsample_add": LayerKind(
+        arity=2, shape=lambda spec, ins: _pointwise_shape(  # a + upsample(b)
+            spec, (_upsample_shape(spec, ins[1:]), ins[0])),
+        forward=lambda spec, xs, p, mode, out=None, pool=None: ops.upsample_add(
+            xs[0], xs[1], spec.factor, out, pool),
+        backward=lambda spec, xs, y, gy, p, mode: ((_unbroadcast(gy, xs[0]), (
+            ops.bilinear_upsample_backward(xs[1].shape, spec.factor, gy))), {}),
+        cost=_flops(8), rf=None),
 }
 
 
@@ -538,7 +551,8 @@ def _rewrite(specs, store: ParamStore, new: dict) -> tuple[list[LayerSpec], Para
 
 def fold_bn(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
     """Inference plan with every BN folded into the conv it follows, then
-    rewritten by split_concat_convs() and merge_gate_adds().
+    rewritten by split_concat_convs(), merge_gate_adds() and
+    merge_upsample_adds().
 
     A conv whose output feeds exactly one layer, a bn, becomes one conv with
     a bias that writes the bn's output, so the conv's own output is gone:
@@ -567,7 +581,8 @@ def fold_bn(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
             new[spec.name] = [(replace(spec, output=bn.output, bias=True), {
                 "weight": w * s.astype(w.dtype).reshape(-1, 1, 1, 1),
                 "bias": (value(bn, "beta") + (b - value(bn, "running_mean")) * s).astype(w.dtype)})]
-    return merge_gate_adds(*split_concat_convs(*_rewrite(specs, store, new)))
+    return merge_upsample_adds(*merge_gate_adds(*split_concat_convs(
+        *_rewrite(specs, store, new))))
 
 
 def _pointwise(spec: LayerSpec) -> bool:  # a dense conv whose input is its own im2col
@@ -591,12 +606,18 @@ def split_concat_convs(specs, store: ParamStore) -> tuple[list[LayerSpec], Param
     """Plan rewrite: a concat read only by a dense unpadded 1x1 stride-1 conv
     becomes the conv's half "<conv>.0" on the first operand, which
     split_branches() puts in that operand's branch (where find_chains() may
-    end a chain with it), and an add_conv "<conv>.1" that adds the other half:
+    end a chain with it), and a join of the other half:
         W·[a; b] + bias = W_a·a + (W_b·b + bias).
-    The half dies at the add_conv, so a freeing forward adds each band of
-    W_b·b + bias into its array, with the bands and pool split of a conv
-    over b. A concat whose first operand's channels _channels() cannot tell
-    stays. The store holds the weight slices and shares the other arrays.
+    Where b is an upsample u(v) read only by the concat, the other half
+    "<conv>.1" runs before the upsample, on v, and an add "<conv>.sum" of
+    "<conv>.0" and the upsample of "<conv>.1" writes the conv's output:
+    W_b·u(v) + bias = u(W_b·v + bias), exact in real arithmetic since the
+    conv mixes channels, the upsample pixels, and each bilinear row sums
+    to 1; merge_upsample_adds() then turns that add into an upsample_add.
+    Otherwise the join is an add_conv "<conv>.1" of the half and b, which a
+    freeing forward adds band by band into the dying half. A concat whose
+    first operand's channels _channels() cannot tell stays. The store holds
+    the weight slices and shares the other arrays.
     """
     users = _consumers(specs)
     producers = {spec.output: spec for spec in specs}
@@ -612,11 +633,19 @@ def split_concat_convs(specs, store: ParamStore) -> tuple[list[LayerSpec], Param
         bias = store.get(f"{conv.name}.bias").value if conv.bias else None
         half = replace(conv, name=f"{conv.name}.0", inputs=cat.inputs[:1],
                        output=f"{conv.name}.0", in_channels=ca, bias=False)
-        join = replace(conv, kind="add_conv", name=f"{conv.name}.1",
-                       inputs=(half.output, cat.inputs[1]), in_channels=conv.in_channels - ca)
+        other = replace(conv, name=f"{conv.name}.1", inputs=cat.inputs[1:],
+                        in_channels=conv.in_channels - ca)
+        arrays = {"weight": np.ascontiguousarray(w[:, ca:]), "bias": bias}
+        up = producers.get(cat.inputs[1])
         new[cat.name] = []
-        new[conv.name] = [(half, {"weight": np.ascontiguousarray(w[:, :ca])}),
-                          (join, {"weight": np.ascontiguousarray(w[:, ca:]), "bias": bias})]
+        if up is not None and up.kind == "upsample" and len(users[up.output]) == 1:
+            other = replace(other, inputs=up.inputs, output=other.name)
+            new[up.name] = [(other, arrays), (replace(up, inputs=(other.output,)), {})]
+            join = (LayerSpec("add", f"{conv.name}.sum", (half.output, up.output),
+                              conv.output), {})
+        else:
+            join = (replace(other, kind="add_conv", inputs=(half.output, cat.inputs[1])), arrays)
+        new[conv.name] = [(half, {"weight": np.ascontiguousarray(w[:, :ca])}), join]
     return _rewrite(specs, store, new)
 
 
@@ -647,6 +676,28 @@ def merge_gate_adds(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamSto
                                 "bias": np.ones(c, np.float32)}),
                          (replace(mul, inputs=(mul.inputs[0], one.output),
                                   output=readers[0].output), {})]
+    return _rewrite(specs, store, new)
+
+
+def merge_upsample_adds(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
+    """Plan rewrite: an add of a and u = upsample(b), in either order, where
+    the add is u's only reader, becomes upsample_add(a, b), writing the
+    add's output: the upsampled map is made one band of rows at a time and
+    added into a (into a's own array where a freeing forward drops a at
+    it), so it never exists in full. In the default model it joins
+    cp.merge16 and the FFM's two halves.
+    """
+    users = _consumers(specs)
+    producers = {spec.output: spec for spec in specs}
+    new = {}
+    for add in specs:
+        for j in (1, 0) if add.kind == "add" else ():
+            up = producers.get(add.inputs[j])
+            if up is not None and up.kind == "upsample" and len(users[up.output]) == 1:
+                new[up.name] = []
+                new[add.name] = [(replace(add, kind="upsample_add", factor=up.factor,
+                                          inputs=(add.inputs[1 - j], up.inputs[0])), {})]
+                break
     return _rewrite(specs, store, new)
 
 
@@ -717,8 +768,9 @@ class _Schedule(NamedTuple):
     in_place: frozenset  # names of the _IN_PLACE specs that write into their first operand
 
 
-# Kinds whose forward takes out= (see LayerKind).
-_IN_PLACE = frozenset(("relu", "add", "mul", "add_conv"))
+# Kinds whose forward takes out=, and those that take pool= (see LayerKind).
+_IN_PLACE = frozenset(("relu", "add", "mul", "add_conv", "upsample_add"))
+_BANDED = frozenset(("conv", "add_conv", "upsample_add"))
 
 
 def _schedule(specs, input_shapes: dict, outputs=None) -> _Schedule:
@@ -787,13 +839,13 @@ class GraphRun:
         the specs run in order and every value, inputs too, is kept for
         backward. With outputs (value names), every other layer output is
         dropped after its last consumer (graph inputs stay with the caller)
-        and only the named values are returned; a relu, add or mul whose
+        and only the named values are returned; an _IN_PLACE spec whose
         first operand is dropped at it writes its result into that operand
         (out=) when the dtypes agree, so the operand's array becomes the
         result and no graph input or requested value is ever written. The
         split_branches() branches share one value dict and run at the same
-        time, the first on the calling thread, then the tail, whose banded
-        dense convs run half their rows on the pool; each find_chains()
+        time, the first on the calling thread, then the tail, whose _BANDED
+        specs run half their rows on the pool; each find_chains()
         chain runs whole where its first member stands. A train-mode forward
         bumps the store: BN moves its running statistics.
         """
@@ -822,7 +874,7 @@ class GraphRun:
 
     def _run(self, specs, vals: dict, plan: _Schedule, pool=None) -> None:
         """Run specs in order on vals, dropping plan.dead[spec.name] after
-        each; a conv gets pool to split its banded rows over, and a
+        each; a _BANDED spec gets pool to split its banded rows over, and a
         plan.in_place spec gets its first operand as out= when that operand
         already has the result's dtype.
 
@@ -832,7 +884,7 @@ class GraphRun:
             chain = plan.chains.get(spec.name)
             if chain is None:
                 xs = [vals[name] for name in spec.inputs]
-                extra = {"pool": pool} if pool and spec.kind in ("conv", "add_conv") else {}
+                extra = {"pool": pool} if pool and spec.kind in _BANDED else {}
                 if spec.name in plan.in_place and np.result_type(*xs) == xs[0].dtype:
                     extra["out"] = xs[0]
                 vals[spec.output] = KINDS[spec.kind].forward(

@@ -7,7 +7,8 @@ The depthwise forward and every conv backward read the input as
 stride-phase planes, where each tap is one contiguous slice; the backward
 is one tap loop for dense and depthwise convs. Bilinear resampling uses
 half-pixel centers (source = (dst + 0.5) / factor - 0.5) with edge
-clamping. Every kernel follows the dtype of its inputs, so the production
+clamping; upsample_add adds an upsample into a map one band of rows at a
+time. Every kernel follows the dtype of its inputs, so the production
 float32 path and the float64 verification path share one implementation.
 
 The layer kernels assume operands that fit (rank 4, parameters and output
@@ -133,39 +134,56 @@ def conv_chain_forward(x: np.ndarray, layers) -> np.ndarray:
     """Dense convs in sequence, run depth-first one band of final rows at a time.
 
     layers lists (Conv2dParams, relu) pairs; where relu is set, a ReLU is
-    applied in place after the conv. For each band of the final rows (one
-    im2col band of the last conv with kernel > 1), every earlier layer
-    computes just the rows the next one reads, halo included (recomputed by
-    the neighbouring band), so no intermediate map exists in full. Each
-    output element is the dot product of the same weight row and im2col
-    column as in conv2d_forward, so the result equals conv2d_forward and
-    relu applied layer by layer, bit for bit, wherever BLAS rounds a matmul
-    column independently of how many columns share the call: with
-    OpenBLAS, at every network input size checked and whenever bands are
-    one row.
+    applied in place after the conv. A band of final rows is half an im2col
+    band of the last conv with kernel > 1. Each inner layer holds its rows
+    in one slab: per band it moves the rows the next conv reads again (its
+    halo, k - s rows for a k x k stride-s reader) to the slab's front and
+    computes only the rows below them, so no row is computed twice and no
+    intermediate map exists in full. Each output element is the dot product
+    of the same weight row and im2col column as in conv2d_forward, so the
+    result equals conv2d_forward and relu applied layer by layer, bit for
+    bit, wherever BLAS rounds a matmul column independently of how many
+    columns share the call: with OpenBLAS, at every network input size
+    checked and whenever bands are one row.
     """
     hs, ws = [x.shape[2]], [x.shape[3]]  # each layer's input extents, then the output's
     for p, _relu in layers:
         k = p.weight.shape[2]
         hs.append(conv_out_extent(hs[-1], k, p.stride, p.padding))
         ws.append(conv_out_extent(ws[-1], k, p.stride, p.padding))
-    y = np.empty((x.shape[0], layers[-1][0].weight.shape[0], hs[-1], ws[-1]), dtype=x.dtype)
+    n, end = x.shape[0], len(layers) - 1
     last = next(p for p, _relu in reversed(layers) if p.weight.shape[2] > 1)
-    rows = band_rows(hs[-1], x.shape[0] * last.weight[0].size * ws[-1])
+    rows = band_rows(hs[-1], 2 * n * last.weight[0].size * ws[-1])
+    caps, new = [], rows  # rows each inner layer holds at most; rows its reader computes
+    for p, _relu in reversed(layers[1:]):
+        caps.insert(0, (new - 1) * p.stride + p.weight.shape[2])
+        new = max(caps[0] - p.padding, new * p.stride)
+    bufs = [x] + [np.empty((n, p.weight.shape[0], min(cap, h), w), dtype=x.dtype)
+                  for (p, _relu), cap, h, w in zip(layers, caps, hs[1:], ws[1:])]
+    bufs.append(np.empty((n, layers[-1][0].weight.shape[0], hs[-1], ws[-1]), dtype=x.dtype))
+    held = [[0, hs[0]]] + [[0, 0] for _ in layers]  # rows [top, done) that bufs[i] holds
     for a in range(0, hs[-1], rows):
-        spans = [(a, min(a + rows, hs[-1]))]  # rows each layer computes, built last first
-        for i in range(len(layers) - 1, 0, -1):
-            p, (lo, hi) = layers[i][0], spans[0]
-            spans.insert(0, (max(lo * p.stride - p.padding, 0),
-                             min((hi - 1) * p.stride - p.padding + p.weight.shape[2], hs[i])))
-        src, row0 = x, 0
-        for i, ((p, relu), (lo, hi)) in enumerate(zip(layers, spans)):
-            out = y[:, :, lo:hi] if i == len(layers) - 1 else None
-            src = conv_rows(src, p, lo, hi, row0, hs[i], out)
-            if relu:
-                np.maximum(src, 0, out=src)
-            row0 = lo
-    return y
+        spans = {end: (0, min(a + rows, hs[-1]))}  # layer -> rows [top, hi) it holds next
+        for i in range(end, 0, -1):
+            lo, hi = max(spans[i][0], held[i + 1][1]), spans[i][1]  # rows layer i computes
+            if lo >= hi:
+                break
+            p = layers[i][0]
+            spans[i - 1] = (max(lo * p.stride - p.padding, 0),
+                            min((hi - 1) * p.stride - p.padding + p.weight.shape[2], hs[i]))
+        for i in sorted(spans):
+            (p, relu), (top, hi), buf, (old, done) = layers[i], spans[i], bufs[i + 1], held[i + 1]
+            keep = max(done - top, 0)
+            if top != old:
+                buf[:, :, :keep] = buf[:, :, top - old : top - old + keep]
+            held[i + 1] = [top, hi]
+            if top + keep < hi:
+                out = buf[:, :, keep : hi - top]
+                src = bufs[i][:, :, : held[i][1] - held[i][0]]
+                conv_rows(src, p, top + keep, hi, held[i][0], hs[i], out)
+                if relu:
+                    np.maximum(out, 0, out=out)
+    return bufs[-1]
 
 
 def _plane_pairs(planes: np.ndarray, x: np.ndarray, s: int, pad: int):
@@ -244,20 +262,27 @@ def conv2d_forward(x: np.ndarray, p: Conv2dParams, acc: np.ndarray | None = None
     if p.groups != 1:
         return _conv_fwd_depthwise(x, p, oh, ow)
     y = np.empty((x.shape[0], p.weight.shape[0], oh, ow), dtype=x.dtype) if acc is None else acc
-    add = acc is not None
-    rows = band_rows(oh, x.shape[0] * p.weight[0].size * ow)
-    mid = -(-oh // rows // 2) * rows  # first row of the second half of the bands
-    if p.pool is None or mid >= oh:
-        return conv_rows(x, p, 0, oh, out=y, add=add)
-    # Each half bands from its first row, so the two make the same matmul
-    # calls as one conv_rows over every row.
-    half = p.pool.submit(conv_rows, x, p, mid, oh, out=y[:, :, mid:], add=add)
+    _split_rows(p.pool, lambda r0, r1: conv_rows(x, p, r0, r1, out=y[:, :, r0:r1],
+                                                 add=acc is not None),
+                oh, band_rows(oh, x.shape[0] * p.weight[0].size * ow))
+    return y
+
+
+def _split_rows(pool: Executor | None, run, rows: int, band: int) -> None:
+    """run(r0, r1) over rows [0, rows) banded by band rows; with pool, the
+    bands from the middle on run there while this thread runs the first
+    half. Each half bands from its first row, so the two make the same
+    calls as one run over every row."""
+    mid = -(-rows // band // 2) * band  # first row of the second half of the bands
+    if pool is None or mid >= rows:
+        run(0, rows)
+        return
+    half = pool.submit(run, mid, rows)
     try:
-        conv_rows(x, p, 0, mid, out=y[:, :, :mid], add=add)
+        run(0, mid)
     finally:
         wait([half])
     half.result()
-    return y
 
 
 def conv2d_backward(
@@ -467,6 +492,36 @@ def bilinear_upsample_backward(x_shape: tuple, factor: int, grad_out: np.ndarray
     ah = interp_matrix(h, h * factor, grad_out.dtype)
     aw = interp_matrix(w, w * factor, grad_out.dtype)
     return np.matmul(np.matmul(ah.T, grad_out), aw)
+
+
+def upsample_add(a: np.ndarray, x: np.ndarray, factor: int, out: np.ndarray | None = None,
+                 pool: Executor | None = None) -> np.ndarray:
+    """a + bilinear_upsample(x, factor), one band of output rows at a time, so
+    the upsampled map never exists in full. a has the output's shape or is
+    (n, c, 1, 1); out, if given, is the destination (a itself adds in place),
+    else a fresh array. A band's row pass reads only the source rows its
+    interpolation rows weight, and its column pass is one GEMM over all the
+    band's rows; bands hold _BAND_ELEMS elements, and with pool the bands
+    from the middle on run there."""
+    n, c, h, w = x.shape
+    ah = interp_matrix(h, h * factor, x.dtype)
+    awt = interp_matrix(w, w * factor, x.dtype).T
+    if out is None:
+        out = np.empty((n, c, h * factor, w * factor), dtype=np.result_type(a, x))
+    a = np.broadcast_to(a, out.shape)
+    band = band_rows(h * factor, n * c * w * factor)
+
+    def run(r0, r1):
+        for b0 in range(r0, r1, band):
+            rows = ah[b0 : min(b0 + band, r1)]
+            reads = np.flatnonzero(rows.any(axis=0))
+            s0, s1 = reads[0], reads[-1] + 1
+            part = np.matmul(rows[:, s0:s1], x[:, :, s0:s1])  # (n, c, len(rows), w)
+            part = np.matmul(part.reshape(-1, w), awt).reshape(n, c, len(rows), -1)
+            np.add(a[:, :, b0 : b0 + len(rows)], part, out=out[:, :, b0 : b0 + len(rows)])
+
+    _split_rows(pool, run, h * factor, band)
+    return out
 
 
 # ---------------------------------------------------------------------------

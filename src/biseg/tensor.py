@@ -40,6 +40,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
+_NORMAL_PAIRS = 1 << 16  # Box-Muller pairs per float64 chunk of Rng.normal
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -104,19 +105,23 @@ class Rng:
         """count float64 draws in [0, 1)."""
         return (self.u64(count) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
-    def normal(self, count: int, std: float = 1.0) -> np.ndarray:
-        """count float64 N(0, std^2) draws via Box-Muller."""
-        raw = self.u64(self.normal_draws(count))
-        pairs = len(raw) // 2
-        # u1 in (0, 1] so the log is finite; u2 in [0, 1).
-        u1 = ((raw[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
-        u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * np.pi) * u2
-        out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:count] * std
+    def normal(self, count: int, std: float = 1.0, dtype=np.float64) -> np.ndarray:
+        """count N(0, std^2) draws via Box-Muller, computed in float64 and
+        stored as dtype, _NORMAL_PAIRS pairs at a time: u1 of pair i is raw
+        draw i and u2 draw pairs + i, so no float64 temporary spans the draw."""
+        pairs = self.normal_draws(count) // 2
+        first, second = self.fork(pairs), self.fork(pairs)
+        out = np.empty(2 * pairs, dtype=dtype)
+        for i in range(0, pairs, _NORMAL_PAIRS):
+            m = min(_NORMAL_PAIRS, pairs - i)
+            # u1 in (0, 1] so the log is finite; u2 in [0, 1).
+            u1 = ((first.u64(m) >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
+            u2 = (second.u64(m) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+            r = np.sqrt(-2.0 * np.log(u1))
+            theta = (2.0 * np.pi) * u2
+            out[2 * i : 2 * (i + m) : 2] = r * np.cos(theta) * std
+            out[2 * i + 1 : 2 * (i + m) : 2] = r * np.sin(theta) * std
+        return out[:count]
 
     def randint(self, lo: int, hi: int) -> int:
         """One integer in [lo, hi). Uses rejection-free modulo (desk scale)."""
@@ -149,4 +154,4 @@ def defer_kaiming(shape: tuple, fan_in: int, rng: Rng) -> Callable[[], np.ndarra
     std = float(np.sqrt(2.0 / fan_in))
     count = math.prod(shape)
     own = rng.fork(Rng.normal_draws(count))
-    return lambda: own.normal(count, std=std).astype(np.float32).reshape(shape)
+    return lambda: own.normal(count, std=std, dtype=np.float32).reshape(shape)

@@ -217,7 +217,7 @@ def _random_graph(rng):
         sn, sc, sh, sw = shape
         kind = str(rng.choice((
             "conv", "conv", "bn", "relu", "sigmoid", "gap",
-            "upsample", "add", "mul", "concat",
+            "upsample", "add", "mul", "concat", "upsample_add",
         )))
         name, out = f"l{i}", f"v{i}"
         spec = None
@@ -248,6 +248,11 @@ def _random_graph(rng):
                      if p[0] != src and (p[1][0], p[1][2], p[1][3]) == (sn, sh, sw)]
             if mates:
                 spec = _binary("concat", name, src, mates[0][0], out)
+        elif kind == "upsample_add":  # a value plus the x2 upsample of a half-size one
+            pairs = [(a, b) for a, ash in pool for b, bsh in pool
+                     if (a == src or b == src) and ash == (*bsh[:2], 2 * bsh[2], 2 * bsh[3])]
+            if pairs:
+                spec = LayerSpec("upsample_add", name, pairs[0], out, factor=2)
         if spec is None:
             spec = _unary("relu", name, src, out)
         specs.append(spec)

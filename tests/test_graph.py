@@ -116,15 +116,17 @@ def _sample_spec(kind):
     if kind == "add_conv":
         return LayerSpec("add_conv", "l", ("a", "b"), "y", in_channels=2, out_channels=2,
                          kernel=1, bias=True)
+    if kind == "upsample_add":  # factor 1 keeps b's shape, the shape of a
+        return LayerSpec("upsample_add", "l", ("a", "b"), "y", factor=1)
     if KINDS[kind].arity == 2:
         return binary(kind, "l", "a", "b", "y")
     return unary(kind, "l", "a", "y")
 
 
 class TestOpTable:
-    def test_table_holds_the_ten_kinds(self):
+    def test_table_holds_the_eleven_kinds(self):
         assert set(KINDS) == {"conv", "bn", "relu", "sigmoid", "gap", "upsample",
-                              "concat", "add", "mul", "add_conv"}
+                              "concat", "add", "mul", "add_conv", "upsample_add"}
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_every_kind_defines_every_rule(self, kind):
@@ -901,14 +903,19 @@ class TestFoldBn:
 
 class TestSplitConcatConvs:
     """fold_bn's plan runs a concat read only by a dense 1x1 stride-1 conv
-    as the conv's half on the first operand and an add_conv of the other."""
+    as the conv's half on the first operand and a join of the other: the
+    other half moved in front of an upsample and an upsample_add, or an
+    add_conv."""
 
-    def _fusion(self, reader=None):
+    def _fusion(self, reader=None, upsampled=True):
+        """a1 and b1 joined by a concat; b1 is the x2 upsample of a stride-2
+        conv, or with upsampled False the ReLU of a stride-1 conv."""
         return [
             conv_spec("ca", "x", "a", 3, 4),
             unary("relu", "ra", "a", "a1"),
-            conv_spec("cb", "x", "b", 3, 2, stride=2, padding=1),
-            unary("upsample", "ub", "b", "b1", factor=2),
+            conv_spec("cb", "x", "b", 3, 2, stride=2 if upsampled else 1, padding=1),
+            unary("upsample", "ub", "b", "b1", factor=2) if upsampled
+            else unary("relu", "ub", "b", "b1"),
             binary("concat", "cat", "a1", "b1", "f"),
             reader or conv_spec("fuse", "f", "g", 6, 5, k=1, padding=0, bias=True),
             unary("bn", "gb", "g", "y", in_channels=5),
@@ -917,7 +924,7 @@ class TestSplitConcatConvs:
     def test_halves_in_their_branches_match_the_concat(self):
         """The half on a ends a's branch; the add_conv, which reads both
         branches, opens the tail."""
-        specs = self._fusion()
+        specs = self._fusion(upsampled=False)
         store = _bn_chain_store(specs, 45)
         x = Rng(46).normal(2 * 3 * 6 * 8).reshape(2, 3, 6, 8)
         ref = GraphRun(specs, store).forward({"x": x})["y"]
@@ -940,7 +947,7 @@ class TestSplitConcatConvs:
         """The add_conv adds each band of W_b·b1 + bias into the dying half's
         array, bands [0, 4) here and [4, 6) on the pool: bit for bit the half
         plus a conv of b1, as the half, the other half and an add gave."""
-        specs = self._fusion()
+        specs = self._fusion(upsampled=False)
         store = _bn_chain_store(specs, 50).as_dtype(np.float32)
         plan, params = fold_bn(specs, store)
         monkeypatch.setattr(ops, "_BAND_ELEMS", 2 * n * 2 * 8)  # two rows of the 2-channel b1
@@ -965,6 +972,38 @@ class TestSplitConcatConvs:
         assert sorted(c[:3] for c in calls) == [(0, 4, True), (4, 6, False)]
         assert all(c[3] is got for c in calls)  # the half's array became the output
 
+    def test_context_half_moves_before_the_upsample(self):
+        """Where b1 is an upsample read only by the concat, the other half
+        fuse.1 runs on b, before the upsample, and ends b's branch; the
+        join, an upsample_add of it into the half on a1, opens the tail:
+        W_b·u(b) + bias = u(W_b·b + bias)."""
+        specs = self._fusion()
+        store = _bn_chain_store(specs, 45)
+        x = Rng(46).normal(2 * 3 * 6 * 8).reshape(2, 3, 6, 8)
+        ref = GraphRun(specs, store).forward({"x": x})["y"]
+        plan, params = fold_bn(specs, store)
+        assert [(s.kind, s.name, s.inputs, s.output, s.in_channels, s.bias, s.factor)
+                for s in plan[3:]] == [
+            ("conv", "fuse.1", ("b",), "fuse.1", 2, True, 1),
+            ("conv", "fuse.0", ("a1",), "fuse.0", 4, False, 1),
+            ("upsample_add", "fuse.sum", ("fuse.0", "fuse.1"), "y", 0, False, 2)]
+        assert [params.get(f"fuse.{i}.weight").value.shape for i in (0, 1)] == [
+            (5, 4, 1, 1), (5, 2, 1, 1)]
+        groups, tail = split_branches(plan, ["x"])
+        assert [[s.name for s in g] for g in groups] == [["ca", "ra", "fuse.0"], ["cb", "fuse.1"]]
+        assert [s.name for s in tail] == ["fuse.sum"]
+        assert "fuse.sum" in graph._schedule(plan, {"x": x.shape}, ("y",)).in_place
+        for outputs in (None, ("y",)):
+            got = GraphRun(plan, params).forward({"x": x}, outputs=outputs)["y"]
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_upsample_read_again_keeps_the_add_conv(self):
+        specs = self._fusion() + [unary("relu", "ur", "b1", "z")]
+        plan, _params = fold_bn(specs, _bn_chain_store(specs, 49))
+        assert [(s.kind, s.name, s.inputs) for s in plan if s.name[:2] in ("ub", "fu")] == [
+            ("upsample", "ub", ("b",)), ("conv", "fuse.0", ("a1",)),
+            ("add_conv", "fuse.1", ("fuse.0", "b1"))]
+
     @pytest.mark.parametrize("reader", [
         conv_spec("fuse", "f", "g", 6, 5, k=3, padding=1),
         conv_spec("fuse", "f", "g", 6, 5, k=1, stride=2, padding=0),
@@ -972,6 +1011,8 @@ class TestSplitConcatConvs:
         unary("relu", "fuse", "f", "g"),
     ], ids=["3x3", "strided", "padded", "relu"])
     def test_other_readers_keep_the_concat(self, reader):
+        """Nothing moves, the upsample included, unless the concat's reader
+        is a pointwise conv."""
         specs = self._fusion(reader)
         specs[-1] = unary("relu", "gr", "g", "y")
         plan, _params = fold_bn(specs, _bn_chain_store(specs, 47))
@@ -984,6 +1025,65 @@ class TestSplitConcatConvs:
                  for s in self._fusion()]
         specs[-2] = conv_spec("fuse", "f", "g", 5, 5, k=1, padding=0)
         assert "cat" in [s.name for s in fold_bn(specs, _bn_chain_store(specs, 49))[0]]
+
+
+class TestMergeUpsampleAdds:
+    """fold_bn's plan runs a + upsample(b) as one upsample_add, which adds
+    the upsampled b into a one band of rows at a time."""
+
+    def _join(self, order="a+u"):
+        return [
+            conv_spec("ca", "x", "a", 3, 4),
+            conv_spec("cb", "x", "b", 3, 4, stride=2),
+            unary("upsample", "ub", "b", "u", factor=2),
+            binary("add", "join", *(("a", "u") if order == "a+u" else ("u", "a")), "y"),
+        ]
+
+    @pytest.mark.parametrize("order", ["a+u", "u+a"])
+    def test_one_banded_add_into_a(self, order, monkeypatch):
+        """Either operand order gives upsample_add(a, b), equal to the add in
+        float64; in float32 it adds into a's array, bands [0, 6) on this
+        thread and [6, 12) on the pool, bit for bit a + upsample(b)."""
+        specs = self._join(order)
+        store = _bn_chain_store(specs, 55)
+        x = Rng(56).normal(2 * 3 * 12 * 8).reshape(2, 3, 12, 8)
+        ref = GraphRun(specs, store).forward({"x": x})["y"]
+        plan, params = fold_bn(specs, store)
+        assert [(s.kind, s.name, s.inputs, s.output, s.factor) for s in plan[2:]] == [
+            ("upsample_add", "join", ("a", "b"), "y", 2)]
+        for outputs in (None, ("y",)):
+            got = GraphRun(plan, params).forward({"x": x}, outputs=outputs)["y"]
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        params, x = params.as_dtype(np.float32), x.astype(np.float32)
+        monkeypatch.setattr(ops, "_BAND_ELEMS", 2 * 2 * 4 * 8)  # two rows of the output
+        values = GraphRun(plan, params).forward({"x": x})
+        want = values["a"] + ops.bilinear_upsample(values["b"], 2)
+        calls, seen = [], {}
+        split, conv = ops._split_rows, ops.conv2d_forward
+
+        def spy_split(pool, run, rows, band):
+            def traced(r0, r1):
+                calls.append((r0, r1, threading.current_thread() is threading.main_thread()))
+                run(r0, r1)
+            return split(pool, traced if "upsample_add" in run.__qualname__ else run, rows, band)
+
+        def spy_conv(x, p, **kwargs):
+            y = seen[p.stride] = conv(x, p, **kwargs)
+            return y
+
+        monkeypatch.setattr(ops, "_split_rows", spy_split)
+        monkeypatch.setattr(ops, "conv2d_forward", spy_conv)
+        got = GraphRun(plan, params).forward({"x": x}, outputs=("y",))["y"]
+        assert got is seen[1]  # a's array
+        assert np.array_equal(got, want)
+        assert sorted(calls) == [(0, 6, True), (6, 12, False)]
+
+    def test_other_adds_stay(self):
+        """u read again, or an add of two values that are not upsamples."""
+        for specs in (self._join() + [unary("relu", "r", "u", "z")],
+                      self._join()[:2] + [binary("add", "join", "a", "a", "y")]):
+            plan, _params = fold_bn(specs, _bn_chain_store(specs, 57))
+            assert [s.name for s in plan] == [s.name for s in specs]
 
 
 class TestMergeGateAdds:

@@ -443,9 +443,11 @@ class TestInferencePlan:
     @pytest.mark.parametrize("row", ["full", "cp"])
     def test_plan_splits_into_the_two_paths(self, row):
         """The spatial and context paths are the branches: the spatial one
-        ends in its half of the FFM's 1x1 conv, the context one at cp.up16,
-        and the tail opens with the add_conv that adds the context half into
-        the spatial half; a row without a spatial path is one branch."""
+        ends in its half of the FFM's 1x1 conv, the context one in the other
+        half at stride 16, in front of the upsample that was cp.up16, and
+        the tail opens with the upsample_add that adds the upsampled context
+        half into the spatial half; a row without a spatial path is one
+        branch."""
         net = build_network(ablation_configs(NetConfig())[row], train=False)
         specs, _params = fold_bn(net.specs, _init_store(NetConfig()))
         groups, tail = split_branches(specs, [net.input])
@@ -454,14 +456,14 @@ class TestInferencePlan:
         else:
             assert [{s.name[:3] for s in g[:-1]} for g in groups] == [{"cp."}, {"sp."}]
             assert [(g[-1].name, g[-1].inputs) for g in groups] == [
-                ("cp.up16", ("cp.refine16.relu",)),
+                ("ffm.fuse.conv.1", ("cp.refine16.relu",)),
                 ("ffm.fuse.conv.0", ("sp.l3.relu",))]
-            assert (groups[1][-1].in_channels, groups[1][-1].bias) == (128, False)
+            assert [(g[-1].in_channels, g[-1].bias) for g in groups] == [(128, True), (128, False)]
             join = tail[0]
-            assert (join.kind, join.name, join.inputs, join.output, join.in_channels,
-                    join.bias) == ("add_conv", "ffm.fuse.conv.1",
-                                   ("ffm.fuse.conv.0", "cp.up16"), "ffm.fuse.bn", 128, True)
-            assert not any(s.kind == "concat" for s in specs)
+            assert (join.kind, join.name, join.inputs, join.output, join.factor) == (
+                "upsample_add", "ffm.fuse.conv.sum", ("ffm.fuse.conv.0", "ffm.fuse.conv.1"),
+                "ffm.fuse.bn", 2)
+            assert not any(s.kind in ("concat", "add_conv", "upsample") for s in specs)
             assert len(specs) == sum(map(len, groups)) + len(tail)
 
     def test_default_plan_chains_the_spatial_path_and_the_stem(self):
@@ -492,12 +494,32 @@ class TestInferencePlan:
             end = "ffm.fuse.conv.0" if cfg.fusion == "ffm" else "fuse.sp_proj"
             assert plan.chains["sp.l1.conv"][-1].name == end
         if cfg.use_spatial_path and cfg.fusion == "ffm":
-            assert plan.tail[0].kind == "add_conv" and plan.tail[0].name in plan.in_place
+            assert plan.tail[0].kind == "upsample_add" and plan.tail[0].name in plan.in_place
         for elems in (1, ops._BAND_ELEMS):
             monkeypatch.setattr(ops, "_BAND_ELEMS", elems)
             ref = GraphRun(specs, params).forward({"x": x})[net.main_logits]
             got = GraphRun(specs, params).forward({"x": x}, outputs=[net.main_logits])
             assert np.array_equal(got[net.main_logits], ref), elems
+
+    def test_upsample_adds_join_every_upsample_but_ushape4s_up8(self):
+        """Each upsample of the context path is added band by band
+        (cp.merge16, cp.merge8, the FFM join) but ushape4s's cp.up8, which a
+        3x3 conv reads; that conv's output is the FFM's second operand, so
+        ushape4s joins it with an add_conv."""
+        for cfg, joins in (
+                (NetConfig(), [("cp.merge16", ("cp.proj16.relu", "cp.proj32.relu")),
+                               ("ffm.fuse.conv.sum", ("ffm.fuse.conv.0", "ffm.fuse.conv.1"))]),
+                (NetConfig(context_fusion="ushape4s"), [
+                    ("cp.merge16", ("cp.proj16.relu", "cp.proj32.relu")),
+                    ("cp.merge8", ("cp.proj8.relu", "cp.refine16.relu")),
+                    ("ffm.fuse.conv.1", ("ffm.fuse.conv.0", "cp.align8.relu"))])):
+            specs, _params = fold_bn(build_network(cfg, train=False).specs, _init_store(cfg))
+            assert [(s.name, s.inputs) for s in specs
+                    if s.kind in ("upsample_add", "add_conv")] == joins
+            assert [s.name for s in specs if s.kind == "upsample"] == (
+                ["cp.up8"] if cfg.context_fusion == "ushape4s" else [])
+            assert [s.kind for s in specs if s.name == "ffm.fuse.conv.1"] == (
+                ["add_conv"] if cfg.context_fusion == "ushape4s" else ["conv"])
 
     def test_two_infer_calls_bitwise_equal(self):
         store = _trained_like_store(TINY, 54)
@@ -639,7 +661,12 @@ class TestInferencePlan:
     def _check_tail_split(self, weight_shape, bands, n, monkeypatch):
         """The tail conv with weight_shape and 8 input rows, in bands of
         ceil(8 / bands) rows, runs the second half of its bands on the pool,
-        and the logits equal the unsplit run's bit for bit."""
+        and the logits equal, bit for bit, those of the same freeing run
+        with no tail kind given the pool. They also match the keep-all run;
+        bit for bit wherever the spatial chain's bands leave its trailing
+        1x1 conv GEMMs of the unchained column count, which OpenBLAS's
+        small-matrix path rounds alike (not for three bands: the chain then
+        bands the 8 rows 6 + 2)."""
         c_in, k = weight_shape[1], weight_shape[2]
         per_row = n * c_in * k * k * 12  # im2col elements per output row
         monkeypatch.setattr(ops, "_BAND_ELEMS", -(-8 // bands) * per_row)
@@ -655,10 +682,16 @@ class TestInferencePlan:
         net = build_network(TINY, train=False)
         specs, params = fold_bn(net.specs, _trained_like_store(TINY, 65))
         x = Rng(66).normal(n * 3 * 64 * 96, std=40.0).astype(np.float32).reshape(n, 3, 64, 96)
-        ref = GraphRun(specs, params).forward({"x": x})[net.main_logits]
+        keep_all = GraphRun(specs, params).forward({"x": x})[net.main_logits]
+        with monkeypatch.context() as unsplit:
+            unsplit.setattr(graph, "_BANDED", frozenset())
+            ref = GraphRun(specs, params).forward({"x": x}, outputs=[net.main_logits])
         calls.clear()
         got = GraphRun(specs, params).forward({"x": x}, outputs=[net.main_logits])
-        assert np.array_equal(got[net.main_logits], ref)
+        assert np.array_equal(got[net.main_logits], ref[net.main_logits])
+        if bands < 3:
+            assert np.array_equal(got[net.main_logits], keep_all)
+        assert np.abs(got[net.main_logits] - keep_all).max() <= 1e-5 * np.abs(keep_all).max()
         mid = {1: 8, 2: 4, 3: 6}[bands]
         assert sorted(calls) == ([(0, 8, True)] if bands == 1
                                  else [(0, mid, True), (mid, 8, False)])
@@ -957,6 +990,30 @@ class TestPlanMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * fusion_map
+
+
+    def test_concurrent_peak_below_68_mib(self):
+        """With the branches run at once on the real pool, the traced peak
+        of one default forward at 1088x1920 stays at or below 68 MiB in each
+        of 8 forwards, whatever the thread timing. It holds the spatial
+        chain's 31.9 MiB output beside the chain's band buffers and the
+        context branch's live maps: with each band recomputing its halo
+        rows (bands of a whole im2col band) the chain's buffers took
+        13.9 MiB and the peak read 70.2-71.7 MiB; carrying the halo in
+        half-size bands they take 9.1 MiB."""
+        cfg = NetConfig()
+        store = _init_store(cfg, 62)
+        network_forward(_rand_input(1, 64, 64, seed=63), store, cfg)  # builds the plan
+        x = _rand_input(1, 1088, 1920, seed=64)
+        peaks = []
+        for _ in range(8):
+            tracemalloc.start()
+            try:
+                network_forward(x, store, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 68 * (1 << 20), [round(p / (1 << 20), 1) for p in peaks]
 
 
 class TestAblations:

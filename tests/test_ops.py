@@ -26,6 +26,7 @@ from biseg.ops import (
     relu_backward,
     sigmoid,
     sigmoid_backward,
+    upsample_add,
 )
 from biseg.graph import GraphRun, LayerSpec, ParamStore, init_params
 from biseg.tensor import Rng
@@ -154,16 +155,70 @@ class TestConvForward:
         got = conv_chain_forward(x, layers)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("case", ["s2-s1-1x1", "s1-s2-s2", "5x5-s1"])
+    def test_chain_carries_its_halo_bitwise(self, case, rows, monkeypatch):
+        """Each layer of a chain computes each of its rows once: a band keeps
+        the rows of the band before that the next conv reads again (two
+        rows for a 3x3 stride-1 reader, one for stride 2, four for a 5x5
+        stride-1 one) and computes only those below them. With one-row
+        bands the chain gives the layer-by-layer result bit for bit; with
+        three-row bands of an 11-row output (the last band ragged) it makes
+        GEMMs of other column counts than the layer-by-layer run, which
+        OpenBLAS's small-matrix path rounds differently, so there it agrees
+        to float32 rounding."""
+        rng = Rng(97)
+        extents, shapes = {  # input extents; (c_out, k, stride, padding) per layer
+            "s2-s1-1x1": ((21, 19), [(6, 3, 2, 1), (5, 3, 1, 1), (4, 1, 1, 0)]),
+            "s1-s2-s2": ((45, 41), [(6, 3, 1, 1), (5, 3, 2, 1), (4, 3, 2, 0)]),
+            "5x5-s1": ((21, 19), [(6, 3, 2, 1), (5, 5, 1, 2), (4, 3, 1, 1)])}[case]
+        x = _randn(rng, 2, 3, *extents)
+        layers, c_in = [], 3
+        for i, (c, k, s, pad) in enumerate(shapes):
+            bias = _randn(rng, c) if i != 1 else None
+            layers.append((Conv2dParams(_randn(rng, c, c_in, k, k), bias, s, pad), i != 2))
+            c_in = c
+        last = next(p for p, _relu in reversed(layers) if p.weight.shape[2] > 1)
+        per_row = 2 * last.weight[0].size * 10  # every case ends 11 x 10
+        # chain bands are half an im2col band; the layer-by-layer run bands alike
+        monkeypatch.setattr(ops, "_BAND_ELEMS", 1 if rows == 1 else 2 * rows * per_row)
+        ref = x
+        for p, use_relu in layers:
+            ref = conv2d_forward(ref, p)
+            ref = relu(ref) if use_relu else ref
+        assert ref.shape[2:] == (11, 10)
+        spans = {id(p): [] for p, _relu in layers}
+        conv = ops.conv_rows
+
+        def spy_rows(x, p, r0, r1, *args, **kwargs):
+            spans[id(p)].append((r0, r1))
+            return conv(x, p, r0, r1, *args, **kwargs)
+
+        monkeypatch.setattr(ops, "conv_rows", spy_rows)
+        got = conv_chain_forward(x, layers)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref) if rows == 1 else np.allclose(got, ref, rtol=1e-5,
+                                                                      atol=1e-4)
+        h = x.shape[2]
+        for p, _relu in layers:
+            h = conv_out_extent(h, p.weight.shape[2], p.stride, p.padding)
+            done = 0
+            for r0, r1 in spans[id(p)]:  # consecutive, never overlapping
+                assert r0 == done and r1 > r0
+                done = r1
+            assert done == h
+        assert spans[id(layers[-1][0])] == [(r, min(r + rows, 11)) for r in range(0, 11, rows)]
+
     def test_chain_through_a_pointwise_conv_bands_by_the_last_3x3(self, monkeypatch):
         """A 1x1 stride-1 conv ending a chain computes its rows per band of
-        the 3x3 before it, and the bands hold as many rows as that 3x3's
-        im2col bands would (two here), not as many as the 1x1's (all 12)."""
+        the 3x3 before it, and the bands hold half as many rows as that 3x3's
+        im2col bands would (two of four here), not as many as the 1x1's."""
         rng = Rng(95)
         x = _randn(rng, 1, 3, 23, 19)
         layers = [(Conv2dParams(_randn(rng, 6, 3, 3, 3), _randn(rng, 6), 2, 1), True),
                   (Conv2dParams(_randn(rng, 5, 6, 3, 3), _randn(rng, 5), 1, 1), True),
                   (Conv2dParams(_randn(rng, 9, 5, 1, 1)), False)]
-        monkeypatch.setattr(ops, "_BAND_ELEMS", 2 * 6 * 9 * 10)  # two rows of layer 2's im2col
+        monkeypatch.setattr(ops, "_BAND_ELEMS", 4 * 6 * 9 * 10)  # four rows of layer 1's im2col
         spans = []
         rows = ops.conv_rows
 
@@ -690,6 +745,43 @@ class TestUpsample:
     def test_bad_factor(self):
         with pytest.raises(ArgumentError):
             bilinear_upsample(np.zeros((1, 1, 2, 2), dtype=np.float32), 0)
+
+
+class TestUpsampleAdd:
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    @pytest.mark.parametrize("pool", [False, True])
+    def test_matches_the_add_of_the_upsample(self, rows, pool, monkeypatch):
+        """a + bilinear_upsample(x) made in bands of rows output rows (one,
+        three with a ragged last band, all eight), with and without the
+        pool split, into a fresh array, into a itself, and from a
+        (n, c, 1, 1) a. Bit for bit the add of the whole upsample, except
+        with one-row bands: their row pass is a vector-matrix product,
+        which BLAS sums in another order, so there it agrees to rounding."""
+        rng = Rng(75)
+        x = _randn(rng, 2, 3, 4, 5)
+        a = _randn(rng, 2, 3, 8, 10)
+        monkeypatch.setattr(ops, "_BAND_ELEMS", rows * 2 * 3 * 10)
+        ex = ThreadPoolExecutor(1) if pool else None
+
+        def same(got, want):
+            return (np.array_equal(got, want) if rows > 1
+                    else np.allclose(got, want, rtol=1e-6, atol=1e-6))
+
+        try:
+            ref = a + bilinear_upsample(x, 2)
+            got = upsample_add(a, x, 2, pool=ex)
+            assert same(got, ref)
+            own = a.copy()
+            assert upsample_add(own, x, 2, out=own, pool=ex) is own
+            assert np.array_equal(own, got)
+            g = a[:, :, :1, :1].copy()
+            assert same(upsample_add(g, x, 2, pool=ex), g + bilinear_upsample(x, 2))
+        finally:
+            if ex is not None:
+                ex.shutdown()
+        wide = rng.normal(2 * 3 * 40 * 5).reshape(2, 3, 40, 5)
+        ref = naive_bilinear_upsample(wide, 2)
+        assert np.allclose(upsample_add(np.zeros_like(ref), wide, 2), ref, rtol=1e-12, atol=1e-12)
 
 
 class TestLabelDownsample:

@@ -4,6 +4,7 @@ and concat layers as the graph executor runs them."""
 import numpy as np
 import pytest
 
+from biseg import tensor
 from biseg.errors import ArgumentError, ShapeError
 from biseg.graph import GraphRun, LayerSpec, ParamStore
 from biseg.tensor import Rng, Tensor, defer_kaiming, init_kaiming
@@ -78,6 +79,27 @@ class TestRng:
         drawn.normal(count)
         skipped.fork(Rng.normal_draws(count))
         assert (drawn.u64(2) == skipped.u64(2)).all()
+
+    @pytest.mark.parametrize("pairs", [7, None])
+    @pytest.mark.parametrize("count", [0, 1, 5, 2 * 3 * (1 << 16) + 3])
+    def test_chunked_normal_equals_one_float64_pass(self, count, pairs, monkeypatch):
+        """Rng.normal draws Box-Muller pairs in chunks (of 7 here, or the
+        default 65536, the last chunk ragged) and casts each into a result
+        of the asked dtype: bitwise the one float64 pass it replaced, and
+        its float32 cast."""
+        if pairs is not None:
+            monkeypatch.setattr(tensor, "_NORMAL_PAIRS", pairs)
+        raw = Rng(21).u64(Rng.normal_draws(count))
+        half = len(raw) // 2
+        u1 = ((raw[:half] >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
+        u2 = (raw[half:] >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        r, theta = np.sqrt(-2.0 * np.log(u1)), (2.0 * np.pi) * u2
+        ref = np.empty(2 * half)
+        ref[0::2], ref[1::2] = r * np.cos(theta), r * np.sin(theta)
+        ref = ref[:count] * 50.0
+        for dtype in (np.float64, np.float32):
+            got = Rng(21).normal(count, std=50.0, dtype=dtype)
+            assert got.dtype == dtype and got.tobytes() == ref.astype(dtype).tobytes()
 
     def test_randint_bounds(self):
         r = Rng(13)
