@@ -67,6 +67,9 @@ def cmd_train(args) -> int:
     result = train.run_training(cfg, args.out, echo_every=args.echo_every)
     print(f"wrote {result.log_path}")
     print(f"wrote {result.final_path}")
+    medians = train.phase_medians(result.metrics_path)
+    print("median ms per step: " + ", ".join(f"{ph} {ms:.2f}" for ph, ms in medians.items())
+          + f" (from {result.metrics_path})")
     return 0
 
 

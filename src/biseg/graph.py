@@ -42,6 +42,7 @@ import math
 import os
 import struct
 import threading
+import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
@@ -956,6 +957,7 @@ class ForwardBackward:
     terms: dict
     param_grads: dict
     input_grads: dict
+    ms: dict  # wall milliseconds of the "forward", "loss" and "backward" phases
 
 
 def forward_backward(specs, store: ParamStore, inputs: dict, loss_fn,
@@ -970,11 +972,17 @@ def forward_backward(specs, store: ParamStore, inputs: dict, loss_fn,
     The result holds no forward value, so keeping it does not keep the
     step's activations alive.
     """
+    t0 = time.perf_counter()
     run = GraphRun(specs, store, mode)
     values = run.forward(inputs)
+    t1 = time.perf_counter()
     loss, seed_grads, terms = loss_fn(values)
+    t2 = time.perf_counter()
     param_grads, in_grads = run.backward(values, seed_grads, input_grads)
-    return ForwardBackward(loss, terms, param_grads, in_grads)
+    t3 = time.perf_counter()
+    return ForwardBackward(loss, terms, param_grads, in_grads, {
+        "forward": 1000.0 * (t1 - t0), "loss": 1000.0 * (t2 - t1),
+        "backward": 1000.0 * (t3 - t2)})
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,8 @@ class JointLoss:
     main: float
     aux: tuple[float, ...]
     seed_grads: dict  # value name -> grad array
+    kept: int  # pixels the main term averages over (CeLoss.kept)
+    ignored: float  # share of the main term's pixels labelled IGNORE
 
 
 def _single_ce(logits: np.ndarray, labels: np.ndarray, cfg: NetConfig) -> ops.CeLoss:
@@ -324,7 +326,7 @@ def joint_loss_on_values(values: dict, net: GraphDef, labels: np.ndarray,
         total = total + cfg.aux_weight * aux_ce.loss
     return JointLoss(
         total=float(total), main=float(ce.loss), aux=tuple(aux_losses),
-        seed_grads=seeds,
+        seed_grads=seeds, kept=ce.kept, ignored=1.0 - ce.valid / ce.grad[:, 0].size,
     )
 
 

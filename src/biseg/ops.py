@@ -355,46 +355,51 @@ class BatchNormParams:
     mode: str = "train"
 
 
-def _bn_batch_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Accumulate in float64, return in the input dtype (biased variance).
-    mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
-    var = np.square(x.astype(np.float64) - mean.reshape(1, -1, 1, 1)).mean(axis=(0, 2, 3))
-    return mean.astype(x.dtype), var.astype(x.dtype)
+def _bn_moments(x: np.ndarray, p: BatchNormParams):
+    """(mean, var, r, d) in x's dtype, d = x - mean: in train mode the biased
+    moments over (n, h, w), float64-accumulated with no float64 copy of x, and
+    r = mean(d), what rounding the mean lost; in infer mode the running ones."""
+    if p.mode == "infer":
+        mean, var = p.running_mean.astype(x.dtype), p.running_var.astype(x.dtype)
+        return mean, var, 0.0, x - mean[:, None, None]
+    m = x.size // x.shape[1]
+    mean = np.einsum("nchw->c", x, dtype=np.float64) / m
+    d = x - mean.astype(x.dtype)[:, None, None]
+    r = mean - mean.astype(x.dtype)
+    var = np.einsum("nchw,nchw->c", d, d, dtype=np.float64) / m - r * r
+    return mean.astype(x.dtype), var.astype(x.dtype), r.astype(x.dtype), d
 
 
 def batchnorm_forward(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
+    mean, var, r, y = _bn_moments(x, p)
     if p.mode == "train":
-        mean, var = _bn_batch_moments(x)
         p.running_mean[...] = (1.0 - BN_MOMENTUM) * mean + BN_MOMENTUM * p.running_mean
         p.running_var[...] = (1.0 - BN_MOMENTUM) * var + BN_MOMENTUM * p.running_var
-    else:
-        mean, var = p.running_mean, p.running_var
-    inv_std = 1.0 / np.sqrt(var.astype(x.dtype) + x.dtype.type(BN_EPS))
-    x_hat = (x - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
-    return p.gamma.reshape(1, -1, 1, 1) * x_hat + p.beta.reshape(1, -1, 1, 1)
+    k = p.gamma * (1.0 / np.sqrt(var + x.dtype.type(BN_EPS)))
+    y *= k[:, None, None]  # y = x - mean becomes gamma * x_hat + beta in place
+    y += (p.beta - r * k)[:, None, None]
+    return y
 
 
 def batchnorm_backward(
     x: np.ndarray, p: BatchNormParams, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_input, d_gamma, d_beta). Batch moments are recomputed."""
-    if p.mode == "train":
-        mean, var = _bn_batch_moments(x)
-    else:
-        mean, var = p.running_mean.astype(x.dtype), p.running_var.astype(x.dtype)
-    inv_std = (1.0 / np.sqrt(var + x.dtype.type(BN_EPS))).reshape(1, -1, 1, 1)
-    x_hat = (x - mean.reshape(1, -1, 1, 1)) * inv_std
-    d_gamma = (grad_out * x_hat).sum(axis=(0, 2, 3))
-    d_beta = grad_out.sum(axis=(0, 2, 3))
-    g_hat = grad_out * p.gamma.reshape(1, -1, 1, 1)
+    """Gradients (d_input, d_gamma, d_beta) from moments _bn_moments recomputes.
+    Train mode writes dx = gamma * inv_std * (gy - d_beta / m - x_hat * d_gamma / m)
+    over d, x_hat = (d - r) * inv_std; infer mode holds the statistics constant."""
+    _, var, r, d = _bn_moments(x, p)
+    inv_std = 1.0 / np.sqrt(var + x.dtype.type(BN_EPS))
+    d_beta = np.einsum("nchw->c", grad_out)  # sum(gy)
+    d_gamma = inv_std * (np.einsum("nchw,nchw->c", grad_out, d) - r * d_beta)  # sum(gy * x_hat)
+    k = (p.gamma * inv_std)[:, None, None]
     if p.mode == "infer":
-        # Running statistics are constants here.
-        return g_hat * inv_std, d_gamma, d_beta
-    m = x.shape[0] * x.shape[2] * x.shape[3]
-    sum_g = g_hat.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
-    sum_gx = (g_hat * x_hat).sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
-    dx = (inv_std / m) * (m * g_hat - sum_g - x_hat * sum_gx)
-    return dx.astype(x.dtype, copy=False), d_gamma, d_beta
+        return grad_out * k, d_gamma, d_beta
+    m = x.size // x.shape[1]
+    d *= (-inv_std * d_gamma / m)[:, None, None]
+    d += grad_out
+    d -= ((d_beta - r * inv_std * d_gamma) / m)[:, None, None]
+    d *= k
+    return d, d_gamma, d_beta
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +464,18 @@ def interp_matrix(src: int, dst: int, dtype=np.float32) -> np.ndarray:
     return a.astype(dtype)
 
 
+def _separable(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rows @ x @ cols for every (n, c) matrix of x: the row pass per channel,
+    the column pass one 2-D GEMM over all channels' rows, which gives bitwise
+    the per-channel product."""
+    y = np.matmul(rows, x)
+    return np.matmul(y.reshape(-1, y.shape[3]), cols).reshape(*y.shape[:3], cols.shape[1])
+
+
 def resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resize (n,c,h,w) to (n,c,out_h,out_w) with half-pixel bilinear."""
     h, w = x.shape[2], x.shape[3]
-    ah = interp_matrix(h, out_h, x.dtype)
-    aw = interp_matrix(w, out_w, x.dtype)
-    # Separable: rows first, then columns; both are plain matmuls.
-    return np.matmul(np.matmul(ah, x), aw.T)
+    return _separable(x, interp_matrix(h, out_h, x.dtype), interp_matrix(w, out_w, x.dtype).T)
 
 
 def _nearest_index(src: int, dst: int) -> np.ndarray:
@@ -489,9 +499,8 @@ def bilinear_upsample(x: np.ndarray, factor: int) -> np.ndarray:
 
 def bilinear_upsample_backward(x_shape: tuple, factor: int, grad_out: np.ndarray) -> np.ndarray:
     h, w = x_shape[2:]
-    ah = interp_matrix(h, h * factor, grad_out.dtype)
-    aw = interp_matrix(w, w * factor, grad_out.dtype)
-    return np.matmul(np.matmul(ah.T, grad_out), aw)
+    return _separable(grad_out, interp_matrix(h, h * factor, grad_out.dtype).T,
+                      interp_matrix(w, w * factor, grad_out.dtype))
 
 
 def upsample_add(a: np.ndarray, x: np.ndarray, factor: int, out: np.ndarray | None = None,
@@ -516,8 +525,7 @@ def upsample_add(a: np.ndarray, x: np.ndarray, factor: int, out: np.ndarray | No
             rows = ah[b0 : min(b0 + band, r1)]
             reads = np.flatnonzero(rows.any(axis=0))
             s0, s1 = reads[0], reads[-1] + 1
-            part = np.matmul(rows[:, s0:s1], x[:, :, s0:s1])  # (n, c, len(rows), w)
-            part = np.matmul(part.reshape(-1, w), awt).reshape(n, c, len(rows), -1)
+            part = _separable(x[:, :, s0:s1], rows[:, s0:s1], awt)
             np.add(a[:, :, b0 : b0 + len(rows)], part, out=out[:, :, b0 : b0 + len(rows)])
 
     _split_rows(pool, run, h * factor, band)

@@ -5,14 +5,20 @@ dataset), augments each sample with its own derived RNG stream, runs the
 training graph forward and backward under the joint loss, and applies one
 SGD step at the poly learning rate. Every iteration appends a CSV row
 "iter,lr,L,lp,l2,l3" with repr-precision floats, so two runs with the same
-seed produce bitwise identical logs. A non-finite loss aborts immediately,
-naming the iteration and the batch indices that produced it.
+seed produce bitwise identical logs, and one JSON line to the metrics.jsonl
+sidecar beside it: the wall ms of each phase (PHASES), the global gradient
+norm, the pixels the main loss term kept and the share it ignored. A
+non-finite loss aborts immediately, naming the iteration and the batch
+indices that produced it.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
+import statistics
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +31,7 @@ from .graph import ParamStore
 from .tensor import Rng, Tensor
 
 LOG_HEADER = "iter,lr,L,lp,l2,l3"
+PHASES = ("load", "forward", "loss", "backward", "sgd")  # metrics.jsonl "<phase>_ms"
 
 _PERM_SALT = 0x9E377
 _INIT_SALT = 0x1A17
@@ -35,6 +42,7 @@ class TrainResult:
     store: ParamStore
     log_rows: list[str]
     log_path: str
+    metrics_path: str
     checkpoint_paths: list[str]
     final_path: str
 
@@ -81,8 +89,9 @@ def run_training(cfg: EngineConfig, out_dir, echo_every: int = 0) -> TrainResult
     """Train for cfg.sgd.max_iter iterations on the samples that
     cfg.train.manifest lists; returns the trained store.
 
-    Artifacts written under out_dir: loss_log.csv, optional cadence
-    checkpoints, and final.bsnt; checkpoints carry config.model_hash(cfg).
+    Artifacts written under out_dir: loss_log.csv, metrics.jsonl, optional
+    cadence checkpoints, and final.bsnt; checkpoints carry
+    config.model_hash(cfg).
     """
     if echo_every < 0:
         raise ArgumentError("echo_every must be non-negative (0 prints nothing)")
@@ -98,19 +107,24 @@ def run_training(cfg: EngineConfig, out_dir, echo_every: int = 0) -> TrainResult
     def loss_fn(values):
         jl = network.joint_loss_on_values(values, net, loss_labels, cfg.model)
         aux = list(jl.aux) + [0.0, 0.0]
-        terms = {"lp": jl.main, "l2": aux[0], "l3": aux[1]}
+        terms = {"lp": jl.main, "l2": aux[0], "l3": aux[1],
+                 "kept": jl.kept, "ignored": jl.ignored}
         return jl.total, jl.seed_grads, terms
 
     mhash = model_hash(cfg)
     log_path = os.path.join(out_dir, "loss_log.csv")
+    metrics_path = os.path.join(out_dir, "metrics.jsonl")
     rows: list[str] = []
     ckpts: list[str] = []
     n = len(dataset)
-    with open(log_path, "w", encoding="utf-8") as log:
+    with open(log_path, "w", encoding="utf-8") as log, \
+            open(metrics_path, "w", encoding="utf-8") as sidecar:
         log.write(LOG_HEADER + "\n")
         for it in range(cfg.sgd.max_iter):
+            t_load = time.perf_counter()
             picks = batch_indices(cfg.seed, it, cfg.train.batch_size, n)
             images, loss_labels = _load_batch(dataset, picks, cfg)
+            load_ms = 1000.0 * (time.perf_counter() - t_load)
             lr = graph.poly_lr(cfg.sgd, it)
             fb = graph.forward_backward(
                 net.specs, store, {net.input: images}, loss_fn, mode="train",
@@ -121,11 +135,19 @@ def run_training(cfg: EngineConfig, out_dir, echo_every: int = 0) -> TrainResult
                     f"loss became {fb.loss!r}", iteration=it,
                     batch_indices=[idx for _e, idx in picks],
                 )
+            t_sgd = time.perf_counter()
             graph.sgd_step(store, fb.param_grads, lr, cfg.sgd)
+            sgd_ms = 1000.0 * (time.perf_counter() - t_sgd)
             row = format_row(it, lr, fb.loss, fb.terms["lp"],
                              fb.terms["l2"], fb.terms["l3"])
             rows.append(row)
             log.write(row + "\n")
+            ms = dict(fb.ms, load=load_ms, sgd=sgd_ms)
+            norm = math.sqrt(sum(float(np.vdot(g, g)) for g in fb.param_grads.values()))
+            sidecar.write(json.dumps({
+                "iter": it, **{f"{ph}_ms": round(ms[ph], 3) for ph in PHASES},
+                "grad_norm": norm, "kept": fb.terms["kept"],
+                "ignored": fb.terms["ignored"]}) + "\n")
             if echo_every and (it % echo_every == 0 or it == cfg.sgd.max_iter - 1):
                 print(f"iter {it}: lr={lr:.6f} loss={fb.loss:.4f}")
             every = cfg.train.checkpoint_every
@@ -137,7 +159,15 @@ def run_training(cfg: EngineConfig, out_dir, echo_every: int = 0) -> TrainResult
     graph.save_checkpoint(store, final_path, iteration=cfg.sgd.max_iter,
                           config_hash=mhash)
     return TrainResult(store=store, log_rows=rows, log_path=log_path,
-                       checkpoint_paths=ckpts, final_path=final_path)
+                       metrics_path=metrics_path, checkpoint_paths=ckpts,
+                       final_path=final_path)
+
+
+def phase_medians(metrics_path) -> dict:
+    """Median wall ms of each of PHASES over the lines of a metrics.jsonl."""
+    with open(metrics_path, encoding="utf-8") as f:
+        lines = [json.loads(line) for line in f]
+    return {ph: statistics.median(line[f"{ph}_ms"] for line in lines) for ph in PHASES}
 
 
 def evaluate(store: ParamStore, cfg: EngineConfig,

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import statistics
 import struct
 from pathlib import Path
 
@@ -312,6 +313,19 @@ class TestTrainingLoop:
         assert [os.path.basename(p) for p in res.checkpoint_paths] == \
                ["ckpt_000002.bsnt"]
         assert res.final_path.endswith("final.bsnt")
+        # the sidecar: one JSON line per iteration beside the loss log
+        assert res.metrics_path == str(tmp_path / "run" / "metrics.jsonl")
+        with open(res.metrics_path, encoding="utf-8") as f:
+            lines = [json.loads(line) for line in f]
+        assert [m["iter"] for m in lines] == [0, 1, 2, 3]
+        pixels = cfg.train.batch_size * cfg.aug.crop_h * cfg.aug.crop_w // 64  # stride 8
+        for m in lines:
+            assert all(m[f"{ph}_ms"] >= 0.0 for ph in train_mod.PHASES)
+            assert 0.0 < m["grad_norm"] < math.inf
+            assert 0 < m["kept"] <= pixels and 0.0 <= m["ignored"] < 1.0
+        medians = train_mod.phase_medians(res.metrics_path)
+        assert list(medians) == list(train_mod.PHASES)
+        assert medians["backward"] == statistics.median(m["backward_ms"] for m in lines)
 
     def test_bitwise_deterministic_reruns(self, tmp_path):
         cfg = tiny_config(**{"train.manifest": _make_dataset(tmp_path)})
@@ -367,10 +381,13 @@ class TestCliHappyPath:
         log = (workspace["run"] / "loss_log.csv").read_text().splitlines()
         assert len(log) == 4  # header + max_iter rows
 
-    def test_train_rerun_is_bitwise_identical(self, workspace):
+    def test_train_rerun_is_bitwise_identical(self, workspace, capsys):
         out2 = workspace["root"] / "run2"
         assert main(["train", "--config", str(workspace["config"]),
                      "--out", str(out2)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("median ms per step: load ")
+        assert str(out2 / "metrics.jsonl") in last
         assert (out2 / "loss_log.csv").read_bytes() == \
                (workspace["run"] / "loss_log.csv").read_bytes()
         assert (out2 / "final.bsnt").read_bytes() == workspace["ckpt"].read_bytes()

@@ -790,6 +790,21 @@ class TestJointLoss:
         assert jp.total == jb.total
         assert (jp.seed_grads["main"] == jb.seed_grads["main"]).all()
 
+    @pytest.mark.parametrize("at_full", [False, True])
+    def test_reports_kept_and_ignored_share(self, at_full):
+        """kept is the main term's CeLoss.kept; ignored is the share of its
+        pixels labelled IGNORE, at stride 8 (center picks) or at full size."""
+        rng = Rng(26)
+        values = {"main": rng.normal(2 * 3 * 4 * 4).astype(np.float32).reshape(2, 3, 4, 4)}
+        labels = (rng.uniform(2 * 32 * 32) * 3).astype(np.int64).reshape(2, 32, 32)
+        labels[:, :8] = IGNORE  # the first of four stride-8 rows, a quarter of the pixels
+        cfg = NetConfig(num_classes=3, loss_at_full=at_full, loss_mode="bootstrap",
+                        bootstrap_keep=0.5, bootstrap_min_kept=0, backbone=TINY_BB)
+        jl = joint_loss_on_values(values, _fake_net(0), labels, cfg)
+        valid = (32 * 32 if at_full else 4 * 4) * 2 * 3 // 4
+        assert jl.ignored == 0.25
+        assert jl.kept == valid // 2
+
     def test_label_shape_mismatch(self):
         cfg = NetConfig(num_classes=3, backbone=TINY_BB)
         values = {"main": np.zeros((1, 3, 4, 4), dtype=np.float32)}

@@ -1,5 +1,6 @@
 """Layer kernel tests against naive oracles and finite differences."""
 
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -619,6 +620,69 @@ class TestBatchNorm:
 
         assert check_grad(loss_b, grad_b, beta, eps=1e-5) < 1e-6
 
+    @pytest.mark.parametrize("mean,std", [(1e3, 0.1), (-50.0, 0.01), (0.0, 1.0)])
+    def test_train_float32_matches_float64_oracle(self, mean, std):
+        """A float32 batch far from zero mean (|mean| >> std) normalizes, and
+        differentiates, to float32 rounding of the float64 oracle and of
+        central differences through it: the deviations, not x, set the
+        precision."""
+        rng = np.random.default_rng(49)
+        x = (rng.normal(size=(3, 2, 4, 5)) * std + mean).astype(np.float32)
+        gamma = (rng.normal(size=2) + 1.5).astype(np.float32)
+        beta = rng.normal(size=2).astype(np.float32)
+        probe = rng.normal(size=x.shape).astype(np.float32)
+
+        def mk():
+            return BatchNormParams(gamma.copy(), beta.copy(), np.zeros(2, np.float32),
+                                   np.ones(2, np.float32))
+
+        def rel(got, want):
+            return float(np.abs(got - want).max() / np.abs(want).max())
+
+        x64, g64, b64 = x.astype(np.float64), gamma.astype(np.float64), beta.astype(np.float64)
+        p = mk()
+        out = batchnorm_forward(x, p)
+        ref, means, variances = naive_batchnorm_train(x64, g64, b64)
+        assert out.dtype == np.float32 and rel(out, ref) < 1e-6
+        assert rel(p.running_mean, 0.1 * means) < 1e-6
+        assert rel(p.running_var, 0.1 * variances + 0.9) < 1e-6
+
+        def loss(xv, gv, bv):
+            return float((naive_batchnorm_train(xv, gv, bv)[0] * probe).sum())
+
+        def central(f, v, eps):  # df/dv by central differences
+            grad = np.zeros(v.shape)
+            for i in range(v.size):
+                step = np.zeros(v.shape)
+                step.flat[i] = eps
+                grad.flat[i] = (f(v + step) - f(v - step)) / (2 * eps)
+            return grad
+
+        gx, d_gamma, d_beta = batchnorm_backward(x, mk(), probe)
+        assert gx.dtype == d_gamma.dtype == d_beta.dtype == np.float32
+        assert rel(gx, central(lambda v: loss(v, g64, b64), x64, 1e-4 * std)) < 1e-6
+        assert rel(d_gamma, central(lambda v: loss(x64, v, b64), g64, 1e-6)) < 1e-6
+        assert rel(d_beta, central(lambda v: loss(x64, g64, v), b64, 1e-6)) < 1e-6
+
+    def test_train_peak_memory_stays_near_one_input(self):
+        """One train-mode forward or backward on a float32 map holds at most
+        2.5 input sizes, the returned array included: no float64 copy of
+        the input and no full-size temporaries beyond the result."""
+        rng = np.random.default_rng(50)
+        x = rng.normal(size=(16, 16, 32, 32)).astype(np.float32)
+        gy = rng.normal(size=x.shape).astype(np.float32)
+        p = _bn_params(16)
+        for run in (lambda: batchnorm_forward(x, p), lambda: batchnorm_backward(x, p, gy)):
+            run()  # warm any lazily built state
+            tracemalloc.start()
+            try:
+                out = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            del out
+            assert peak < 2.5 * x.nbytes
+
 
 class TestActivations:
     def test_relu_values(self):
@@ -741,6 +805,20 @@ class TestUpsample:
         loss = lambda xv: float((bilinear_upsample(xv, 2).reshape(-1) * probe).sum())
         grad = lambda xv: bilinear_upsample_backward(xv.shape, 2, probe.reshape(1, 1, 6, 6))
         assert check_grad(loss, grad, x, eps=1e-6) < 1e-6
+
+    @pytest.mark.parametrize("shape,factor", [((16, 64, 8, 8), 2), ((16, 3, 8, 8), 8),
+                                              ((2, 32, 16, 16), 4), ((1, 128, 68, 120), 2)])
+    def test_one_gemm_column_pass_is_the_per_channel_product(self, shape, factor):
+        """The column pass is one 2-D GEMM over every channel's rows; forward
+        and backward give bitwise the per-channel broadcast matmul."""
+        rng = np.random.default_rng(76)
+        n, c, h, w = shape
+        ah, aw = ops.interp_matrix(h, h * factor), ops.interp_matrix(w, w * factor)
+        x = rng.normal(size=shape).astype(np.float32)
+        gy = rng.normal(size=(n, c, h * factor, w * factor)).astype(np.float32)
+        assert np.array_equal(bilinear_upsample(x, factor), np.matmul(np.matmul(ah, x), aw.T))
+        assert np.array_equal(bilinear_upsample_backward(shape, factor, gy),
+                              np.matmul(np.matmul(ah.T, gy), aw))
 
     def test_bad_factor(self):
         with pytest.raises(ArgumentError):
