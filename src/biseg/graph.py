@@ -6,15 +6,15 @@ and produces one new name. Execution walks the sequence in order; the
 backward pass walks it in exact reverse, summing the gradients of a value
 that fans out into a fresh array. Inference runs a plan over the same specs:
 fold_bn merges each BN into the conv before it, splits a concat read only
-by a 1x1 conv into that conv's half on the first operand and a join of the
-other half, run in front of the upsample that makes the second operand
-where there is one (split_concat_convs), turns f + f·w into f·(1 + w)
-(merge_gate_adds), and a + upsample(b) into an upsample_add that adds the
-upsampled b into a band by band (merge_upsample_adds). A forward given the
-values it must return drops each other layer output after its last use,
-writes a relu, add, mul, add_conv or upsample_add into the first operand
-that dies there, and runs the branches from the graph inputs concurrently
-on one dict. That forward also runs each find_chains() chain in a branch
+by a 1x1 conv, whose second operand is an upsample, into that conv's half
+on the first operand and the other half, run in front of the upsample
+(split_concat_convs), turns f + f·w into f·(1 + w) (merge_gate_adds), and
+a + upsample(b) into an upsample_add that adds the upsampled b into a band
+by band (merge_upsample_adds). A forward given the values it must return
+drops each other layer output after its last use, writes a relu, add, mul
+or upsample_add into the first operand that dies there, and runs the
+branches from the graph inputs concurrently on one dict. That forward
+also runs each find_chains() chain in a branch
 (dense convs with kernel > 1 and their ReLUs, then optionally a 1x1 conv,
 each the sole consumer of the value before it) depth-first in bands of
 output rows, each inner layer keeping the rows the next band reads again,
@@ -32,7 +32,7 @@ static cost and receptive-field rule. Graph validation, shape inference,
 parameter initialization, execution, cost analysis and the receptive-field
 walk all look the kind up there, so a new kind is one table entry. The
 table holds conv, bn, relu, sigmoid, gap, upsample, concat, add and mul,
-and add_conv and upsample_add, which only plans use.
+and upsample_add, which only plans use.
 conv and bn own parameters in the ParamStore under "<layer name>." prefixes.
 """
 
@@ -110,11 +110,11 @@ class LayerKind:
         the layer's name (infer_shapes adds it); the only operand check
     forward(spec, xs, p, mode) -> output; p maps suffix -> stored array.
         The output is a fresh array that shares memory with no operand,
-        unless the kind takes out=: relu, add, mul, add_conv and upsample_add
-        write into out, an array of the output's shape and dtype, when given
-        one (a freeing GraphRun.forward passes the first operand where it
-        dies). conv's, add_conv's and upsample_add's also take pool=, an
-        executor for half of their banded output rows
+        unless the kind takes out=: relu, add, mul and upsample_add write
+        into out, an array of the output's shape and dtype, when given one
+        (a freeing GraphRun.forward passes the first operand where it dies).
+        conv's and upsample_add's also take pool=, an executor for half of
+        their banded output rows
     backward(spec, xs, y, gy, p, mode) -> (input grads, {suffix: grad}); conv's
         also takes input_grad=False, which gives None for the input grad.
         A gradient may be gy itself or a view of it or of another gradient,
@@ -267,29 +267,11 @@ def _rf_join(spec, states):  # joins take the branch maximum
     return RfState(a.jump, max(a.rf, b.rf), a.start)
 
 
-def _add_conv_shape(spec, ins):  # add_conv(a, b) = a + conv(b), the conv dense
-    out = _conv_shape(spec, ins[1:])
-    if spec.groups != 1 or out != ins[0]:
-        raise ShapeError(f"adds a dense conv's output {out} into {ins[0]}")
-    return out
-
-
-def _add_conv_bwd(spec, xs, y, gy, p, mode):
-    (gx,), grads = _conv_bwd(spec, xs[1:], y, gy, p, mode)
-    return (gy, gx), grads
-
-
-def _add_conv_cost(ins, out, ps):
-    params, macs, flops = _conv_cost(ins[1:], out, ps)
-    return params, macs, flops + math.prod(out)
-
-
 # Kernels are looked up on the ops module at call time, so wrappers installed
 # there (profilers, tracers) see every call. Cost conventions: conv counts
 # weight_params * n * h_out * w_out MACs at 2 FLOPs each; bn 2 FLOPs per
 # element; sigmoid 4; upsample 7 (4 multiplies + 3 adds per output); gap one
 # per input and output element; relu, add and mul one; concat moves memory;
-# add_conv, a + conv(b), a conv's count plus one per output element;
 # upsample_add, a + upsample(b), 8 per output element.
 KINDS: dict[str, LayerKind] = {
     "conv": LayerKind(
@@ -339,12 +321,6 @@ KINDS: dict[str, LayerKind] = {
         backward=lambda spec, xs, y, gy, p, mode: (
             (gy * xs[1], _unbroadcast(gy * xs[0], xs[1])), {}),
         cost=_flops(1), rf=_rf_join),
-    "add_conv": LayerKind(
-        arity=2, params=_conv_defs, shape=_add_conv_shape,
-        forward=lambda spec, xs, p, mode, out=None, pool=None: ops.conv2d_forward(
-            xs[1], _conv(spec, p, pool), acc=xs[0].copy() if out is None else out),
-        backward=_add_conv_bwd, cost=_add_conv_cost,
-        rf=lambda spec, states: _rf_join(spec, (states[0], _rf_conv(spec, states[1:])))),
     "upsample_add": LayerKind(
         arity=2, shape=lambda spec, ins: _pointwise_shape(  # a + upsample(b)
             spec, (_upsample_shape(spec, ins[1:]), ins[0])),
@@ -604,20 +580,18 @@ def _channels(name: str, producers: dict) -> int:
 
 
 def split_concat_convs(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
-    """Plan rewrite: a concat read only by a dense unpadded 1x1 stride-1 conv
-    becomes the conv's half "<conv>.0" on the first operand, which
-    split_branches() puts in that operand's branch (where find_chains() may
-    end a chain with it), and a join of the other half:
-        W·[a; b] + bias = W_a·a + (W_b·b + bias).
-    Where b is an upsample u(v) read only by the concat, the other half
-    "<conv>.1" runs before the upsample, on v, and an add "<conv>.sum" of
-    "<conv>.0" and the upsample of "<conv>.1" writes the conv's output:
-    W_b·u(v) + bias = u(W_b·v + bias), exact in real arithmetic since the
-    conv mixes channels, the upsample pixels, and each bilinear row sums
-    to 1; merge_upsample_adds() then turns that add into an upsample_add.
-    Otherwise the join is an add_conv "<conv>.1" of the half and b, which a
-    freeing forward adds band by band into the dying half. A concat whose
-    first operand's channels _channels() cannot tell stays. The store holds
+    """Plan rewrite: a concat of a and b = u(v), an upsample read only by
+    the concat, where the concat is read only by a dense unpadded 1x1
+    stride-1 conv, becomes the conv's half "<conv>.0" on a, which
+    split_branches() puts in a's branch (where find_chains() may end a chain
+    with it), the other half "<conv>.1" on v, before the upsample, and an
+    add "<conv>.sum" of "<conv>.0" and the upsample of "<conv>.1", which
+    writes the conv's output:
+        W·[a; u(v)] + bias = W_a·a + u(W_b·v + bias),
+    exact in real arithmetic since the conv mixes channels, the upsample
+    pixels, and each bilinear row sums to 1; merge_upsample_adds() then
+    turns that add into an upsample_add. Any other concat stays, as does one
+    whose first operand's channels _channels() cannot tell. The store holds
     the weight slices and shares the other arrays.
     """
     users = _consumers(specs)
@@ -628,25 +602,22 @@ def split_concat_convs(specs, store: ParamStore) -> tuple[list[LayerSpec], Param
         if cat.kind != "concat" or len(readers) != 1 or not _pointwise(readers[0]):
             continue
         conv, ca = readers[0], _channels(cat.inputs[0], producers)
-        if not 0 < ca < conv.in_channels:
+        up = producers.get(cat.inputs[1])
+        if (not 0 < ca < conv.in_channels or up is None or up.kind != "upsample"
+                or len(users[up.output]) != 1):
             continue
         w = store.get(f"{conv.name}.weight").value
         bias = store.get(f"{conv.name}.bias").value if conv.bias else None
         half = replace(conv, name=f"{conv.name}.0", inputs=cat.inputs[:1],
                        output=f"{conv.name}.0", in_channels=ca, bias=False)
-        other = replace(conv, name=f"{conv.name}.1", inputs=cat.inputs[1:],
+        other = replace(conv, name=f"{conv.name}.1", inputs=up.inputs, output=f"{conv.name}.1",
                         in_channels=conv.in_channels - ca)
-        arrays = {"weight": np.ascontiguousarray(w[:, ca:]), "bias": bias}
-        up = producers.get(cat.inputs[1])
         new[cat.name] = []
-        if up is not None and up.kind == "upsample" and len(users[up.output]) == 1:
-            other = replace(other, inputs=up.inputs, output=other.name)
-            new[up.name] = [(other, arrays), (replace(up, inputs=(other.output,)), {})]
-            join = (LayerSpec("add", f"{conv.name}.sum", (half.output, up.output),
-                              conv.output), {})
-        else:
-            join = (replace(other, kind="add_conv", inputs=(half.output, cat.inputs[1])), arrays)
-        new[conv.name] = [(half, {"weight": np.ascontiguousarray(w[:, :ca])}), join]
+        new[up.name] = [(other, {"weight": np.ascontiguousarray(w[:, ca:]), "bias": bias}),
+                        (replace(up, inputs=(other.output,)), {})]
+        new[conv.name] = [(half, {"weight": np.ascontiguousarray(w[:, :ca])}),
+                          (LayerSpec("add", f"{conv.name}.sum", (half.output, up.output),
+                                     conv.output), {})]
     return _rewrite(specs, store, new)
 
 
@@ -770,8 +741,8 @@ class _Schedule(NamedTuple):
 
 
 # Kinds whose forward takes out=, and those that take pool= (see LayerKind).
-_IN_PLACE = frozenset(("relu", "add", "mul", "add_conv", "upsample_add"))
-_BANDED = frozenset(("conv", "add_conv", "upsample_add"))
+_IN_PLACE = frozenset(("relu", "add", "mul", "upsample_add"))
+_BANDED = frozenset(("conv", "upsample_add"))
 
 
 def _schedule(specs, input_shapes: dict, outputs=None) -> _Schedule:
@@ -1101,8 +1072,8 @@ def save_checkpoint(store: ParamStore, path, iteration: int = 0, config_hash: in
 
 def load_checkpoint(path) -> Checkpoint:
     """Parse a save_checkpoint file. Any departure from the layout, including
-    a name that is not UTF-8 or repeated, a NaN or infinite weight, or bytes
-    after the trailer, raises FormatError."""
+    a name that is not UTF-8 or repeated, a rank above 4, a zero dim, a NaN
+    or infinite weight, or bytes after the trailer, raises FormatError."""
     with open(path, "rb") as f:
         blob = f.read()
 
@@ -1136,7 +1107,12 @@ def load_checkpoint(path) -> Checkpoint:
         pos += 2
         if dtype_tag != _DTYPE_F32:
             raise FormatError(f"unknown dtype tag {dtype_tag} for {name!r}", offset=pos - 2)
+        if rank > 4:
+            raise FormatError(f"tensor {name!r} has rank {rank}, above 4", offset=pos - 1)
         dims = struct.unpack(f"<{rank}I", need(pos, 4 * rank, "dims"))
+        if 0 in dims:
+            raise FormatError(f"tensor {name!r} has a zero dim in {dims}",
+                              offset=pos + 4 * dims.index(0))
         pos += 4 * rank
         numel = math.prod(dims)
         check(pos, 4 * numel, f"payload of {name!r}")

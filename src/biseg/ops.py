@@ -70,8 +70,7 @@ def band_rows(rows: int, per_row: int) -> int:
 
 
 def conv_rows(x: np.ndarray, p: Conv2dParams, r0: int, r1: int, row0: int = 0,
-              h: int | None = None, out: np.ndarray | None = None,
-              add: bool = False) -> np.ndarray:
+              h: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Output rows [r0, r1) of a dense conv, bias included, from unpadded input rows.
 
     x holds input rows [row0, row0 + x.shape[2]) of an h-row input (by
@@ -82,8 +81,7 @@ def conv_rows(x: np.ndarray, p: Conv2dParams, r0: int, r1: int, row0: int = 0,
     into a zero slab, which supplies the padding; an unpadded 1x1 stride-1
     band is its own im2col and is not copied. out, if given, is the
     (n, c_out, r1 - r0, ow) destination and must keep each channel's rows
-    contiguous. With add, each band's result is made in a band buffer and
-    added into out, which must be given.
+    contiguous.
     """
     n, c_in, _, wx = x.shape
     h = x.shape[2] if h is None else h
@@ -98,7 +96,6 @@ def conv_rows(x: np.ndarray, p: Conv2dParams, r0: int, r1: int, row0: int = 0,
     rows = band_rows(r1 - r0, per_row)
     pointwise = kh == kw == s == 1 and not pad
     buf = None if pointwise else np.empty(per_row * rows, dtype=x.dtype)
-    part = np.empty((n, c_out, rows * ow), dtype=x.dtype) if add else None
     if pad:
         slab = np.zeros((n, c_in, (rows - 1) * s + kh, wx + 2 * pad), dtype=x.dtype)
     for b0 in range(r0, r1, rows):
@@ -121,12 +118,9 @@ def conv_rows(x: np.ndarray, p: Conv2dParams, r0: int, r1: int, row0: int = 0,
                 for kj in range(kw):
                     cols[:, :, ki, kj] = band[:, :, ki::s, kj::s][:, :, :r, :ow]
         dst = flat[:, :, (b0 - r0) * ow : (b0 - r0 + r) * ow]
-        res = part[:, :, : r * ow] if add else dst
-        np.matmul(w2, cols.reshape(n, -1, r * ow), out=res)
+        np.matmul(w2, cols.reshape(n, -1, r * ow), out=dst)
         if p.bias is not None:
-            res += p.bias[:, None]
-        if add:
-            dst += res
+            dst += p.bias[:, None]
     return out
 
 
@@ -250,20 +244,17 @@ def _conv_fwd_depthwise(x: np.ndarray, p: Conv2dParams, oh: int, ow: int) -> np.
     return y
 
 
-def conv2d_forward(x: np.ndarray, p: Conv2dParams, acc: np.ndarray | None = None) -> np.ndarray:
+def conv2d_forward(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
     """Dense convs run conv_rows over all output rows; with p.pool, the bands
     from the middle on run there while this thread runs the first half.
-    Given acc, an array of the output's shape, a dense conv adds each band
-    into it and returns it. Depthwise convs add shifted slices of
-    stride-phase planes."""
+    Depthwise convs add shifted slices of stride-phase planes."""
     kh, kw = p.weight.shape[2:]
     oh = conv_out_extent(x.shape[2], kh, p.stride, p.padding)
     ow = conv_out_extent(x.shape[3], kw, p.stride, p.padding)
     if p.groups != 1:
         return _conv_fwd_depthwise(x, p, oh, ow)
-    y = np.empty((x.shape[0], p.weight.shape[0], oh, ow), dtype=x.dtype) if acc is None else acc
-    _split_rows(p.pool, lambda r0, r1: conv_rows(x, p, r0, r1, out=y[:, :, r0:r1],
-                                                 add=acc is not None),
+    y = np.empty((x.shape[0], p.weight.shape[0], oh, ow), dtype=x.dtype)
+    _split_rows(p.pool, lambda r0, r1: conv_rows(x, p, r0, r1, out=y[:, :, r0:r1]),
                 oh, band_rows(oh, x.shape[0] * p.weight[0].size * ow))
     return y
 

@@ -615,7 +615,7 @@ class TestCliErrors:
         assert capsys.readouterr().err.startswith("error[data]: ")
 
     @pytest.mark.parametrize("damage", ["truncated", "appended", "bad_name", "dup_name",
-                                        "huge_dims"])
+                                        "huge_dims", "rank_18", "zero_dim"])
     def test_corrupt_checkpoint_exit_3(self, workspace, tmp_path, capsys, damage):
         blob = workspace["ckpt"].read_bytes()
         if damage == "truncated":
@@ -631,6 +631,13 @@ class TestCliErrors:
             at = 13 + name_len
             huge = bytes([4]) + struct.pack("<4I", *(1 << 16,) * 4)
             damaged = [blob[:at] + huge + blob[at + 1 + 4 * blob[at]:]]
+        elif damage == "rank_18":  # the first tensor's rank byte alone
+            at = 13 + struct.unpack_from("<H", blob, 10)[0]
+            damaged = [blob[:at] + bytes([18]) + blob[at + 1:]]
+        elif damage == "zero_dim":  # first tensor as rank 4 with dims (0, 2**32-1, ...)
+            at = 13 + struct.unpack_from("<H", blob, 10)[0]
+            dims = bytes([4]) + struct.pack("<4I", 0, *(2**32 - 1,) * 3)
+            damaged = [blob[:at] + dims + blob[at + 1 + 4 * blob[at]:]]
         else:  # the first tensor record twice, with the count raised to match
             (count,) = struct.unpack_from("<I", blob, 6)
             (name_len,) = struct.unpack_from("<H", blob, 10)

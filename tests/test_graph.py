@@ -113,9 +113,6 @@ def _sample_spec(kind):
         return unary("bn", "l", "a", "y", in_channels=2)
     if kind == "upsample":
         return unary("upsample", "l", "a", "y", factor=2)
-    if kind == "add_conv":
-        return LayerSpec("add_conv", "l", ("a", "b"), "y", in_channels=2, out_channels=2,
-                         kernel=1, bias=True)
     if kind == "upsample_add":  # factor 1 keeps b's shape, the shape of a
         return LayerSpec("upsample_add", "l", ("a", "b"), "y", factor=1)
     if KINDS[kind].arity == 2:
@@ -124,9 +121,9 @@ def _sample_spec(kind):
 
 
 class TestOpTable:
-    def test_table_holds_the_eleven_kinds(self):
+    def test_table_holds_the_ten_kinds(self):
         assert set(KINDS) == {"conv", "bn", "relu", "sigmoid", "gap", "upsample",
-                              "concat", "add", "mul", "add_conv", "upsample_add"}
+                              "concat", "add", "mul", "upsample_add"}
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_every_kind_defines_every_rule(self, kind):
@@ -902,10 +899,10 @@ class TestFoldBn:
 
 
 class TestSplitConcatConvs:
-    """fold_bn's plan runs a concat read only by a dense 1x1 stride-1 conv
-    as the conv's half on the first operand and a join of the other: the
-    other half moved in front of an upsample and an upsample_add, or an
-    add_conv."""
+    """fold_bn's plan runs a concat of a and an upsample, read only by a
+    dense 1x1 stride-1 conv, as the conv's half on a and the other half
+    moved in front of the upsample, joined by an upsample_add; any other
+    concat stays."""
 
     def _fusion(self, reader=None, upsampled=True):
         """a1 and b1 joined by a concat; b1 is the x2 upsample of a stride-2
@@ -921,56 +918,20 @@ class TestSplitConcatConvs:
             unary("bn", "gb", "g", "y", in_channels=5),
         ]
 
-    def test_halves_in_their_branches_match_the_concat(self):
-        """The half on a ends a's branch; the add_conv, which reads both
-        branches, opens the tail."""
+    def test_concat_of_no_upsample_stays(self):
+        """Where b1 is no upsample, the concat stays, read by the conv its
+        BN folded into; the plan holds no half."""
         specs = self._fusion(upsampled=False)
         store = _bn_chain_store(specs, 45)
         x = Rng(46).normal(2 * 3 * 6 * 8).reshape(2, 3, 6, 8)
         ref = GraphRun(specs, store).forward({"x": x})["y"]
         plan, params = fold_bn(specs, store)
-        assert [(s.kind, s.name, s.inputs, s.in_channels, s.bias) for s in plan[4:]] == [
-            ("conv", "fuse.0", ("a1",), 4, False),
-            ("add_conv", "fuse.1", ("fuse.0", "b1"), 2, True)]
-        assert plan[-1].output == "y"
-        assert [params.get(f"fuse.{i}.weight").value.shape for i in (0, 1)] == [
-            (5, 4, 1, 1), (5, 2, 1, 1)]
-        groups, tail = split_branches(plan, ["x"])
-        assert [[s.name for s in g] for g in groups] == [["ca", "ra", "fuse.0"], ["cb", "ub"]]
-        assert [s.name for s in tail] == ["fuse.1"]
+        assert [(s.kind, s.name, s.inputs, s.output) for s in plan[4:]] == [
+            ("concat", "cat", ("a1", "b1"), "f"), ("conv", "fuse", ("f",), "y")]
+        assert not any(s.name.startswith("fuse.") for s in plan)
         for outputs in (None, ("y",)):
             got = GraphRun(plan, params).forward({"x": x}, outputs=outputs)["y"]
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_join_adds_into_the_half_bitwise(self, n, monkeypatch):
-        """The add_conv adds each band of W_b·b1 + bias into the dying half's
-        array, bands [0, 4) here and [4, 6) on the pool: bit for bit the half
-        plus a conv of b1, as the half, the other half and an add gave."""
-        specs = self._fusion(upsampled=False)
-        store = _bn_chain_store(specs, 50).as_dtype(np.float32)
-        plan, params = fold_bn(specs, store)
-        monkeypatch.setattr(ops, "_BAND_ELEMS", 2 * n * 2 * 8)  # two rows of the 2-channel b1
-        x = Rng(51).normal(n * 3 * 6 * 8).astype(np.float32).reshape(n, 3, 6, 8)
-        values = GraphRun(plan, params).forward({"x": x})
-        p = Conv2dParams(params.get("fuse.1.weight").value, params.get("fuse.1.bias").value)
-        ref = values["fuse.0"] + conv2d_forward(values["b1"], p)
-        assert np.array_equal(values["y"], ref)
-        calls = []
-        rows = ops.conv_rows
-
-        def spy_rows(x, p, r0, r1, *args, add=False, **kwargs):
-            if add:
-                out = kwargs["out"]
-                calls.append((r0, r1, threading.current_thread() is threading.main_thread(),
-                              out.base if out.base is not None else out))
-            return rows(x, p, r0, r1, *args, add=add, **kwargs)
-
-        monkeypatch.setattr(ops, "conv_rows", spy_rows)
-        got = GraphRun(plan, params).forward({"x": x}, outputs=("y",))["y"]
-        assert np.array_equal(got, ref)
-        assert sorted(c[:3] for c in calls) == [(0, 4, True), (4, 6, False)]
-        assert all(c[3] is got for c in calls)  # the half's array became the output
 
     def test_context_half_moves_before_the_upsample(self):
         """Where b1 is an upsample read only by the concat, the other half
@@ -997,12 +958,12 @@ class TestSplitConcatConvs:
             got = GraphRun(plan, params).forward({"x": x}, outputs=outputs)["y"]
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_upsample_read_again_keeps_the_add_conv(self):
+    def test_upsample_read_again_keeps_the_concat(self):
         specs = self._fusion() + [unary("relu", "ur", "b1", "z")]
         plan, _params = fold_bn(specs, _bn_chain_store(specs, 49))
-        assert [(s.kind, s.name, s.inputs) for s in plan if s.name[:2] in ("ub", "fu")] == [
-            ("upsample", "ub", ("b",)), ("conv", "fuse.0", ("a1",)),
-            ("add_conv", "fuse.1", ("fuse.0", "b1"))]
+        assert [(s.kind, s.name, s.inputs) for s in plan if s.name[:2] in ("ub", "ca", "fu")] == [
+            ("conv", "ca", ("x",)), ("upsample", "ub", ("b",)),
+            ("concat", "cat", ("a1", "b1")), ("conv", "fuse", ("f",))]
 
     @pytest.mark.parametrize("reader", [
         conv_spec("fuse", "f", "g", 6, 5, k=3, padding=1),
@@ -1327,6 +1288,36 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="truncated") as exc:
             load_checkpoint(path)
         assert exc.value.offset == at + len(huge)
+
+    def test_rank_above_four_rejected(self, tmp_path):
+        """A two-tensor file with the first tensor's rank byte (byte 16) set
+        from 2 to 18: the eighteen dims read include a 0, so numel is 0 and
+        the payload check passes; the rank is rejected first."""
+        store = ParamStore()
+        store.add("a.w", np.zeros((2, 3), np.float32))
+        store.add("b.w", np.ones(4, np.float32))
+        path = tmp_path / "model.bsnt"
+        save_checkpoint(store, path)
+        blob = bytearray(path.read_bytes())
+        assert blob[16] == 2
+        blob[16] = 18
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="'a.w' has rank 18") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == 16
+
+    def test_zero_dim_rejected(self, tmp_path):
+        store = self._store()
+        path = tmp_path / "model.bsnt"
+        save_checkpoint(store, path)
+        blob = path.read_bytes()
+        (name_len,) = struct.unpack_from("<H", blob, 10)
+        at = 13 + name_len  # rank of the first tensor, then its dims
+        dims = bytes([4]) + struct.pack("<4I", 0, *(2**32 - 1,) * 3)  # 0 elements
+        path.write_bytes(blob[:at] + dims + blob[at + 1 + 4 * blob[at]:])
+        with pytest.raises(FormatError, match="zero dim") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == at + 1
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_weight_rejected(self, tmp_path, bad):

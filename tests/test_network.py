@@ -291,6 +291,14 @@ class TestFullForward:
             NetConfig(aux_weight=-0.5)
 
 
+def _plan_config(row):
+    """The NetConfig of an inference-plan test row: the default config, an
+    ablation_configs() row, or the ushape4s context fusion."""
+    if row == "ushape4s":
+        return NetConfig(context_fusion="ushape4s")
+    return NetConfig() if row == "default" else ablation_configs(NetConfig())[row]
+
+
 def _trained_like_store(cfg, seed):
     """Parameters with BN statistics away from their initial values."""
     store = _init_store(cfg, seed)
@@ -412,9 +420,9 @@ class TestInferencePlan:
     """network_forward in infer mode runs BN folded into the convs, with
     each value freed after its last use; the paper topology is unchanged."""
 
-    @pytest.mark.parametrize("row", ["default", *ablation_configs(NetConfig())])
+    @pytest.mark.parametrize("row", ["default", *ablation_configs(NetConfig()), "ushape4s"])
     def test_folded_plan_matches_graph_float64(self, row):
-        cfg = NetConfig() if row == "default" else ablation_configs(NetConfig())[row]
+        cfg = _plan_config(row)
         net = build_network(cfg, train=False)
         store = _trained_like_store(cfg, 50).as_dtype(np.float64)
         x = Rng(51).normal(3 * 64 * 64, std=40.0).reshape(1, 3, 64, 64)
@@ -463,7 +471,7 @@ class TestInferencePlan:
             assert (join.kind, join.name, join.inputs, join.output, join.factor) == (
                 "upsample_add", "ffm.fuse.conv.sum", ("ffm.fuse.conv.0", "ffm.fuse.conv.1"),
                 "ffm.fuse.bn", 2)
-            assert not any(s.kind in ("concat", "add_conv", "upsample") for s in specs)
+            assert not any(s.kind in ("concat", "upsample") for s in specs)
             assert len(specs) == sum(map(len, groups)) + len(tail)
 
     def test_default_plan_chains_the_spatial_path_and_the_stem(self):
@@ -474,26 +482,29 @@ class TestInferencePlan:
         assert ends == {"sp.l1.conv": "ffm.fuse.conv.0", "cp.stem1.conv": "cp.stem2.relu"}
         assert len(chains) == 11  # three conv+relu pairs and the 1x1 half; two pairs
 
-    @pytest.mark.parametrize("row", ["default", *ablation_configs(NetConfig())])
+    @pytest.mark.parametrize("row", ["default", *ablation_configs(NetConfig()), "ushape4s"])
     @pytest.mark.parametrize("n, h, w", [(1, 96, 160), (2, 160, 96)])
     def test_chained_plan_matches_unchained_bitwise(self, row, n, h, w, monkeypatch):
-        """The freeing forward (chains, the add_conv written into the spatial
-        half, the tail's pool split) against the keep-all one, with one-row
-        bands (every chain band recomputes its halo rows, at the top edge,
-        in the middle and at the bottom edge) and with the default bands.
-        The spatial chain runs through the 1x1 half of the FFM's conv, or
-        through fuse.sp_proj in the sum row. Bitwise equality rests on
-        OpenBLAS rounding each column alike at either band height; it held
-        at both here."""
-        cfg = NetConfig() if row == "default" else ablation_configs(NetConfig())[row]
+        """The freeing forward (chains, the upsample_add written into the
+        spatial half, the tail's pool split) against the keep-all one, with
+        one-row bands (every chain band recomputes its halo rows, at the top
+        edge, in the middle and at the bottom edge) and with the default
+        bands. The spatial chain runs through the 1x1 half of the FFM's conv,
+        through fuse.sp_proj in the sum row, or to sp.l3.relu in the ushape4s
+        row, whose FFM keeps its concat. Bitwise equality rests on OpenBLAS
+        rounding each column alike at either band height; it held at both
+        here."""
+        cfg = _plan_config(row)
         net = build_network(cfg, train=False)
         specs, params = fold_bn(net.specs, _trained_like_store(cfg, 58))
         x = Rng(59).normal(n * 3 * h * w, std=40.0).astype(np.float32).reshape(n, 3, h, w)
         plan = graph._schedule(specs, {"x": x.shape}, [net.main_logits])
+        ushape = cfg.context_fusion == "ushape4s"
         if cfg.use_spatial_path:
-            end = "ffm.fuse.conv.0" if cfg.fusion == "ffm" else "fuse.sp_proj"
+            end = ("sp.l3.relu" if ushape else "ffm.fuse.conv.0" if cfg.fusion == "ffm"
+                   else "fuse.sp_proj")
             assert plan.chains["sp.l1.conv"][-1].name == end
-        if cfg.use_spatial_path and cfg.fusion == "ffm":
+        if cfg.use_spatial_path and cfg.fusion == "ffm" and not ushape:
             assert plan.tail[0].kind == "upsample_add" and plan.tail[0].name in plan.in_place
         for elems in (1, ops._BAND_ELEMS):
             monkeypatch.setattr(ops, "_BAND_ELEMS", elems)
@@ -505,21 +516,40 @@ class TestInferencePlan:
         """Each upsample of the context path is added band by band
         (cp.merge16, cp.merge8, the FFM join) but ushape4s's cp.up8, which a
         3x3 conv reads; that conv's output is the FFM's second operand, so
-        ushape4s joins it with an add_conv."""
+        ushape4s keeps the FFM's concat, and its spatial chain ends at
+        sp.l3.relu."""
         for cfg, joins in (
                 (NetConfig(), [("cp.merge16", ("cp.proj16.relu", "cp.proj32.relu")),
                                ("ffm.fuse.conv.sum", ("ffm.fuse.conv.0", "ffm.fuse.conv.1"))]),
                 (NetConfig(context_fusion="ushape4s"), [
                     ("cp.merge16", ("cp.proj16.relu", "cp.proj32.relu")),
-                    ("cp.merge8", ("cp.proj8.relu", "cp.refine16.relu")),
-                    ("ffm.fuse.conv.1", ("ffm.fuse.conv.0", "cp.align8.relu"))])):
-            specs, _params = fold_bn(build_network(cfg, train=False).specs, _init_store(cfg))
-            assert [(s.name, s.inputs) for s in specs
-                    if s.kind in ("upsample_add", "add_conv")] == joins
+                    ("cp.merge8", ("cp.proj8.relu", "cp.refine16.relu"))])):
+            net = build_network(cfg, train=False)
+            specs, _params = fold_bn(net.specs, _init_store(cfg))
+            ushape = cfg.context_fusion == "ushape4s"
+            assert [(s.name, s.inputs) for s in specs if s.kind == "upsample_add"] == joins
             assert [s.name for s in specs if s.kind == "upsample"] == (
-                ["cp.up8"] if cfg.context_fusion == "ushape4s" else [])
-            assert [s.kind for s in specs if s.name == "ffm.fuse.conv.1"] == (
-                ["add_conv"] if cfg.context_fusion == "ushape4s" else ["conv"])
+                ["cp.up8"] if ushape else [])
+            assert [(s.name, s.inputs) for s in specs if s.kind == "concat"] == (
+                [("ffm.cat", ("sp.l3.relu", "cp.align8.relu"))] if ushape else [])
+            chains = find_chains(specs, {net.input, net.main_logits})
+            assert chains["sp.l1.conv"][-1].name == ("sp.l3.relu" if ushape
+                                                     else "ffm.fuse.conv.0")
+
+    def test_every_kind_is_reached_by_a_config(self):
+        """Each kind in graph.KINDS appears in the training graph or the
+        fold_bn plan of the default config, an ablation row or ushape4s,
+        each checked at 64x64: a plan-only kind no config reaches is dead
+        code."""
+        seen = set()
+        for row in ("default", *ablation_configs(NetConfig()), "ushape4s"):
+            cfg = _plan_config(row)
+            train_specs = build_network(cfg, train=True).specs
+            plan, _params = fold_bn(build_network(cfg, train=False).specs, _init_store(cfg))
+            for specs in (train_specs, plan):
+                graph.infer_shapes(specs, {"x": (1, 3, 64, 64)})
+                seen.update(s.kind for s in specs)
+        assert seen == set(graph.KINDS)
 
     def test_two_infer_calls_bitwise_equal(self):
         store = _trained_like_store(TINY, 54)

@@ -237,27 +237,6 @@ class TestConvForward:
             ref = relu(ref) if use_relu else ref
         assert np.allclose(got, ref, rtol=1e-5, atol=1e-5)
 
-    @pytest.mark.parametrize("bands", [1, 2, 3])
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_accumulating_conv_adds_into_acc_bitwise(self, bands, n, monkeypatch):
-        """conv2d_forward(x, p, acc=a) adds each band of the conv into a,
-        with and without a pool: bit for bit a + conv2d_forward(x, p)."""
-        rng = Rng(96 + n)
-        x = _randn(rng, n, 4, 6, 5)
-        a = _randn(rng, n, 7, 6, 5)
-        monkeypatch.setattr(ops, "_BAND_ELEMS", -(-6 // bands) * n * 4 * 5)
-        for k, pad in ((1, 0), (3, 1)):
-            p = Conv2dParams(_randn(rng, 7, 4, k, k), _randn(rng, 7), 1, pad)
-            if k == 3:
-                monkeypatch.setattr(ops, "_BAND_ELEMS", -(-6 // bands) * n * 36 * 5)
-            ref = a + conv2d_forward(x, p)
-            with ThreadPoolExecutor(1) as pool:
-                for use in (None, pool):
-                    acc = a.copy()
-                    p.pool = use
-                    assert conv2d_forward(x, p, acc=acc) is acc
-                    assert np.array_equal(acc, ref), (k, use)
-
     def test_identity_1x1(self):
         rng = Rng(2)
         x = _randn(rng, 1, 3, 6, 6)
