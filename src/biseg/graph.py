@@ -7,10 +7,10 @@ backward pass walks it in exact reverse, summing the gradients of a value
 that fans out into a fresh array. Inference runs a plan over the same specs:
 fold_bn merges each BN into the conv before it, splits a concat read only
 by a 1x1 conv, whose second operand is an upsample, into that conv's half
-on the first operand and the other half, run in front of the upsample
-(split_concat_convs), turns f + f·w into f·(1 + w) (merge_gate_adds), and
-a + upsample(b) into an upsample_add that adds the upsampled b into a band
-by band (merge_upsample_adds). A forward given the values it must return
+on the first operand and the other half, run on the upsample's input and
+joined to the first by an upsample_add, which adds its upsample band by
+band (split_concat_convs), and turns f + f·w into f·(1 + w)
+(merge_gate_adds). A forward given the values it must return
 drops each other layer output after its last use, writes a relu, add, mul
 or upsample_add into the first operand that dies there, and runs the
 branches from the graph inputs concurrently on one dict. That forward
@@ -32,7 +32,7 @@ static cost and receptive-field rule. Graph validation, shape inference,
 parameter initialization, execution, cost analysis and the receptive-field
 walk all look the kind up there, so a new kind is one table entry. The
 table holds conv, bn, relu, sigmoid, gap, upsample, concat, add and mul,
-and upsample_add, which only plans use.
+and upsample_add, which only split_concat_convs' plans use.
 conv and bn own parameters in the ParamStore under "<layer name>." prefixes.
 """
 
@@ -226,6 +226,13 @@ def _upsample_shape(spec, ins):
     return (n, c, h * spec.factor, w * spec.factor)
 
 
+def _upsample_add_shape(spec, ins):  # a + upsample(b), a of the upsampled shape
+    up = _upsample_shape(spec, ins[1:])
+    if ins[0] != up:
+        raise ShapeError(f"operand {ins[0]} is not the upsampled shape {up}")
+    return up
+
+
 def _conv_bwd(spec, xs, y, gy, p, mode, input_grad=True):
     gx, gw, gb = ops.conv2d_backward(xs[0], _conv(spec, p), gy, input_grad)
     return (gx,), ({"weight": gw, "bias": gb} if spec.bias else {"weight": gw})
@@ -322,11 +329,10 @@ KINDS: dict[str, LayerKind] = {
             (gy * xs[1], _unbroadcast(gy * xs[0], xs[1])), {}),
         cost=_flops(1), rf=_rf_join),
     "upsample_add": LayerKind(
-        arity=2, shape=lambda spec, ins: _pointwise_shape(  # a + upsample(b)
-            spec, (_upsample_shape(spec, ins[1:]), ins[0])),
+        arity=2, shape=_upsample_add_shape,
         forward=lambda spec, xs, p, mode, out=None, pool=None: ops.upsample_add(
             xs[0], xs[1], spec.factor, out, pool),
-        backward=lambda spec, xs, y, gy, p, mode: ((_unbroadcast(gy, xs[0]), (
+        backward=lambda spec, xs, y, gy, p, mode: ((gy, (
             ops.bilinear_upsample_backward(xs[1].shape, spec.factor, gy))), {}),
         cost=_flops(8), rf=None),
 }
@@ -528,8 +534,7 @@ def _rewrite(specs, store: ParamStore, new: dict) -> tuple[list[LayerSpec], Para
 
 def fold_bn(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
     """Inference plan with every BN folded into the conv it follows, then
-    rewritten by split_concat_convs(), merge_gate_adds() and
-    merge_upsample_adds().
+    rewritten by split_concat_convs() and merge_gate_adds().
 
     A conv whose output feeds exactly one layer, a bn, becomes one conv with
     a bias that writes the bn's output, so the conv's own output is gone:
@@ -558,8 +563,7 @@ def fold_bn(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
             new[spec.name] = [(replace(spec, output=bn.output, bias=True), {
                 "weight": w * s.astype(w.dtype).reshape(-1, 1, 1, 1),
                 "bias": (value(bn, "beta") + (b - value(bn, "running_mean")) * s).astype(w.dtype)})]
-    return merge_upsample_adds(*merge_gate_adds(*split_concat_convs(
-        *_rewrite(specs, store, new))))
+    return merge_gate_adds(*split_concat_convs(*_rewrite(specs, store, new)))
 
 
 def _pointwise(spec: LayerSpec) -> bool:  # a dense conv whose input is its own im2col
@@ -584,15 +588,17 @@ def split_concat_convs(specs, store: ParamStore) -> tuple[list[LayerSpec], Param
     the concat, where the concat is read only by a dense unpadded 1x1
     stride-1 conv, becomes the conv's half "<conv>.0" on a, which
     split_branches() puts in a's branch (where find_chains() may end a chain
-    with it), the other half "<conv>.1" on v, before the upsample, and an
-    add "<conv>.sum" of "<conv>.0" and the upsample of "<conv>.1", which
+    with it), the other half "<conv>.1" on v, in place of the upsample, and
+    the join upsample_add "<conv>.sum" of "<conv>.0" and "<conv>.1", which
     writes the conv's output:
         W·[a; u(v)] + bias = W_a·a + u(W_b·v + bias),
     exact in real arithmetic since the conv mixes channels, the upsample
-    pixels, and each bilinear row sums to 1; merge_upsample_adds() then
-    turns that add into an upsample_add. Any other concat stays, as does one
-    whose first operand's channels _channels() cannot tell. The store holds
-    the weight slices and shares the other arrays.
+    pixels, and each bilinear row sums to 1. The join makes the upsampled
+    half one band of rows at a time and adds it into "<conv>.0" (into its
+    own array, where a freeing forward drops it there), so that map never
+    exists in full. Any other concat stays, as does one whose first
+    operand's channels _channels() cannot tell. The store holds the weight
+    slices and shares the other arrays.
     """
     users = _consumers(specs)
     producers = {spec.output: spec for spec in specs}
@@ -613,11 +619,11 @@ def split_concat_convs(specs, store: ParamStore) -> tuple[list[LayerSpec], Param
         other = replace(conv, name=f"{conv.name}.1", inputs=up.inputs, output=f"{conv.name}.1",
                         in_channels=conv.in_channels - ca)
         new[cat.name] = []
-        new[up.name] = [(other, {"weight": np.ascontiguousarray(w[:, ca:]), "bias": bias}),
-                        (replace(up, inputs=(other.output,)), {})]
+        new[up.name] = [(other, {"weight": np.ascontiguousarray(w[:, ca:]), "bias": bias})]
         new[conv.name] = [(half, {"weight": np.ascontiguousarray(w[:, :ca])}),
-                          (LayerSpec("add", f"{conv.name}.sum", (half.output, up.output),
-                                     conv.output), {})]
+                          (LayerSpec("upsample_add", f"{conv.name}.sum",
+                                     (half.output, other.output), conv.output,
+                                     factor=up.factor), {})]
     return _rewrite(specs, store, new)
 
 
@@ -648,28 +654,6 @@ def merge_gate_adds(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamSto
                                 "bias": np.ones(c, np.float32)}),
                          (replace(mul, inputs=(mul.inputs[0], one.output),
                                   output=readers[0].output), {})]
-    return _rewrite(specs, store, new)
-
-
-def merge_upsample_adds(specs, store: ParamStore) -> tuple[list[LayerSpec], ParamStore]:
-    """Plan rewrite: an add of a and u = upsample(b), in either order, where
-    the add is u's only reader, becomes upsample_add(a, b), writing the
-    add's output: the upsampled map is made one band of rows at a time and
-    added into a (into a's own array where a freeing forward drops a at
-    it), so it never exists in full. In the default model it joins
-    cp.merge16 and the FFM's two halves.
-    """
-    users = _consumers(specs)
-    producers = {spec.output: spec for spec in specs}
-    new = {}
-    for add in specs:
-        for j in (1, 0) if add.kind == "add" else ():
-            up = producers.get(add.inputs[j])
-            if up is not None and up.kind == "upsample" and len(users[up.output]) == 1:
-                new[up.name] = []
-                new[add.name] = [(replace(add, kind="upsample_add", factor=up.factor,
-                                          inputs=(add.inputs[1 - j], up.inputs[0])), {})]
-                break
     return _rewrite(specs, store, new)
 
 

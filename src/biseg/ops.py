@@ -497,18 +497,17 @@ def bilinear_upsample_backward(x_shape: tuple, factor: int, grad_out: np.ndarray
 def upsample_add(a: np.ndarray, x: np.ndarray, factor: int, out: np.ndarray | None = None,
                  pool: Executor | None = None) -> np.ndarray:
     """a + bilinear_upsample(x, factor), one band of output rows at a time, so
-    the upsampled map never exists in full. a has the output's shape or is
-    (n, c, 1, 1); out, if given, is the destination (a itself adds in place),
-    else a fresh array. A band's row pass reads only the source rows its
-    interpolation rows weight, and its column pass is one GEMM over all the
-    band's rows; bands hold _BAND_ELEMS elements, and with pool the bands
-    from the middle on run there."""
+    the upsampled map never exists in full: the FFM join of an inference
+    plan. a has the output's shape; out, if given, is the destination (a
+    itself adds in place), else a fresh array. A band's row pass reads only
+    the source rows its interpolation rows weight, and its column pass is
+    one GEMM over all the band's rows; bands hold _BAND_ELEMS elements, and
+    with pool the bands from the middle on run there."""
     n, c, h, w = x.shape
     ah = interp_matrix(h, h * factor, x.dtype)
     awt = interp_matrix(w, w * factor, x.dtype).T
     if out is None:
-        out = np.empty((n, c, h * factor, w * factor), dtype=np.result_type(a, x))
-    a = np.broadcast_to(a, out.shape)
+        out = np.empty(a.shape, dtype=np.result_type(a, x))
     band = band_rows(h * factor, n * c * w * factor)
 
     def run(r0, r1):

@@ -187,6 +187,16 @@ class TestInferShapes:
         with pytest.raises(ShapeError):
             infer_shapes(specs, {"x": (1, 3, 16, 16)})
 
+    @pytest.mark.parametrize("a", [(1, 8, 1, 1), (1, 8, 16, 8), (1, 4, 16, 16), (2, 8, 16, 16)],
+                             ids=["broadcast", "width", "channels", "batch"])
+    def test_upsample_add_needs_the_upsampled_shape(self, a):
+        """upsample_add's first operand has the shape of the upsampled
+        second one, (1, 8, 16, 16) here; nothing broadcasts."""
+        specs = [LayerSpec("upsample_add", "j", ("a", "b"), "y", factor=2)]
+        assert infer_shapes(specs, {"a": (1, 8, 16, 16), "b": (1, 8, 8, 8)})["y"] == (1, 8, 16, 16)
+        with pytest.raises(ShapeError, match=r"^layer 'j': operand .* upsampled shape"):
+            infer_shapes(specs, {"a": a, "b": (1, 8, 8, 8)})
+
 
 class TestEntryChecks:
     """Every graph run is checked once, before any layer runs, by the
@@ -986,65 +996,6 @@ class TestSplitConcatConvs:
                  for s in self._fusion()]
         specs[-2] = conv_spec("fuse", "f", "g", 5, 5, k=1, padding=0)
         assert "cat" in [s.name for s in fold_bn(specs, _bn_chain_store(specs, 49))[0]]
-
-
-class TestMergeUpsampleAdds:
-    """fold_bn's plan runs a + upsample(b) as one upsample_add, which adds
-    the upsampled b into a one band of rows at a time."""
-
-    def _join(self, order="a+u"):
-        return [
-            conv_spec("ca", "x", "a", 3, 4),
-            conv_spec("cb", "x", "b", 3, 4, stride=2),
-            unary("upsample", "ub", "b", "u", factor=2),
-            binary("add", "join", *(("a", "u") if order == "a+u" else ("u", "a")), "y"),
-        ]
-
-    @pytest.mark.parametrize("order", ["a+u", "u+a"])
-    def test_one_banded_add_into_a(self, order, monkeypatch):
-        """Either operand order gives upsample_add(a, b), equal to the add in
-        float64; in float32 it adds into a's array, bands [0, 6) on this
-        thread and [6, 12) on the pool, bit for bit a + upsample(b)."""
-        specs = self._join(order)
-        store = _bn_chain_store(specs, 55)
-        x = Rng(56).normal(2 * 3 * 12 * 8).reshape(2, 3, 12, 8)
-        ref = GraphRun(specs, store).forward({"x": x})["y"]
-        plan, params = fold_bn(specs, store)
-        assert [(s.kind, s.name, s.inputs, s.output, s.factor) for s in plan[2:]] == [
-            ("upsample_add", "join", ("a", "b"), "y", 2)]
-        for outputs in (None, ("y",)):
-            got = GraphRun(plan, params).forward({"x": x}, outputs=outputs)["y"]
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-        params, x = params.as_dtype(np.float32), x.astype(np.float32)
-        monkeypatch.setattr(ops, "_BAND_ELEMS", 2 * 2 * 4 * 8)  # two rows of the output
-        values = GraphRun(plan, params).forward({"x": x})
-        want = values["a"] + ops.bilinear_upsample(values["b"], 2)
-        calls, seen = [], {}
-        split, conv = ops._split_rows, ops.conv2d_forward
-
-        def spy_split(pool, run, rows, band):
-            def traced(r0, r1):
-                calls.append((r0, r1, threading.current_thread() is threading.main_thread()))
-                run(r0, r1)
-            return split(pool, traced if "upsample_add" in run.__qualname__ else run, rows, band)
-
-        def spy_conv(x, p, **kwargs):
-            y = seen[p.stride] = conv(x, p, **kwargs)
-            return y
-
-        monkeypatch.setattr(ops, "_split_rows", spy_split)
-        monkeypatch.setattr(ops, "conv2d_forward", spy_conv)
-        got = GraphRun(plan, params).forward({"x": x}, outputs=("y",))["y"]
-        assert got is seen[1]  # a's array
-        assert np.array_equal(got, want)
-        assert sorted(calls) == [(0, 6, True), (6, 12, False)]
-
-    def test_other_adds_stay(self):
-        """u read again, or an add of two values that are not upsamples."""
-        for specs in (self._join() + [unary("relu", "r", "u", "z")],
-                      self._join()[:2] + [binary("add", "join", "a", "a", "y")]):
-            plan, _params = fold_bn(specs, _bn_chain_store(specs, 57))
-            assert [s.name for s in plan] == [s.name for s in specs]
 
 
 class TestMergeGateAdds:

@@ -452,10 +452,10 @@ class TestInferencePlan:
     def test_plan_splits_into_the_two_paths(self, row):
         """The spatial and context paths are the branches: the spatial one
         ends in its half of the FFM's 1x1 conv, the context one in the other
-        half at stride 16, in front of the upsample that was cp.up16, and
+        half at stride 16, in place of the upsample that was cp.up16, and
         the tail opens with the upsample_add that adds the upsampled context
-        half into the spatial half; a row without a spatial path is one
-        branch."""
+        half into the spatial half; cp.up32 is the plan's one upsample. A
+        row without a spatial path is one branch."""
         net = build_network(ablation_configs(NetConfig())[row], train=False)
         specs, _params = fold_bn(net.specs, _init_store(NetConfig()))
         groups, tail = split_branches(specs, [net.input])
@@ -471,7 +471,8 @@ class TestInferencePlan:
             assert (join.kind, join.name, join.inputs, join.output, join.factor) == (
                 "upsample_add", "ffm.fuse.conv.sum", ("ffm.fuse.conv.0", "ffm.fuse.conv.1"),
                 "ffm.fuse.bn", 2)
-            assert not any(s.kind in ("concat", "upsample") for s in specs)
+            assert not any(s.kind == "concat" for s in specs)
+            assert [s.name for s in specs if s.kind == "upsample"] == ["cp.up32"]
             assert len(specs) == sum(map(len, groups)) + len(tail)
 
     def test_default_plan_chains_the_spatial_path_and_the_stem(self):
@@ -512,24 +513,24 @@ class TestInferencePlan:
             got = GraphRun(specs, params).forward({"x": x}, outputs=[net.main_logits])
             assert np.array_equal(got[net.main_logits], ref), elems
 
-    def test_upsample_adds_join_every_upsample_but_ushape4s_up8(self):
-        """Each upsample of the context path is added band by band
-        (cp.merge16, cp.merge8, the FFM join) but ushape4s's cp.up8, which a
-        3x3 conv reads; that conv's output is the FFM's second operand, so
-        ushape4s keeps the FFM's concat, and its spatial chain ends at
-        sp.l3.relu."""
-        for cfg, joins in (
-                (NetConfig(), [("cp.merge16", ("cp.proj16.relu", "cp.proj32.relu")),
-                               ("ffm.fuse.conv.sum", ("ffm.fuse.conv.0", "ffm.fuse.conv.1"))]),
-                (NetConfig(context_fusion="ushape4s"), [
-                    ("cp.merge16", ("cp.proj16.relu", "cp.proj32.relu")),
-                    ("cp.merge8", ("cp.proj8.relu", "cp.refine16.relu"))])):
+    def test_the_ffm_join_is_the_only_upsample_add(self):
+        """The FFM's join of its two halves is the plan's one upsample_add.
+        Every other add of an upsample (cp.merge16, and ushape4s's
+        cp.merge8) stays an upsample and an add. ushape4s's FFM reads
+        cp.align8, no upsample, so it keeps its concat, its plan holds no
+        upsample_add, and its spatial chain ends at sp.l3.relu."""
+        for cfg in (NetConfig(), NetConfig(context_fusion="ushape4s")):
             net = build_network(cfg, train=False)
             specs, _params = fold_bn(net.specs, _init_store(cfg))
             ushape = cfg.context_fusion == "ushape4s"
-            assert [(s.name, s.inputs) for s in specs if s.kind == "upsample_add"] == joins
-            assert [s.name for s in specs if s.kind == "upsample"] == (
-                ["cp.up8"] if ushape else [])
+            assert [(s.name, s.inputs) for s in specs if s.kind == "upsample_add"] == (
+                [] if ushape else [("ffm.fuse.conv.sum", ("ffm.fuse.conv.0", "ffm.fuse.conv.1"))])
+            ups = [s.output for s in specs if s.kind == "upsample"]
+            assert ups == (["cp.up32", "cp.up16", "cp.up8"] if ushape else ["cp.up32"])
+            assert [(s.name, s.inputs) for s in specs
+                    if s.kind == "add" and set(ups) & set(s.inputs)] == [
+                ("cp.merge16", ("cp.proj16.relu", "cp.up32")),
+                *([("cp.merge8", ("cp.proj8.relu", "cp.up16"))] if ushape else [])]
             assert [(s.name, s.inputs) for s in specs if s.kind == "concat"] == (
                 [("ffm.cat", ("sp.l3.relu", "cp.align8.relu"))] if ushape else [])
             chains = find_chains(specs, {net.input, net.main_logits})
@@ -550,6 +551,21 @@ class TestInferencePlan:
                 graph.infer_shapes(specs, {"x": (1, 3, 64, 64)})
                 seen.update(s.kind for s in specs)
         assert seen == set(graph.KINDS)
+
+    @pytest.mark.parametrize("rewrite", ["split_concat_convs", "merge_gate_adds"])
+    def test_every_rewrite_changes_a_plan(self, rewrite, monkeypatch):
+        """With one rewrite fold_bn calls made the identity, the fold_bn
+        plan of the default config, an ablation row or ushape4s at 64x64
+        changes: a rewrite no config reaches is dead code."""
+        rows = ("default", *ablation_configs(NetConfig()), "ushape4s")
+
+        def plans():
+            return [[*fold_bn(build_network(_plan_config(row), train=False).specs,
+                              _init_store(_plan_config(row)))[0]] for row in rows]
+
+        want = plans()
+        monkeypatch.setattr(graph, rewrite, lambda specs, store: (specs, store))
+        assert plans() != want
 
     def test_two_infer_calls_bitwise_equal(self):
         store = _trained_like_store(TINY, 54)
@@ -1036,6 +1052,26 @@ class TestPlanMemory:
             tracemalloc.stop()
         assert peak < 2 * fusion_map
 
+    @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
+    def test_ushape4s_peak_below_130_mib(self, pooled, monkeypatch):
+        """One ushape4s forward at 1088x1920, the plan built beforehand,
+        peaks at or below 130 MiB traced, with the branches run one after
+        the other or at once. Its FFM keeps the concat, and cp.merge8 adds
+        a whole stride-8 upsample of cp.refine16: it read 128.1 MiB either
+        way, as it did when cp.merge8 added that upsample band by band."""
+        if not pooled:
+            monkeypatch.setattr(graph, "_BRANCH_POOL", _InlineExecutor())
+        cfg = NetConfig(context_fusion="ushape4s")
+        store = _init_store(cfg, 62)
+        network_forward(_rand_input(1, 64, 64, seed=63), store, cfg)  # builds the plan
+        x = _rand_input(1, 1088, 1920, seed=64)
+        tracemalloc.start()
+        try:
+            network_forward(x, store, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 130 * (1 << 20), round(peak / (1 << 20), 1)
 
     def test_concurrent_peak_below_68_mib(self):
         """With the branches run at once on the real pool, the traced peak
