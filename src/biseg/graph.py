@@ -32,7 +32,8 @@ static cost and receptive-field rule. Graph validation, shape inference,
 parameter initialization, execution, cost analysis and the receptive-field
 walk all look the kind up there, so a new kind is one table entry. The
 table holds conv, bn, relu, sigmoid, gap, upsample, concat, add and mul,
-and upsample_add, which only split_concat_convs' plans use.
+and upsample_add, which only split_concat_convs' plans use; it runs the
+upsample's kernel, ops.bilinear_upsample, with its add operand.
 conv and bn own parameters in the ParamStore under "<layer name>." prefixes.
 """
 
@@ -113,8 +114,8 @@ class LayerKind:
         unless the kind takes out=: relu, add, mul and upsample_add write
         into out, an array of the output's shape and dtype, when given one
         (a freeing GraphRun.forward passes the first operand where it dies).
-        conv's and upsample_add's also take pool=, an executor for half of
-        their banded output rows
+        conv's and upsample_add's (ops.bilinear_upsample with an add) also
+        take pool=, an executor for half of their banded output rows
     backward(spec, xs, y, gy, p, mode) -> (input grads, {suffix: grad}); conv's
         also takes input_grad=False, which gives None for the input grad.
         A gradient may be gy itself or a view of it or of another gradient,
@@ -330,8 +331,8 @@ KINDS: dict[str, LayerKind] = {
         cost=_flops(1), rf=_rf_join),
     "upsample_add": LayerKind(
         arity=2, shape=_upsample_add_shape,
-        forward=lambda spec, xs, p, mode, out=None, pool=None: ops.upsample_add(
-            xs[0], xs[1], spec.factor, out, pool),
+        forward=lambda spec, xs, p, mode, out=None, pool=None: ops.bilinear_upsample(
+            xs[1], spec.factor, xs[0], out, pool),
         backward=lambda spec, xs, y, gy, p, mode: ((gy, (
             ops.bilinear_upsample_backward(xs[1].shape, spec.factor, gy))), {}),
         cost=_flops(8), rf=None),

@@ -7,9 +7,10 @@ The depthwise forward and every conv backward read the input as
 stride-phase planes, where each tap is one contiguous slice; the backward
 is one tap loop for dense and depthwise convs. Bilinear resampling uses
 half-pixel centers (source = (dst + 0.5) / factor - 0.5) with edge
-clamping; upsample_add adds an upsample into a map one band of rows at a
-time. Every kernel follows the dtype of its inputs, so the production
-float32 path and the float64 verification path share one implementation.
+clamping; one banded kernel, _resample, serves resize, upsample, its
+backward and the upsample added into a map. Every kernel follows the dtype
+of its inputs, so the production float32 path and the float64
+verification path share one implementation.
 
 The layer kernels assume operands that fit (rank 4, parameters and output
 gradients of the shapes the layer implies): the graph checks them once per
@@ -455,18 +456,43 @@ def interp_matrix(src: int, dst: int, dtype=np.float32) -> np.ndarray:
     return a.astype(dtype)
 
 
-def _separable(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """rows @ x @ cols for every (n, c) matrix of x: the row pass per channel,
-    the column pass one 2-D GEMM over all channels' rows, which gives bitwise
-    the per-channel product."""
-    y = np.matmul(rows, x)
-    return np.matmul(y.reshape(-1, y.shape[3]), cols).reshape(*y.shape[:3], cols.shape[1])
+def _resample(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, add: np.ndarray | None = None,
+              out: np.ndarray | None = None, pool: Executor | None = None) -> np.ndarray:
+    """rows @ x @ cols for every (n, c) matrix of x, plus add if given, into
+    out (add itself adds in place) or a fresh array. Per band of _BAND_ELEMS
+    output elements, the row pass reads only the source rows the band
+    weights, and the column pass is one 2-D GEMM over every channel's rows,
+    bitwise the per-channel product; with pool, the bands from the middle on
+    run there. One-row bands make the row pass a vector-matrix product,
+    which BLAS sums in another order; other bands are bitwise one band."""
+    oh, ow = rows.shape[0], cols.shape[1]
+    if out is None:
+        out = np.empty((*x.shape[:2], oh, ow), np.result_type(x, x if add is None else add))
+    band = band_rows(oh, out[:, :, 0].size)
+
+    def run(r0, r1):
+        for b0 in range(r0, r1, band):
+            b1 = min(b0 + band, r1)
+            reads = np.flatnonzero(rows[b0:b1].any(axis=0))
+            src = slice(reads[0], reads[-1] + 1)  # the source rows the band weights
+            y = np.matmul(rows[b0:b1, src], x[:, :, src])
+            dst = out[:, :, b0:b1]
+            part = dst if add is None and dst.flags.c_contiguous else np.empty(dst.shape, y.dtype)
+            np.matmul(y.reshape(-1, y.shape[3]), cols, out=part.reshape(-1, ow))
+            if add is not None:
+                np.add(add[:, :, b0:b1], part, out=dst)
+            elif part is not dst:
+                dst[...] = part
+            del y, part  # so the next band's passes do not overlap this band's
+
+    _split_rows(pool, run, oh, band)
+    return out
 
 
 def resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resize (n,c,h,w) to (n,c,out_h,out_w) with half-pixel bilinear."""
     h, w = x.shape[2], x.shape[3]
-    return _separable(x, interp_matrix(h, out_h, x.dtype), interp_matrix(w, out_w, x.dtype).T)
+    return _resample(x, interp_matrix(h, out_h, x.dtype), interp_matrix(w, out_w, x.dtype).T)
 
 
 def _nearest_index(src: int, dst: int) -> np.ndarray:
@@ -482,44 +508,20 @@ def resize_nearest_labels(labels: np.ndarray, out_h: int, out_w: int) -> np.ndar
     return labels[..., _nearest_index(h, out_h)[:, None], _nearest_index(w, out_w)]
 
 
-def bilinear_upsample(x: np.ndarray, factor: int) -> np.ndarray:
+def bilinear_upsample(x: np.ndarray, factor: int, add: np.ndarray | None = None,
+                      out: np.ndarray | None = None, pool: Executor | None = None) -> np.ndarray:
+    """The x factor upsample of x, plus add if given (see _resample)."""
     if factor < 1:
         raise ArgumentError(f"upsample factor must be >= 1, got {factor}")
-    return resize_bilinear(x, x.shape[2] * factor, x.shape[3] * factor)
+    h, w = x.shape[2:]
+    return _resample(x, interp_matrix(h, h * factor, x.dtype),
+                     interp_matrix(w, w * factor, x.dtype).T, add, out, pool)
 
 
 def bilinear_upsample_backward(x_shape: tuple, factor: int, grad_out: np.ndarray) -> np.ndarray:
     h, w = x_shape[2:]
-    return _separable(grad_out, interp_matrix(h, h * factor, grad_out.dtype).T,
-                      interp_matrix(w, w * factor, grad_out.dtype))
-
-
-def upsample_add(a: np.ndarray, x: np.ndarray, factor: int, out: np.ndarray | None = None,
-                 pool: Executor | None = None) -> np.ndarray:
-    """a + bilinear_upsample(x, factor), one band of output rows at a time, so
-    the upsampled map never exists in full: the FFM join of an inference
-    plan. a has the output's shape; out, if given, is the destination (a
-    itself adds in place), else a fresh array. A band's row pass reads only
-    the source rows its interpolation rows weight, and its column pass is
-    one GEMM over all the band's rows; bands hold _BAND_ELEMS elements, and
-    with pool the bands from the middle on run there."""
-    n, c, h, w = x.shape
-    ah = interp_matrix(h, h * factor, x.dtype)
-    awt = interp_matrix(w, w * factor, x.dtype).T
-    if out is None:
-        out = np.empty(a.shape, dtype=np.result_type(a, x))
-    band = band_rows(h * factor, n * c * w * factor)
-
-    def run(r0, r1):
-        for b0 in range(r0, r1, band):
-            rows = ah[b0 : min(b0 + band, r1)]
-            reads = np.flatnonzero(rows.any(axis=0))
-            s0, s1 = reads[0], reads[-1] + 1
-            part = _separable(x[:, :, s0:s1], rows[:, s0:s1], awt)
-            np.add(a[:, :, b0 : b0 + len(rows)], part, out=out[:, :, b0 : b0 + len(rows)])
-
-    _split_rows(pool, run, h * factor, band)
-    return out
+    return _resample(grad_out, interp_matrix(h, h * factor, grad_out.dtype).T,
+                     interp_matrix(w, w * factor, grad_out.dtype))
 
 
 # ---------------------------------------------------------------------------

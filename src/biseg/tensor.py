@@ -139,16 +139,11 @@ class Rng:
 # ---------------------------------------------------------------------------
 
 
-def init_kaiming(shape: tuple, fan_in: int, rng: Rng) -> np.ndarray:
-    """He-normal init: Normal(0, sqrt(2 / fan_in)) truncated to float32."""
-    return defer_kaiming(shape, fan_in, rng)()
-
-
 def defer_kaiming(shape: tuple, fan_in: int, rng: Rng) -> Callable[[], np.ndarray]:
-    """init_kaiming with the draw put off: fan_in is checked and rng moves
-    past the draws now, so later draws from rng do not depend on whether or
-    when this one is made. The returned function makes the array; call it
-    once."""
+    """He-normal init, Normal(0, sqrt(2 / fan_in)) rounded to float32, with
+    the draw put off: fan_in is checked and rng moves past the draws now, so
+    later draws from rng do not depend on whether or when this one is made.
+    The returned function makes the array; call it once."""
     if fan_in < 1:
         raise ArgumentError(f"fan_in must be >= 1, got {fan_in}")
     std = float(np.sqrt(2.0 / fan_in))

@@ -1057,8 +1057,9 @@ class TestPlanMemory:
         """One ushape4s forward at 1088x1920, the plan built beforehand,
         peaks at or below 130 MiB traced, with the branches run one after
         the other or at once. Its FFM keeps the concat, and cp.merge8 adds
-        a whole stride-8 upsample of cp.refine16: it read 128.1 MiB either
-        way, as it did when cp.merge8 added that upsample band by band."""
+        a whole stride-8 upsample of cp.refine16: it read 102.2 MiB either
+        way, and 128.1 MiB while each upsample built its full-size row
+        pass."""
         if not pooled:
             monkeypatch.setattr(graph, "_BRANCH_POOL", _InlineExecutor())
         cfg = NetConfig(context_fusion="ushape4s")

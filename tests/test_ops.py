@@ -27,7 +27,6 @@ from biseg.ops import (
     relu_backward,
     sigmoid,
     sigmoid_backward,
-    upsample_add,
 )
 from biseg.graph import GraphRun, LayerSpec, ParamStore, init_params
 from biseg.tensor import Rng
@@ -803,21 +802,21 @@ class TestUpsample:
         with pytest.raises(ArgumentError):
             bilinear_upsample(np.zeros((1, 1, 2, 2), dtype=np.float32), 0)
 
-
-class TestUpsampleAdd:
     @pytest.mark.parametrize("rows", [1, 3, 8])
     @pytest.mark.parametrize("pool", [False, True])
-    def test_matches_the_add_of_the_upsample(self, rows, pool, monkeypatch):
-        """a + bilinear_upsample(x) made in bands of rows output rows (one,
-        three with a ragged last band, all eight), with and without the
-        pool split, into a fresh array and into a itself. Bit for bit the
-        add of the whole upsample, except with one-row bands: their row
-        pass is a vector-matrix product, which BLAS sums in another order,
-        so there it agrees to rounding."""
+    def test_bands_give_the_one_band_result(self, rows, pool, monkeypatch):
+        """The upsample, the upsample added into a fresh array and into a
+        itself, and the backward, each made in bands of rows output rows
+        (one, three with a ragged last band, or all of them), with and
+        without the pool split of the forward. Bit for bit the one-band
+        result, except with one-row bands: their row pass is a vector-matrix
+        product, which BLAS sums in another order, so there it agrees to
+        rounding."""
         rng = Rng(75)
         x = _randn(rng, 2, 3, 4, 5)
         a = _randn(rng, 2, 3, 8, 10)
-        monkeypatch.setattr(ops, "_BAND_ELEMS", rows * 2 * 3 * 10)
+        gy = _randn(rng, 2, 3, 10, 10)  # the backward makes 5 rows, so no ragged one-row band
+        up, back = bilinear_upsample(x, 2), bilinear_upsample_backward((2, 3, 5, 5), 2, gy)
         ex = ThreadPoolExecutor(1) if pool else None
 
         def same(got, want):
@@ -825,18 +824,35 @@ class TestUpsampleAdd:
                     else np.allclose(got, want, rtol=1e-6, atol=1e-6))
 
         try:
-            ref = a + bilinear_upsample(x, 2)
-            got = upsample_add(a, x, 2, pool=ex)
-            assert same(got, ref)
+            monkeypatch.setattr(ops, "_BAND_ELEMS", rows * 2 * 3 * 10)  # forward rows of 60
+            assert same(bilinear_upsample(x, 2, pool=ex), up)
+            got = bilinear_upsample(x, 2, a, pool=ex)
+            assert same(got, a + up)
             own = a.copy()
-            assert upsample_add(own, x, 2, out=own, pool=ex) is own
+            assert bilinear_upsample(x, 2, own, own, ex) is own
             assert np.array_equal(own, got)
+            wide = rng.normal(2 * 3 * 40 * 5).reshape(2, 3, 40, 5)
+            ref = naive_bilinear_upsample(wide, 2)
+            assert np.allclose(bilinear_upsample(wide, 2, pool=ex), ref, rtol=1e-12, atol=1e-12)
+            monkeypatch.setattr(ops, "_BAND_ELEMS", rows * 2 * 3 * 5)  # backward rows of 30
+            assert same(bilinear_upsample_backward((2, 3, 5, 5), 2, gy), back)
         finally:
             if ex is not None:
                 ex.shutdown()
-        wide = rng.normal(2 * 3 * 40 * 5).reshape(2, 3, 40, 5)
-        ref = naive_bilinear_upsample(wide, 2)
-        assert np.allclose(upsample_add(np.zeros_like(ref), wide, 2), ref, rtol=1e-12, atol=1e-12)
+
+    def test_banded_peak_holds_no_full_size_row_pass(self, monkeypatch):
+        """In 8-row bands a x2 upsample holds its output and one band's row
+        and column passes; the full-size row pass of a single pass would
+        take the peak to about 1.57 outputs."""
+        x = np.ones((1, 16, 64, 64), dtype=np.float32)
+        monkeypatch.setattr(ops, "_BAND_ELEMS", 8 * 16 * 128)
+        tracemalloc.start()
+        try:
+            out = bilinear_upsample(x, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * out.nbytes
 
 
 class TestLabelDownsample:

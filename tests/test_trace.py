@@ -13,8 +13,8 @@ import pytest
 
 import biseg
 from biseg.graph import GraphRun, ParamStore, forward_backward, init_params
-from biseg.network import build_network, joint_loss_on_values
-from biseg.tensor import Rng
+from biseg.network import build_network, joint_loss_on_values, network_forward
+from biseg.tensor import Rng, Tensor
 
 from test_network import TINY
 
@@ -58,6 +58,25 @@ def test_train_forward_kernels_match_specs():
     assert tracer.unattributed == 0
     layers = {name for name, direction in tracer.spec_s if direction == "fwd"}
     assert {"sp.l1.conv", "cp.stem1.conv", "head.cls"} <= layers
+
+
+def test_inference_forward_traces_every_upsample():
+    """Each upsample of the inference plan, the FFM join that adds one into
+    the spatial half included, runs through the wrapped bilinear_upsample."""
+    store = ParamStore()
+    init_params(build_network(TINY).specs, store, Rng(0))
+    x = Tensor(Rng(1).normal(3 * 64 * 64).astype(np.float32).reshape(1, 3, 64, 64))
+    network_forward(x, store, TINY)  # builds the plan
+    tracer = _tracer()
+    try:
+        tracer.install(biseg)
+        tracer.set_active(True)
+        network_forward(x, store, TINY)
+        tracer.set_active(False)
+    finally:
+        tracer.unwrap_all()
+    ups = [s for s in store.plans[TINY].specs if s.kind in ("upsample", "upsample_add")]
+    assert len(ups) == 2 and tracer.calls["ops.upsample.fwd"] == len(ups)
 
 
 @pytest.mark.parametrize("loss_mode", ["plain", "bootstrap"])
